@@ -301,7 +301,6 @@ struct PorAblationRow {
   std::string Workload;
   PorEquivalenceReport R;
   std::uint64_t RegSleepSkips = 0;
-  std::uint64_t RegCacheHits = 0;
   std::uint64_t RegSteals = 0;
   std::uint64_t RegBacktracks = 0;
 };
@@ -314,7 +313,7 @@ struct PorAblationRow {
 /// honest row).
 std::vector<PorAblationRow> runPorAblation() {
   std::vector<PorAblationRow> Rows;
-  // Sourcing the POR-prune/cache-hit/steal columns from the metrics
+  // Sourcing the POR-prune/steal columns from the metrics
   // registry (rather than copying the report fields) keeps the registry
   // honest: a publishing bug shows up as a bench-row mismatch.
   bool WasEnabled = obs::enabled();
@@ -326,7 +325,6 @@ std::vector<PorAblationRow> runPorAblation() {
     Row.Workload = Workload;
     Row.R = checkPorEquivalence(std::move(Cfg), Opts);
     Row.RegSleepSkips = obs::counterValue("explorer.sleep_skips");
-    Row.RegCacheHits = obs::counterValue("explorer.cache_hits");
     Row.RegSteals = obs::counterValue("explorer.steals");
     Row.RegBacktracks = obs::counterValue("dpor.backtracks");
     Rows.push_back(std::move(Row));
@@ -397,7 +395,7 @@ void emitPorJson(std::FILE *F, const std::vector<PorAblationRow> &Rows) {
         "\"backtracks\": %llu, "
         "\"sleep_skips\": %llu, \"outcomes_full\": %llu, "
         "\"outcomes_por\": %llu, \"match\": %s, "
-        "\"registry_sleep_skips\": %llu, \"registry_cache_hits\": %llu, "
+        "\"registry_sleep_skips\": %llu, "
         "\"registry_steals\": %llu, \"registry_backtracks\": %llu}%s\n",
         Row.Workload.c_str(),
         static_cast<unsigned long long>(Row.R.FullSchedules),
@@ -414,107 +412,11 @@ void emitPorJson(std::FILE *F, const std::vector<PorAblationRow> &Rows) {
         static_cast<unsigned long long>(Row.R.PorOutcomes),
         Row.R.Ok && Row.R.Match ? "true" : "false",
         static_cast<unsigned long long>(Row.RegSleepSkips),
-        static_cast<unsigned long long>(Row.RegCacheHits),
         static_cast<unsigned long long>(Row.RegSteals),
         static_cast<unsigned long long>(Row.RegBacktracks),
         I + 1 != Rows.size() ? "," : "");
   }
   std::fprintf(F, "  ]\n");
-}
-
-/// Snapshot-convergent workload for the bounded-StateCache rows: silent
-/// shared nops emit no events, so interleavings reconverge on identical
-/// machine snapshots — the dedup cache's best case, and the workload that
-/// actually exercises eviction and spill under a byte budget.
-MachineConfigPtr makeNopGridConfig(unsigned Cpus, unsigned Nops) {
-  static ClightModule Client = [] {
-    ClightModule M = parseModuleOrDie("c", R"(
-      extern int nop();
-      int t_main(int k) {
-        int i = 0;
-        while (i < k) {
-          nop();
-          i = i + 1;
-        }
-        return 0;
-      }
-    )");
-    typeCheckOrDie(M);
-    return M;
-  }();
-  static LayerPtr L = [] {
-    auto I = makeInterface("Lnopgrid");
-    I->addShared("nop", makeConstPrim(0));
-    return I;
-  }();
-  static AsmProgramPtr Prog = compileAndLink("nopgrid.lasm", {&Client});
-  auto Cfg = std::make_shared<MachineConfig>();
-  Cfg->Name = "nopgrid";
-  Cfg->Layer = L;
-  Cfg->Program = Prog;
-  for (ThreadId C = 1; C <= Cpus; ++C)
-    Cfg->Work.emplace(C, std::vector<CpuWorkItem>{
-                             {"t_main", {static_cast<std::int64_t>(Nops)}}});
-  return Cfg;
-}
-
-/// The bounded-StateCache ablation: the same convergent workload explored
-/// uncached, with an unbounded cache, under a tight byte budget, and
-/// under the budget with disk spill — states/evictions/spill-hit columns
-/// show what each knob trades.  Outcome counts must agree across all
-/// four rows (the cache prunes revisits, never outcomes).
-void emitStateCacheJson(std::FILE *F) {
-  namespace fs = std::filesystem;
-  fs::path SpillDir = fs::temp_directory_path() / "ccal_bench_spill";
-  std::error_code Ec;
-  fs::remove_all(SpillDir, Ec);
-
-  MachineConfigPtr Cfg = makeNopGridConfig(3, 3);
-  struct Mode {
-    const char *Name;
-    bool Cache;
-    std::size_t Budget;
-    bool Spill;
-  };
-  const Mode Modes[] = {{"uncached", false, 0, false},
-                        {"unbounded", true, 0, false},
-                        {"budget_16k", true, 16384, false},
-                        {"budget_16k_spill", true, 16384, true}};
-  std::fprintf(F, "  \"state_cache\": [\n");
-  for (size_t I = 0; I != std::size(Modes); ++I) {
-    const Mode &M = Modes[I];
-    ExploreOptions Opts;
-    Opts.StateCache = M.Cache;
-    Opts.CacheBudgetBytes = M.Budget;
-    if (M.Spill)
-      Opts.CacheSpillDir = SpillDir.string();
-    auto Start = std::chrono::steady_clock::now();
-    ExploreResult Res = exploreMachine(Cfg, Opts);
-    double Secs = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - Start)
-                      .count();
-    std::fprintf(
-        F,
-        "    {\"mode\": \"%s\", \"seconds\": %.4f, \"states\": %llu, "
-        "\"outcomes\": %llu, \"cache_hits\": %llu, \"evictions\": %llu, "
-        "\"spill_hits\": %llu, \"ok\": %s}%s\n",
-        M.Name, Secs, static_cast<unsigned long long>(Res.StatesExplored),
-        static_cast<unsigned long long>(Res.Outcomes.size()),
-        static_cast<unsigned long long>(Res.CacheHits),
-        static_cast<unsigned long long>(Res.CacheEvictions),
-        static_cast<unsigned long long>(Res.CacheSpillHits),
-        Res.Ok && Res.Complete ? "true" : "false",
-        I + 1 != std::size(Modes) ? "," : "");
-    std::fprintf(stderr,
-                 "state cache: %-18s states=%llu hits=%llu evictions=%llu "
-                 "spill_hits=%llu\n",
-                 M.Name, static_cast<unsigned long long>(Res.StatesExplored),
-                 static_cast<unsigned long long>(Res.CacheHits),
-                 static_cast<unsigned long long>(Res.CacheEvictions),
-                 static_cast<unsigned long long>(Res.CacheSpillHits));
-  }
-  std::fprintf(F, "  ],\n");
-  fs::remove_all(SpillDir, Ec);
 }
 
 /// Maximal-branching workload for the release/acquire rows: a torn
@@ -676,6 +578,15 @@ void emitCertStoreJson(std::FILE *F) {
     return std::make_pair(Secs, Rep.Holds);
   };
 
+  // The first store write in a process pays a one-time filesystem cost
+  // (~70 ms here) that would swamp the sub-millisecond check; pay it
+  // untimed against a throwaway directory so the cold row times the store.
+  fs::path WarmUp = Dir;
+  WarmUp += "_warmup";
+  cert::setStoreDir(WarmUp.string());
+  RunOnce();
+  fs::remove_all(WarmUp, Ec);
+
   bool WasEnabled = obs::enabled();
   obs::setEnabled(true);
   obs::metricsReset();
@@ -763,12 +674,10 @@ void emitScalingJson() {
                       .count();
     if (T == 1)
       Baseline = Secs;
-    std::uint64_t CacheHits = obs::counterValue("explorer.cache_hits");
     std::uint64_t SleepSkips = obs::counterValue("explorer.sleep_skips");
     std::uint64_t Steals = obs::counterValue("explorer.steals");
     std::uint64_t Donations = obs::counterValue("explorer.donations");
     std::uint64_t StealBatches = obs::counterValue("steal.batches");
-    std::uint64_t CacheEvictions = obs::counterValue("cache.evictions");
     // snapshot_bytes: bytes a machine-copy physically clones for a log of
     // this run's deepest length (sealed chunks are shared, only pointers
     // and the tail copy) — the quantity the chunked representation
@@ -780,9 +689,8 @@ void emitScalingJson() {
                  "    {\"threads\": %u, \"seconds\": %.3f, \"schedules\": "
                  "%llu, \"states\": %llu, \"states_per_sec\": %.0f, "
                  "\"snapshot_bytes\": %llu, \"ok\": %s, \"speedup\": %.2f, "
-                 "\"cache_hits\": %llu, \"sleep_skips\": %llu, "
-                 "\"steals\": %llu, \"donations\": %llu, "
-                 "\"steal_batches\": %llu, \"cache_evictions\": %llu}%s\n",
+                 "\"sleep_skips\": %llu, \"steals\": %llu, "
+                 "\"donations\": %llu, \"steal_batches\": %llu}%s\n",
                  T, Secs,
                  static_cast<unsigned long long>(Res.SchedulesExplored),
                  static_cast<unsigned long long>(Res.StatesExplored),
@@ -791,26 +699,22 @@ void emitScalingJson() {
                  static_cast<unsigned long long>(Deepest.snapshotCopyBytes()),
                  Res.Ok ? "true" : "false",
                  Secs > 0.0 ? Baseline / Secs : 0.0,
-                 static_cast<unsigned long long>(CacheHits),
                  static_cast<unsigned long long>(SleepSkips),
                  static_cast<unsigned long long>(Steals),
                  static_cast<unsigned long long>(Donations),
                  static_cast<unsigned long long>(StealBatches),
-                 static_cast<unsigned long long>(CacheEvictions),
                  I + 1 != ThreadCounts.size() ? "," : "");
     std::fprintf(stderr,
                  "explorer scaling: threads=%u %.3fs schedules=%llu "
-                 "cache_hits=%llu steals=%llu steal_batches=%llu\n",
+                 "steals=%llu steal_batches=%llu\n",
                  T, Secs,
                  static_cast<unsigned long long>(Res.SchedulesExplored),
-                 static_cast<unsigned long long>(CacheHits),
                  static_cast<unsigned long long>(Steals),
                  static_cast<unsigned long long>(StealBatches));
   }
   obs::metricsReset();
   obs::setEnabled(WasEnabled);
   std::fprintf(F, "  ],\n");
-  emitStateCacheJson(F);
   emitCertStoreJson(F);
   emitRaJson(F);
   emitPorJson(F, runPorAblation());

@@ -39,9 +39,9 @@ void keyAddProgram(Hasher &H, const AsmProgram &P);
 
 /// Folds the semantic knobs of a GenericExploreOptions into \p H: the
 /// budgets and regimes that shape the explored schedule space.  Threads,
-/// StateCache/MaxStateCache, Metrics and the callbacks are excluded — they
-/// change how the space is walked, never which outcomes exist.  The
-/// invariant enters through its declared InvariantName; callers must
+/// Cancel/CancelReason and the callbacks are excluded — they change how
+/// the space is walked or when a run stops, never which outcomes exist.
+/// The invariant enters through its declared InvariantName; callers must
 /// refuse to cache when an invariant is set without a name (the
 /// `cacheableOptions` predicate below).
 template <typename OptsT>

@@ -4,6 +4,7 @@
 
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
+#include "support/Arith.h"
 #include "support/Check.h"
 
 #include <optional>
@@ -24,15 +25,15 @@ std::optional<std::int64_t> foldBinary(Opcode Op, std::int64_t A,
                                        std::int64_t B) {
   switch (Op) {
   case Opcode::Add:
-    return A + B;
+    return wrapAdd(A, B);
   case Opcode::Sub:
-    return A - B;
+    return wrapSub(A, B);
   case Opcode::Mul:
-    return A * B;
+    return wrapMul(A, B);
   case Opcode::Div:
-    return B == 0 ? std::nullopt : std::optional<std::int64_t>(A / B);
+    return B == 0 ? std::nullopt : std::optional<std::int64_t>(wrapDiv(A, B));
   case Opcode::Mod:
-    return B == 0 ? std::nullopt : std::optional<std::int64_t>(A % B);
+    return B == 0 ? std::nullopt : std::optional<std::int64_t>(wrapMod(A, B));
   case Opcode::Eq:
     return A == B ? 1 : 0;
   case Opcode::Ne:
@@ -115,8 +116,8 @@ bool runPass(AsmFunc &F, OptimizeStats &Stats) {
     // push v; not/neg  ->  push (!v / -v)
     if (A.Op == Opcode::Push && I + 1 < N && Free(I + 1) &&
         (Code[I + 1].Op == Opcode::Not || Code[I + 1].Op == Opcode::Neg)) {
-      std::int64_t V =
-          Code[I + 1].Op == Opcode::Not ? (A.Imm == 0 ? 1 : 0) : -A.Imm;
+      std::int64_t V = Code[I + 1].Op == Opcode::Not ? (A.Imm == 0 ? 1 : 0)
+                                                     : wrapNeg(A.Imm);
       OldToNew[I + 1] = static_cast<std::int32_t>(Out.size());
       Out.push_back(Instr::push(V));
       ++Stats.Folded;

@@ -77,7 +77,7 @@ struct Event {
 /// string (KindId::operator<), never by interning-order id.
 bool operator<(const Event &A, const Event &B);
 
-/// Structural hash for state-dedup tables, built on support/Hash.h's
+/// Structural hash for outcome-dedup tables, built on support/Hash.h's
 /// Hasher discipline; the kind enters through its cached content hash
 /// (KindId::strHash), so the value is independent of interning order.
 /// Inline (and header-only) because Log::push_back folds it into the

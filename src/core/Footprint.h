@@ -165,29 +165,14 @@ struct Footprint {
     return WriteOrd == MemOrder::Release || WriteOrd == MemOrder::AcqRel ||
            WriteOrd == MemOrder::SeqCst;
   }
-
-  /// Structural equality (location vectors are kept sorted, so this is
-  /// set equality).  Used by the Explorer's sleep-set subset test when
-  /// deciding whether a cached visit covers a revisit under POR.
-  bool operator==(const Footprint &O) const {
-    return Opaque == O.Opaque && Reads == O.Reads && Writes == O.Writes &&
-           ReadOrd == O.ReadOrd && WriteOrd == O.WriteOrd &&
-           Atomic == O.Atomic && ScFence == O.ScFence &&
-           FairRead == O.FairRead;
-  }
-  bool operator!=(const Footprint &O) const { return !(*this == O); }
 };
 
-/// A participant's step footprint — the unit of the Explorer's sleep sets,
-/// of DPOR race replay, and of cached subtree summaries: "participant
-/// \p Tid took (or would take) a step with footprint \p Foot".
+/// A participant's step footprint — the unit of the Explorer's sleep sets
+/// and DPOR race detection: "participant \p Tid took (or would take) a
+/// step with footprint \p Foot".
 struct ParticipantFootprint {
   ThreadId Tid;
   Footprint Foot;
-
-  bool operator==(const ParticipantFootprint &O) const {
-    return Tid == O.Tid && Foot == O.Foot;
-  }
 };
 
 /// True when the steps behind \p A and \p B do not commute: either one is

@@ -2,6 +2,7 @@
 
 #include "lang/Interp.h"
 
+#include "support/Arith.h"
 #include "support/Check.h"
 #include "support/Text.h"
 
@@ -239,7 +240,7 @@ std::optional<std::int64_t> Interp::evalExpr(const Expr &E, ExecState &ES) {
     std::optional<std::int64_t> V = evalExpr(*E.Args[0], ES);
     if (!V)
       return std::nullopt;
-    return -*V;
+    return wrapNeg(*V);
   }
   case Expr::Kind::Binary: {
     // Short-circuit forms first.
@@ -273,17 +274,17 @@ std::optional<std::int64_t> Interp::evalExpr(const Expr &E, ExecState &ES) {
       return std::nullopt;
     std::int64_t A = *L, B = *R;
     if (E.Op == "+")
-      return A + B;
+      return wrapAdd(A, B);
     if (E.Op == "-")
-      return A - B;
+      return wrapSub(A, B);
     if (E.Op == "*")
-      return A * B;
+      return wrapMul(A, B);
     if (E.Op == "/" || E.Op == "%") {
       if (B == 0) {
         fail(E.Line, "division by zero");
         return std::nullopt;
       }
-      return E.Op == "/" ? A / B : A % B;
+      return E.Op == "/" ? wrapDiv(A, B) : wrapMod(A, B);
     }
     if (E.Op == "==")
       return A == B ? 1 : 0;

@@ -2,6 +2,7 @@
 
 #include "lang/Lexer.h"
 
+#include "support/Arith.h"
 #include "support/Text.h"
 
 #include <cctype>
@@ -104,7 +105,7 @@ LexResult ccal::lex(const std::string &Source) {
         int Digit = std::isdigit(static_cast<unsigned char>(D))
                         ? D - '0'
                         : std::tolower(static_cast<unsigned char>(D)) - 'a' + 10;
-        V = V * Base + Digit;
+        V = wrapAdd(wrapMul(V, Base), Digit);
       }
       if (I < N && (Source[I] == 'u' || Source[I] == 'U'))
         ++I;

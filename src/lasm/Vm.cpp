@@ -3,6 +3,7 @@
 #include "lasm/Vm.h"
 
 #include "core/Log.h"
+#include "support/Arith.h"
 #include "support/Check.h"
 #include "support/Text.h"
 
@@ -177,13 +178,13 @@ Vm::Status Vm::runBounded(std::vector<std::int64_t> &Globals,
       break;
     }
     case Opcode::Add:
-      Binary([](std::int64_t A, std::int64_t B) { return A + B; });
+      Binary([](std::int64_t A, std::int64_t B) { return wrapAdd(A, B); });
       break;
     case Opcode::Sub:
-      Binary([](std::int64_t A, std::int64_t B) { return A - B; });
+      Binary([](std::int64_t A, std::int64_t B) { return wrapSub(A, B); });
       break;
     case Opcode::Mul:
-      Binary([](std::int64_t A, std::int64_t B) { return A * B; });
+      Binary([](std::int64_t A, std::int64_t B) { return wrapMul(A, B); });
       break;
     case Opcode::Div:
     case Opcode::Mod: {
@@ -194,7 +195,8 @@ Vm::Status Vm::runBounded(std::vector<std::int64_t> &Globals,
         trap("division by zero");
         break;
       }
-      Frames.back().Stack.push_back(I.Op == Opcode::Div ? A / B : A % B);
+      Frames.back().Stack.push_back(I.Op == Opcode::Div ? wrapDiv(A, B)
+                                                        : wrapMod(A, B));
       break;
     }
     case Opcode::Eq:
@@ -226,7 +228,7 @@ Vm::Status Vm::runBounded(std::vector<std::int64_t> &Globals,
       std::int64_t V;
       if (!pop(V))
         break;
-      Frames.back().Stack.push_back(-V);
+      Frames.back().Stack.push_back(wrapNeg(V));
       break;
     }
     case Opcode::Jmp:
@@ -321,42 +323,4 @@ void Vm::resumePrim(std::int64_t Ret) {
   Frames.back().Stack.push_back(Ret);
   PrimKind = KindId();
   PrimArgVals.clear();
-}
-
-std::uint64_t Vm::stateHash() const {
-  std::uint64_t H = hashMix64(static_cast<std::uint64_t>(St));
-  H = hashCombine(H, static_cast<std::uint64_t>(Result));
-  // Content hash, not the interning-order id, so values are stable.
-  H = hashCombine(H, PrimKind.strHash());
-  H = hashCombine(H, PrimArgVals.size());
-  for (std::int64_t V : PrimArgVals)
-    H = hashCombine(H, static_cast<std::uint64_t>(V));
-  H = hashCombine(H, Frames.size());
-  for (const Frame &F : Frames) {
-    H = hashCombine(H, static_cast<std::uint64_t>(F.Func));
-    H = hashCombine(H, static_cast<std::uint64_t>(F.PC));
-    H = hashCombine(H, F.Slots.size());
-    for (std::int64_t V : F.Slots)
-      H = hashCombine(H, static_cast<std::uint64_t>(V));
-    H = hashCombine(H, F.Stack.size());
-    for (std::int64_t V : F.Stack)
-      H = hashCombine(H, static_cast<std::uint64_t>(V));
-  }
-  return H;
-}
-
-bool Vm::sameState(const Vm &O) const {
-  if (Prog.get() != O.Prog.get() || St != O.St || Result != O.Result ||
-      Err != O.Err || PrimKind != O.PrimKind ||
-      PrimArgVals != O.PrimArgVals ||
-      Frames.size() != O.Frames.size())
-    return false;
-  for (size_t I = 0, E = Frames.size(); I != E; ++I) {
-    const Frame &A = Frames[I];
-    const Frame &B = O.Frames[I];
-    if (A.Func != B.Func || A.PC != B.PC || A.Slots != B.Slots ||
-        A.Stack != B.Stack)
-      return false;
-  }
-  return true;
 }

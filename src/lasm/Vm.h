@@ -77,15 +77,6 @@ public:
   /// Number of live frames (the merged-stack demo reads this).
   size_t frameDepth() const { return Frames.size(); }
 
-  /// Structural hash of the execution state (frames, status, pending
-  /// primitive) for the Explorer's state-dedup cache.  The instruction
-  /// counter is excluded: it never influences execution, only statistics.
-  std::uint64_t stateHash() const;
-
-  /// Exact structural equality of two execution states over the same
-  /// program; resolves stateHash collisions (never merges silently).
-  bool sameState(const Vm &O) const;
-
 private:
   struct Frame {
     std::int32_t Func = 0;

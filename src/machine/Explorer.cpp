@@ -13,7 +13,6 @@ void ccal::detail::publishExploreMetrics(const ExploreResult &Res) {
   obs::counterAdd("explorer.schedules_explored", Res.SchedulesExplored);
   obs::counterAdd("explorer.states_explored", Res.StatesExplored);
   obs::counterAdd("explorer.invariant_checks", Res.InvariantChecks);
-  obs::counterAdd("explorer.cache_hits", Res.CacheHits);
   obs::counterAdd("explorer.sleep_skips", Res.PorSleepSkips);
   obs::counterAdd("explorer.steals", Res.Steals);
   obs::counterAdd("explorer.donations", Res.Donations);
@@ -21,8 +20,6 @@ void ccal::detail::publishExploreMetrics(const ExploreResult &Res) {
   obs::counterAdd("explorer.readsfrom_branch_points",
                   Res.ReadsFromBranchPoints);
   obs::counterAdd("explorer.readsfrom_variants", Res.ReadsFromVariants);
-  obs::counterAdd("cache.evictions", Res.CacheEvictions);
-  obs::counterAdd("cache.spill_hits", Res.CacheSpillHits);
   obs::counterAdd("steal.batches", Res.StealBatches);
   if (Res.PorApplied)
     obs::counterAdd("explorer.por_runs", 1);

@@ -43,7 +43,6 @@
 
 #include "core/Footprint.h"
 #include "machine/MultiCore.h"
-#include "machine/StateCache.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 
@@ -97,7 +96,7 @@ template <typename MachineT> struct GenericExploreOptions {
 
   /// Partial-order reduction: source-set DPOR with sleep sets over the
   /// machine's declared step footprints (see the file comment).  Opt-in,
-  /// and changes the exploration regime in four documented ways:
+  /// and changes the exploration regime in three documented ways:
   ///
   ///  - FairnessBound is IGNORED.  The consecutive-steps filter is a
   ///    property of one linearization, not of its Mazurkiewicz trace: the
@@ -107,14 +106,6 @@ template <typename MachineT> struct GenericExploreOptions {
   ///    workloads with MaxParticipantSteps instead, which is
   ///    trace-invariant (a per-participant total is the same in every
   ///    linearization of a trace).
-  ///  - The StateCache runs a stricter protocol.  A hit must assert the
-  ///    first visit explored every schedule admissible from the revisit,
-  ///    so entries are inserted only for FULLY explored subtrees and
-  ///    carry their visit's sleep/tally context plus a subtree step
-  ///    summary; a revisit is pruned only when the entry's context is no
-  ///    more pruned than its own, and the summary's race detections are
-  ///    replayed against the revisit's prefix (see StateCache.h).  When a
-  ///    subtree's summary overflows, that state is simply not cached.
   ///  - Work sharing is DISABLED (donations stop; extra workers idle).
   ///    DPOR's race detection inserts backtrack points into the ANCESTORS
   ///    of the step being explored, which must therefore still sit on the
@@ -131,9 +122,7 @@ template <typename MachineT> struct GenericExploreOptions {
   /// reports which happened).  Soundness rests on honest footprints;
   /// checkPorEquivalence verifies it differentially.  Over-approximated
   /// footprints (up to Footprint::opaque) stay sound and degrade toward
-  /// full exploration — exactly where the POR-aware StateCache earns its
-  /// keep, by pruning the reconvergent states DPOR cannot prove
-  /// commuting.
+  /// full exploration.
   bool Por = false;
 
   /// Cap on the TOTAL steps any one participant takes along a path; 0 is
@@ -177,55 +166,6 @@ template <typename MachineT> struct GenericExploreOptions {
   /// concurrently on distinct machine snapshots (log-replay invariants
   /// are); OnOutcome calls are serialized by the Explorer itself.
   unsigned Threads = 1;
-
-  /// When true, prune states the search has already visited (snapshot
-  /// hash, with full structural comparison on hash collision — never a
-  /// silent merge).  Sound because a machine snapshot determines the
-  /// entire subtree: a revisit is pruned only when the first visit's
-  /// fairness context was at least as permissive (same last participant,
-  /// no larger consecutive-run count) and its remaining step budget at
-  /// least as large, so every schedule admissible from the revisit was
-  /// already explored from the first visit.  Off by default: pruning
-  /// changes SchedulesExplored/StatesExplored (they then count *distinct*
-  /// states) and resolves log-invisible cycles as termination rather than
-  /// a step-budget divergence report.
-  bool StateCache = false;
-
-  /// Cap on cached snapshots; past it the search stays sound but stops
-  /// remembering new states.
-  size_t MaxStateCache = 1u << 20;
-
-  /// Byte budget for the cache's resident snapshots (approximate,
-  /// process-wide across worker threads); past it least-recently-used
-  /// entries are evicted, counted in ExploreResult::CacheEvictions.  0
-  /// (the default) never evicts, preserving the unbounded semantics.
-  size_t CacheBudgetBytes = 0;
-
-  /// When non-empty, fingerprints of evicted plain-DFS cache entries
-  /// spill to <dir>/statecache.spill (written atomically, temp+rename)
-  /// and keep serving revisit pruning after their snapshots are gone.
-  /// OPT-IN and off by default: a fingerprint hit cannot structurally
-  /// compare snapshots, so a 64-bit collision could prune an unexplored
-  /// state — acceptable for bug hunting, not for certification runs.
-  std::string CacheSpillDir;
-
-  /// Frames moved per donation when work sharing rebalances (see
-  /// ExploreResult::Donations).  Donating single frames made donors stop
-  /// for the injector lock on nearly every expansion under hungry
-  /// workers — the bench regression this batching fixes; donations also
-  /// only happen when the injector is observed empty.
-  unsigned StealBatch = 8;
-
-  /// Publish this run's aggregate counters (schedules, states, sleep-set
-  /// prunes, cache hits, steals, per-worker balance) into the obs metrics
-  /// registry and record an "explorer.explore" span.  Setting this
-  /// force-enables the observability layer (obs::setEnabled) for the
-  /// process, like the CCAL_TRACE environment toggle; when neither is on,
-  /// instrumentation costs one relaxed atomic load per exploration.  The
-  /// counters are published once at the end of the run from the
-  /// per-worker shards the search keeps anyway, so the DFS hot loop is
-  /// untouched either way.
-  bool Metrics = false;
 };
 
 /// Aggregate result over all schedules.
@@ -259,9 +199,6 @@ struct ExploreResult {
   std::uint64_t StatesExplored = 0;
   std::uint64_t InvariantChecks = 0;
   std::uint64_t MaxLogLen = 0;
-  std::uint64_t CacheHits = 0;      ///< states pruned by the StateCache
-  std::uint64_t CacheEvictions = 0; ///< LRU evictions (CacheBudgetBytes)
-  std::uint64_t CacheSpillHits = 0; ///< revisits pruned via spilled records
 
   /// Weak-memory enumeration telemetry: a branch point is a candidate
   /// step whose reads-from menu had more than one entry, and Variants
@@ -279,7 +216,7 @@ struct ExploreResult {
   /// batching: the seed is the one pull that exists with no donation).
   /// On a run that drains its injector the two are equal by conservation;
   /// they differ when an early abort strands donated frames.  A donation
-  /// moves up to StealBatch frames but counts each frame once;
+  /// moves up to StealBatch (8) frames but counts each frame once;
   /// StealBatches counts the batches, so Donations/StealBatches is the
   /// realized batch size.  All are 0 on single-threaded runs.
   std::uint64_t Donations = 0;
@@ -355,16 +292,6 @@ private:
 
 namespace detail {
 
-/// Detects machines providing snapshotHash()/sameSnapshot(); the
-/// StateCache option silently degrades to no caching without them.
-template <typename M, typename = void>
-struct MachineHasSnapshot : std::false_type {};
-template <typename M>
-struct MachineHasSnapshot<
-    M, std::void_t<decltype(std::declval<const M &>().snapshotHash()),
-                   decltype(std::declval<const M &>().sameSnapshot(
-                       std::declval<const M &>()))>> : std::true_type {};
-
 /// Detects machines providing stepFootprint()/eventFootprint(); the Por
 /// option degrades to full exploration without them.
 template <typename M, typename = void>
@@ -389,9 +316,6 @@ struct MachineHasVariants<
                    decltype(std::declval<M &>().step(
                        std::declval<ThreadId>(),
                        std::declval<unsigned>()))>> : std::true_type {};
-
-/// Former name of OutcomeSet, kept for the Explorer's internal use.
-using OutcomeDeduper = OutcomeSet;
 
 /// The search engine shared by all machine types: an explicit-stack DFS
 /// run by a pool of workers over a shared frontier.
@@ -428,9 +352,6 @@ public:
       Res.Violation = Root.error();
       return Res;
     }
-    if (Opts.StateCache)
-      Cache.configure(Opts.MaxStateCache, Opts.CacheBudgetBytes,
-                      Opts.CacheSpillDir);
     Injector.emplace_back(Root, /*LastId=*/~0u, /*Consec=*/0, /*Depth=*/0);
     InjectorSize.store(1, std::memory_order_relaxed);
     if (Workers == 1) {
@@ -453,7 +374,6 @@ public:
     for (const Shard &S : Shards) {
       Res.StatesExplored += S.States;
       Res.InvariantChecks += S.InvariantChecks;
-      Res.CacheHits += S.CacheHits;
       Res.PorSleepSkips += S.PorSkips;
       Res.DporBacktracks += S.DporBacktracks;
       Res.ReadsFromBranchPoints += S.RfBranchPoints;
@@ -469,8 +389,6 @@ public:
     // ExploreResult::Donations — the seed is the one pull with no
     // matching donation, at every batch size).
     Res.Steals = Pulls > 0 ? Pulls - 1 : 0;
-    Res.CacheEvictions = Cache.evictions();
-    Res.CacheSpillHits = Cache.spillHits();
     mergeShardResults(Res);
     return Res;
   }
@@ -515,14 +433,6 @@ private:
     std::vector<size_t> Backtrack;
     size_t NextBt = 0;
 
-    /// Deduped (participant, footprint) summary of every step strictly
-    /// below this node, folded up at child pops; the payload a cache
-    /// entry needs for race replay.  Capped — overflow makes this state
-    /// (and its ancestors) uncacheable, never unsound.
-    std::vector<SleepEntry> SubFoots;
-    bool SubOverflow = false;
-    bool CacheEligible = false; ///< subtree fully explored, OK to cache
-
     /// Total steps per participant along the path to this node (kept only
     /// when MaxParticipantSteps bounds paths).
     std::map<ThreadId, std::uint64_t> StepTally;
@@ -541,7 +451,6 @@ private:
     std::uint64_t States = 0;
     std::uint64_t InvariantChecks = 0;
     std::uint64_t MaxLogLen = 0;
-    std::uint64_t CacheHits = 0;
     std::uint64_t PorSkips = 0;
     std::uint64_t DporBacktracks = 0;
     std::uint64_t RfBranchPoints = 0;  ///< candidates with >1 reads-from
@@ -551,7 +460,7 @@ private:
     std::uint64_t DonationBatches = 0; ///< donate() calls that moved frames
     std::uint64_t MaxStack = 0;        ///< deepest DFS stack held
 
-    OutcomeDeduper Dedup;          ///< this worker's distinct outcomes
+    OutcomeSet Dedup;              ///< this worker's distinct outcomes
     std::vector<Outcome> Outcomes; ///< stored-path results, search order
     std::vector<Log> Corpus;       ///< terminal + sampled logs
     bool StoreTruncated = false;   ///< hit MaxStoredOutcomes locally
@@ -581,8 +490,8 @@ private:
         donate(Stack, S);
       Frame &Top = Stack.back();
       if (!Top.Expanded) {
-        if (!expand(Stack, Top, S)) {
-          popFrame(Stack);
+        if (!expand(Top, S)) {
+          Stack.pop_back();
           continue;
         }
       }
@@ -615,12 +524,12 @@ private:
           break;
         }
         if (!Have) {
-          popFrame(Stack);
+          Stack.pop_back();
           continue;
         }
       } else {
         if (Top.NextChild >= Top.Ready.size()) {
-          popFrame(Stack);
+          Stack.pop_back();
           continue;
         }
         ChildIdx = Top.NextChild;
@@ -676,7 +585,7 @@ private:
       // weight.  Saves one full machine copy per interior node.  Not
       // under POR: race detection can schedule NEW children on a frame
       // whose cursor looked exhausted, and the machine must survive for
-      // them (and for the cache insert at pop).
+      // them.
       const bool LastChild = !PorOn && Top.NextChild >= Top.Ready.size();
       Frame Child(LastChild ? MachineT(std::move(Top.M)) : MachineT(Top.M),
                   C, C == Top.LastId ? Top.Consec + 1 : 1, Top.Depth + 1);
@@ -694,7 +603,7 @@ private:
           // Source-set DPOR race detection: schedule the reversal of
           // every race this step closes with an event already on the
           // path.
-          dporRaces(Stack, C, CF, /*Refine=*/true, S);
+          dporRaces(Stack, C, CF, S);
         }
       }
       if (Opts.MaxParticipantSteps != 0) {
@@ -713,11 +622,9 @@ private:
     }
   }
 
-  /// First visit of a node: budget, cache, invariant, terminal, and depth
-  /// checks.  True when the node has children to iterate.  Takes the
-  /// whole stack (F is its top) because a POR cache hit replays the
-  /// pruned subtree's race detection against the current prefix.
-  bool expand(std::vector<Frame> &Stack, Frame &F, Shard &S) {
+  /// First visit of a node: budget, invariant, terminal, and depth checks.
+  /// True when the node has children to iterate.
+  bool expand(Frame &F, Shard &S) {
     if (Opts.Cancel && Opts.Cancel->load(std::memory_order_relaxed)) {
       {
         std::lock_guard<std::mutex> L(ResMu);
@@ -742,28 +649,6 @@ private:
     ++S.States;
     S.MaxLogLen =
         std::max(S.MaxLogLen, static_cast<std::uint64_t>(F.M.log().size()));
-    if constexpr (MachineHasSnapshot<MachineT>::value) {
-      if (Opts.StateCache && !PorOn &&
-          Cache.checkOrRemember(F.M, F.LastId, F.Consec, F.Depth)) {
-        ++S.CacheHits;
-        return false;
-      }
-      if (Opts.StateCache && PorOn) {
-        std::vector<SleepEntry> Replay;
-        if (Cache.porProbe(F.M, F.Sleep, F.StepTally, F.Depth, Replay)) {
-          ++S.CacheHits;
-          // The pruned subtree's steps still race with the CURRENT
-          // prefix: replay race detection for each summarized step so the
-          // backtrack points the subtree would have inserted into our
-          // ancestors are not lost.  No source-set refinement on replay —
-          // the refinement needs the intermediate steps, which a deduped
-          // summary does not keep; over-inserting is merely slower.
-          for (const SleepEntry &E : Replay)
-            dporRaces(Stack, E.Tid, E.Foot, /*Refine=*/false, S);
-          return false;
-        }
-      }
-    }
     if (Opts.Invariant) {
       ++S.InvariantChecks;
       std::string V = Opts.Invariant(F.M);
@@ -800,7 +685,6 @@ private:
         return false;
       }
       Schedules.fetch_add(1, std::memory_order_relaxed);
-      F.CacheEligible = true;
       recordOutcome(F.M, S);
       return false;
     }
@@ -818,66 +702,18 @@ private:
         ++Seed;
       if (Seed == F.Ready.size()) {
         S.PorSkips += F.Ready.size();
-        F.CacheEligible = true;
         return false;
       }
       F.Backtrack.push_back(Seed);
     }
     F.Expanded = true;
-    F.CacheEligible = true;
     return true;
   }
 
-  /// Pops the top frame; under POR with caching, first folds its subtree
-  /// step summary into its parent and inserts fully explored subtrees
-  /// into the cache (insert at POP, not expansion: only then is "every
-  /// admissible schedule below this state was explored" actually true).
-  void popFrame(std::vector<Frame> &Stack) {
-    if (PorCacheOn()) {
-      Frame &F = Stack.back();
-      if (Stack.size() > 1) {
-        Frame &Par = Stack[Stack.size() - 2];
-        if (F.SubOverflow)
-          Par.SubOverflow = true;
-        addSubFoot(Par, SleepEntry{F.LastId, F.StepFoot});
-        for (const SleepEntry &E : F.SubFoots)
-          addSubFoot(Par, E);
-      }
-      if constexpr (MachineHasSnapshot<MachineT>::value) {
-        if (F.CacheEligible && !F.SubOverflow &&
-            !Stop.load(std::memory_order_relaxed))
-          Cache.porInsert(std::move(F.M), F.Depth, std::move(F.Sleep),
-                          std::move(F.StepTally), std::move(F.SubFoots));
-      }
-    }
-    Stack.pop_back();
-  }
-
-  bool PorCacheOn() const {
-    return PorOn && Opts.StateCache && MachineHasSnapshot<MachineT>::value;
-  }
-
-  /// Folds one subtree step into a frame's deduped summary; local steps
-  /// race with nothing and are not kept.  Overflow poisons cacheability
-  /// up the chain (handled by the caller), never soundness.
-  static void addSubFoot(Frame &F, const SleepEntry &E) {
-    if (F.SubOverflow || E.Foot.local())
-      return;
-    for (const SleepEntry &Have : F.SubFoots)
-      if (Have == E)
-        return;
-    if (F.SubFoots.size() >= 64) {
-      F.SubOverflow = true;
-      return;
-    }
-    F.SubFoots.push_back(E);
-  }
-
   /// Source-set DPOR race detection for a step of participant \p P with
-  /// footprint \p PF taken (or, on cache replay, summarized) from
-  /// Stack.back(): walk the executed path deepest-first and treat every
-  /// event e of ANOTHER participant whose footprint conflicts as a race
-  /// candidate.  This over-approximates the true races (the hb-adjacent
+  /// footprint \p PF taken from Stack.back(): walk the executed path
+  /// deepest-first and treat every event e of ANOTHER participant whose
+  /// footprint conflicts as a race candidate.  This over-approximates the true races (the hb-adjacent
   /// pairs): a candidate with an intervening dependence chain to the new
   /// step is not reversible, but processing it merely schedules an extra
   /// child, never loses one.  The walk must NOT stop at the deepest
@@ -887,12 +723,10 @@ private:
   ///
   /// At candidates whose pre-state has P schedulable, raceInsert applies
   /// the source-set rule.  Where P is NOT schedulable (it was blocked,
-  /// e.g. on a lock the suffix releases) — or on cache replay
-  /// (\p Refine false), where the pruned subtree's intermediate steps are
-  /// unavailable so initials cannot be computed — reversing needs some
-  /// other participant first; conservatively schedule every alternative.
+  /// e.g. on a lock the suffix releases), reversing needs some other
+  /// participant first; conservatively schedule every alternative.
   void dporRaces(std::vector<Frame> &Stack, ThreadId P, const Footprint &PF,
-                 bool Refine, Shard &S) {
+                 Shard &S) {
     if (PF.local())
       return;
     for (size_t I = Stack.size(); I-- > 1;) {
@@ -901,7 +735,7 @@ private:
         continue;
       Frame &Pre = Stack[I - 1];
       size_t PIdx = readyIndex(Pre, P);
-      if (PIdx == SIZE_MAX || !Refine) {
+      if (PIdx == SIZE_MAX) {
         for (size_t R = 0; R != Pre.Ready.size(); ++R)
           addBacktrack(Pre, R, S);
         continue;
@@ -1110,7 +944,7 @@ private:
   void mergeShardResults(ExploreResult &Res) {
     bool Truncated = false;
     if (!Opts.OnOutcome) {
-      OutcomeDeduper Merged;
+      OutcomeSet Merged;
       for (Shard &S : Shards) {
         Truncated |= S.StoreTruncated;
         for (Outcome &O : S.Outcomes) {
@@ -1199,10 +1033,9 @@ private:
   /// gate bounds donation traffic by steals actually taken.  True when
   /// anything was donated.  Never called under POR (see worker()).
   bool donate(std::vector<Frame> &Stack, Shard &S) {
-    const size_t Batch = std::max(1u, Opts.StealBatch);
     std::vector<Frame> Moved;
     for (Frame &F : Stack) {
-      if (Moved.size() >= Batch)
+      if (Moved.size() >= StealBatch)
         break;
       if (!F.Expanded || F.NextChild >= F.Ready.size())
         continue;
@@ -1230,6 +1063,9 @@ private:
     QCv.notify_all();
     return true;
   }
+
+  /// Frames moved per donation (see donate()).
+  static constexpr size_t StealBatch = 8;
 
   const Options &Opts;
   const unsigned Workers;
@@ -1259,11 +1095,7 @@ private:
   std::string Violation;  ///< guarded by ResMu
   bool Complete = true;   ///< guarded by ResMu
   std::string Truncation; ///< guarded by ResMu
-  OutcomeDeduper Dedup;   ///< guarded by ResMu (OnOutcome path only)
-
-  // State-dedup cache (machine/StateCache.h): bounded, lock-striped,
-  // shared by all workers; configured in run().
-  BoundedStateCache<MachineT> Cache;
+  OutcomeSet Dedup;       ///< guarded by ResMu (OnOutcome path only)
 
   std::vector<Shard> Shards;
 };
@@ -1280,8 +1112,6 @@ void publishExploreMetrics(const ExploreResult &Res);
 template <typename MachineT>
 ExploreResult exploreGeneric(const MachineT &Root,
                              const GenericExploreOptions<MachineT> &Opts) {
-  if (Opts.Metrics)
-    obs::setEnabled(true);
   obs::Span ExploreSpan("explorer.explore", "explorer");
   unsigned Workers = Opts.Threads;
   if (Workers == 0) {

@@ -5,8 +5,6 @@
 #include "support/Check.h"
 #include "support/Text.h"
 
-#include <set>
-
 using namespace ccal;
 
 HardwareMachine::HardwareMachine(MachineConfigPtr CfgIn)
@@ -150,155 +148,34 @@ HardwareMachine::returns() const {
   return Out;
 }
 
-std::uint64_t HardwareMachine::snapshotHash() const {
-  Hasher H(hashLog(GlobalLog));
-  H.u64(Cpus.size());
-  for (const auto &[Id, C] : Cpus)
-    H.u64(Id)
-        .u64(C.Machine.stateHash())
-        .i64s(C.Globals)
-        .u64(C.NextWork)
-        .u64(static_cast<std::uint64_t>(C.Active))
-        .u64(static_cast<std::uint64_t>(C.AtPrim))
-        .u64(static_cast<std::uint64_t>(C.Done))
-        .i64s(C.Returns);
-  return H.value();
-}
-
-std::size_t HardwareMachine::snapshotBytes() const {
-  std::size_t B = sizeof(HardwareMachine) + GlobalLog.snapshotCopyBytes();
-  for (const auto &[Id, C] : Cpus) {
-    (void)Id;
-    B += sizeof(Cpu) + (C.Globals.size() + C.Returns.size()) *
-                           sizeof(std::int64_t);
-  }
-  return B;
-}
-
-bool HardwareMachine::sameSnapshot(const HardwareMachine &O) const {
-  if (Cfg.get() != O.Cfg.get() || Err != O.Err ||
-      GlobalLog != O.GlobalLog || Cpus.size() != O.Cpus.size())
-    return false;
-  auto It = O.Cpus.begin();
-  for (const auto &[Id, C] : Cpus) {
-    const auto &[OId, OC] = *It++;
-    if (Id != OId || C.NextWork != OC.NextWork || C.Active != OC.Active ||
-        C.AtPrim != OC.AtPrim || C.Done != OC.Done ||
-        C.Returns != OC.Returns || C.Globals != OC.Globals ||
-        !C.Machine.sameState(OC.Machine))
-      return false;
-  }
-  return true;
-}
-
-MulticoreLinkReport ccal::checkMulticoreLinking(MachineConfigPtr Cfg,
-                                                unsigned FairnessBound,
-                                                std::uint64_t MaxSchedules,
-                                                bool CheckExactness) {
-  MulticoreLinkReport Report;
-
-  // Layer machine (query-point interleaving): the small side; collect.
+ContextualRefinementReport ccal::checkMulticoreLinking(
+    MachineConfigPtr Cfg, unsigned FairnessBound, std::uint64_t MaxSchedules,
+    bool CheckExactness) {
+  // The layer machine (query-point interleaving) assumes no spinning.
   ExploreOptions LayerOpts;
-  LayerOpts.FairnessBound = 1u << 20; // no spinning assumed at this level
+  LayerOpts.FairnessBound = 1u << 20;
   LayerOpts.MaxSchedules = MaxSchedules;
-  ExploreResult LayerRes = exploreMachine(Cfg, LayerOpts);
-  if (!LayerRes.Ok) {
-    Report.Counterexample = "layer machine violation: " + LayerRes.Violation;
-    return Report;
-  }
-  // A capped layer outcome set would make genuine hardware outcomes look
-  // inadmissible; fail closed before comparing.
-  if (!LayerRes.Complete) {
-    Report.Coverage =
-        "layer exploration truncated: " + LayerRes.Truncation;
-    Report.Counterexample =
-        "layer-machine exploration is incomplete (" + LayerRes.Truncation +
-        "): the admitted outcome set may be silently capped; raise the "
-        "truncating budget and re-run";
-    return Report;
-  }
-  Report.LayerComplete = true;
-
-  OutcomeSet LayerSet;
-  for (const Outcome &O : LayerRes.Outcomes)
-    LayerSet.insert(O);
-
-  // Hardware machine (instruction interleaving): stream and match.
-  std::uint64_t HwOutcomes = 0, Obligations = 0;
-  OutcomeSet HwSet;
   GenericExploreOptions<HardwareMachine> HwOpts;
   HwOpts.FairnessBound = FairnessBound;
   HwOpts.MaxSchedules = MaxSchedules;
   HwOpts.MaxSteps = 65536;
-  HwOpts.OnOutcome = [&](const Outcome &O) -> std::string {
-    ++HwOutcomes;
-    HwSet.insert(O);
-    if (!LayerSet.contains(O))
-      return strFormat("hardware outcome not admitted by the layer "
-                       "machine\n  log: %s",
-                       logToString(O.FinalLog).c_str());
-    ++Obligations;
-    return "";
-  };
-  HardwareMachine Root(Cfg);
-  ExploreResult HwRes = exploreGeneric(Root, HwOpts);
-
-  Report.HardwareSchedules = HwRes.SchedulesExplored;
-  Report.LayerSchedules = LayerRes.SchedulesExplored;
-  Report.HardwareOutcomes = HwOutcomes;
-  Report.LayerOutcomes = LayerRes.Outcomes.size();
-  Report.ObligationsChecked = Obligations;
-  if (!HwRes.Ok) {
-    Report.Counterexample =
-        "hardware machine violation: " + HwRes.Violation;
-    return Report;
-  }
-  // Thm 3.1 quantifies over every hardware schedule; a truncated sweep
-  // checked only a prefix of them, so it must not report Holds.
-  if (!HwRes.Complete) {
-    Report.Coverage =
-        "hardware exploration truncated: " + HwRes.Truncation;
-    Report.Counterexample =
-        "hardware-machine exploration is incomplete (" + HwRes.Truncation +
-        "): only a prefix of the instruction interleavings was checked; "
-        "raise the truncating budget and re-run";
-    return Report;
-  }
-  Report.HardwareComplete = true;
-  Report.Coverage = "exhaustive";
+  ContextualRefinementReport Report = checkOutcomeInclusion(
+      HardwareMachine(Cfg), MultiCoreMachine(Cfg), EventMap::identity(),
+      EventMap::identity(), HwOpts, LayerOpts);
   // Sanity bonus: the reduction loses nothing — every layer outcome is
-  // also a hardware outcome.  A hardware fairness bound tighter than the
-  // layer machine's can legitimately miss layer outcomes, so this
-  // direction stays opt-in; Thm 3.1 itself is the forward inclusion
-  // checked above.
-  if (CheckExactness) {
-    for (const Outcome &O : LayerRes.Outcomes)
-      if (!HwSet.contains(O)) {
-        Report.Counterexample =
-            "layer outcome unreachable on hardware\n  log: " +
-            logToString(O.FinalLog);
-        return Report;
-      }
+  // also a hardware outcome.  The engine counts each distinct hardware
+  // outcome once and the identity relation keeps them distinct, so after
+  // the forward inclusion equal counts mean equal sets.  A hardware
+  // fairness bound tighter than the layer machine's can legitimately miss
+  // layer outcomes, so this direction stays opt-in; Thm 3.1 itself is the
+  // forward inclusion.
+  if (CheckExactness && Report.Holds &&
+      Report.ImplOutcomes != Report.SpecOutcomes) {
+    Report.Holds = false;
+    Report.Counterexample = strFormat(
+        "only %llu of the %llu layer outcomes are reachable on hardware",
+        static_cast<unsigned long long>(Report.ImplOutcomes),
+        static_cast<unsigned long long>(Report.SpecOutcomes));
   }
-  Report.Holds = true;
   return Report;
-}
-
-CertPtr
-ccal::makeMulticoreLinkCertificate(const std::string &MachineName,
-                                   const MulticoreLinkReport &Report) {
-  auto C = std::make_shared<RefinementCertificate>();
-  C->Rule = "MulticoreLink";
-  C->Underlay = "Mx86(" + MachineName + ")";
-  C->Module = "(hardware scheduling)";
-  C->Overlay = "Lx86[D](" + MachineName + ")";
-  C->Relation = "id";
-  C->CoverageComplete = Report.HardwareComplete && Report.LayerComplete;
-  C->Coverage = Report.Coverage;
-  C->Valid = Report.Holds && C->CoverageComplete;
-  C->Obligations = Report.ObligationsChecked;
-  C->Runs = Report.HardwareSchedules + Report.LayerSchedules;
-  if (!Report.Holds)
-    C->Notes.push_back(Report.Counterexample);
-  return C;
 }

@@ -14,8 +14,9 @@
 /// The multicore linking theorem (Thm 3.1) says all code verification over
 /// the layer machine Lx86[D] (which interleaves only at query points)
 /// propagates down to this machine: `[[P]]Mx86 <= [[P]]Lx86[D]`.
-/// checkMulticoreLinking discharges it executably by exploring *every*
-/// instruction-granularity schedule and checking its outcomes against the
+/// checkMulticoreLinking discharges it executably with the
+/// outcome-inclusion engine (machine/Soundness.h): it explores *every*
+/// instruction-granularity schedule and checks its outcomes against the
 /// query-point machine's — the partial-order-reduction fact that local
 /// instructions only touch CPU-private state, so their interleavings
 /// cannot be observed.
@@ -25,8 +26,7 @@
 #ifndef CCAL_MACHINE_HARDWAREMACHINE_H
 #define CCAL_MACHINE_HARDWAREMACHINE_H
 
-#include "core/Certificate.h"
-#include "machine/Explorer.h"
+#include "machine/Soundness.h"
 
 namespace ccal {
 
@@ -63,15 +63,6 @@ public:
   /// MultiCoreMachine::eventFootprint).
   Footprint eventFootprint(const Event &E) const;
 
-  /// Structural snapshot hash / equality for the Explorer's state-dedup
-  /// cache (see MultiCoreMachine::snapshotHash).
-  std::uint64_t snapshotHash() const;
-  bool sameSnapshot(const HardwareMachine &O) const;
-
-  /// Estimated resident bytes of one retained snapshot (see
-  /// MultiCoreMachine::snapshotBytes).
-  std::size_t snapshotBytes() const;
-
 private:
   struct Cpu {
     Vm Machine;
@@ -94,41 +85,19 @@ private:
   std::string Err;
 };
 
-/// Outcome of the Thm 3.1 check.
-struct MulticoreLinkReport {
-  /// True only when the forward inclusion held on an EXHAUSTIVE sweep of
-  /// both machines; truncation never reports Holds.
-  bool Holds = false;
-
-  /// Per-side completion flags and a coverage note — see
-  /// ContextualRefinementReport.
-  bool HardwareComplete = false;
-  bool LayerComplete = false;
-  std::string Coverage;
-
-  std::uint64_t HardwareSchedules = 0;
-  std::uint64_t LayerSchedules = 0;
-  std::uint64_t HardwareOutcomes = 0;
-  std::uint64_t LayerOutcomes = 0;
-  std::uint64_t ObligationsChecked = 0;
-  std::string Counterexample;
-};
-
 /// Checks `[[P]]Mx86 <= [[P]]Lx86[D]` for the program/workload in \p Cfg:
-/// every instruction-granularity outcome must be a query-point outcome.
+/// every instruction-granularity outcome (the impl side) must be a
+/// query-point outcome (the spec side), under the identity relation.
 /// With \p CheckExactness, additionally requires the reverse inclusion
 /// (the reduction loses nothing); that needs an exhaustive hardware sweep
 /// with a fairness bound at least as long as the longest local stretch
-/// between query points, so it is opt-in.
-MulticoreLinkReport checkMulticoreLinking(MachineConfigPtr Cfg,
-                                          unsigned FairnessBound = 4,
-                                          std::uint64_t MaxSchedules
-                                          = 1u << 22,
-                                          bool CheckExactness = false);
-
-/// Wraps a successful report into a "MulticoreLink" certificate.
-CertPtr makeMulticoreLinkCertificate(const std::string &MachineName,
-                                     const MulticoreLinkReport &Report);
+/// between query points, so it is opt-in.  Certify the report with
+/// makeMachineCertificate("MulticoreLink", ...).
+ContextualRefinementReport checkMulticoreLinking(MachineConfigPtr Cfg,
+                                                 unsigned FairnessBound = 4,
+                                                 std::uint64_t MaxSchedules
+                                                 = 1u << 22,
+                                                 bool CheckExactness = false);
 
 } // namespace ccal
 

@@ -8,37 +8,6 @@
 
 using namespace ccal;
 
-void RaState::addTo(Hasher &H) const {
-  H.u64(Mo.size());
-  for (const auto &[Loc, Msgs] : Mo) {
-    H.str(Loc).u64(Msgs.size());
-    for (const RaMsg &M : Msgs) {
-      H.b(M.Release).u64(M.LogIdx);
-      M.View.addTo(H);
-    }
-  }
-  H.u64(Views.size());
-  for (const auto &[Tid, V] : Views) {
-    H.u64(Tid);
-    V.addTo(H);
-  }
-  Sc.addTo(H);
-}
-
-std::size_t RaState::bytes() const {
-  std::size_t B = sizeof(RaState) + Sc.bytes();
-  for (const auto &[Loc, Msgs] : Mo) {
-    B += Loc.size() + 48;
-    for (const RaMsg &M : Msgs)
-      B += sizeof(RaMsg) + M.View.bytes();
-  }
-  for (const auto &[Tid, V] : Views) {
-    (void)Tid;
-    B += 48 + V.bytes();
-  }
-  return B;
-}
-
 namespace {
 
 class ScMemoryImpl final : public MemoryModel {

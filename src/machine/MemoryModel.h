@@ -17,7 +17,7 @@
 ///
 ///   * ScMemory — today's semantics.  One reads-from choice per step, the
 ///     full log visible, no extra state.  A machine with a null or SC
-///     model is bit-identical to the pre-model machine (snapshots, hashes,
+///     model is bit-identical to the pre-model machine (snapshots,
 ///     certificates, exploration outcomes).
 ///
 ///   * RaMemory — an RC11-style release/acquire operational model with SC
@@ -58,8 +58,7 @@
 ///
 /// Message views are genuine machine state: a writer's view at write time
 /// depends on the reads-from choices of earlier steps and is not a
-/// function of the log.  RaState therefore participates in snapshot
-/// hashing/equality whenever the model is weak.
+/// function of the log, so RaState lives in the machine snapshot.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -101,23 +100,6 @@ struct RaView {
     for (const auto &[Loc, F] : O.Front)
       advance(Loc, F);
   }
-
-  bool operator==(const RaView &O) const { return Front == O.Front; }
-
-  void addTo(Hasher &H) const {
-    H.u64(Front.size());
-    for (const auto &[Loc, F] : Front)
-      H.str(Loc).u64(F);
-  }
-
-  std::size_t bytes() const {
-    std::size_t B = sizeof(RaView);
-    for (const auto &[Loc, F] : Front) {
-      (void)F;
-      B += sizeof(std::uint32_t) + Loc.size() + 32; // node overhead estimate
-    }
-    return B;
-  }
 };
 
 /// One write message in a location's modification order.
@@ -125,26 +107,14 @@ struct RaMsg {
   bool Release = false;   ///< write acted as a release (joinable view)
   std::uint32_t LogIdx = 0; ///< index of the writing event in the full log
   RaView View;            ///< writer's view when the write committed
-
-  bool operator==(const RaMsg &O) const {
-    return Release == O.Release && LogIdx == O.LogIdx && View == O.View;
-  }
 };
 
-/// The weak-memory half of a machine snapshot.  Empty (and excluded from
-/// hashing) when the model is SC.
+/// The weak-memory half of a machine snapshot.  Empty when the model is
+/// SC.
 struct RaState {
   std::map<std::string, std::vector<RaMsg>> Mo;
   std::map<ThreadId, RaView> Views;
   RaView Sc;
-
-  bool operator==(const RaState &O) const {
-    return Mo == O.Mo && Views == O.Views && Sc == O.Sc;
-  }
-  bool operator!=(const RaState &O) const { return !(*this == O); }
-
-  void addTo(Hasher &H) const;
-  std::size_t bytes() const;
 };
 
 /// How a machine resolves shared-memory visibility.  Stateless and

@@ -235,51 +235,3 @@ MultiCoreMachine::cpuMemory(ThreadId C) const {
   CCAL_CHECK(It != Cpus.end(), "unknown CPU");
   return It->second.Globals;
 }
-
-std::uint64_t MultiCoreMachine::snapshotHash() const {
-  Hasher H(hashLog(GlobalLog));
-  // Message views depend on earlier reads-from choices, not on the log,
-  // so under a weak model they are genuine state; under SC this folds
-  // nothing and the hash is bit-identical to the pre-model machine.
-  if (weakModel())
-    Ra.addTo(H);
-  H.u64(Cpus.size());
-  for (const auto &[Id, C] : Cpus)
-    H.u64(Id)
-        .u64(C.Machine.stateHash())
-        .i64s(C.Globals)
-        .u64(C.NextWork)
-        .u64(static_cast<std::uint64_t>(C.Active))
-        .u64(static_cast<std::uint64_t>(C.Phase))
-        .i64s(C.Returns);
-  return H.value();
-}
-
-std::size_t MultiCoreMachine::snapshotBytes() const {
-  std::size_t B = sizeof(MultiCoreMachine) + GlobalLog.snapshotCopyBytes();
-  if (weakModel())
-    B += Ra.bytes();
-  for (const auto &[Id, C] : Cpus) {
-    (void)Id;
-    B += sizeof(Cpu) + (C.Globals.size() + C.Returns.size()) *
-                           sizeof(std::int64_t);
-  }
-  return B;
-}
-
-bool MultiCoreMachine::sameSnapshot(const MultiCoreMachine &O) const {
-  if (Cfg.get() != O.Cfg.get() || Err != O.Err ||
-      GlobalLog != O.GlobalLog || Cpus.size() != O.Cpus.size())
-    return false;
-  if (weakModel() && Ra != O.Ra)
-    return false;
-  auto It = O.Cpus.begin();
-  for (const auto &[Id, C] : Cpus) {
-    const auto &[OId, OC] = *It++;
-    if (Id != OId || C.Phase != OC.Phase || C.NextWork != OC.NextWork ||
-        C.Active != OC.Active || C.Returns != OC.Returns ||
-        C.Globals != OC.Globals || !C.Machine.sameState(OC.Machine))
-      return false;
-  }
-  return true;
-}

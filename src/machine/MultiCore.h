@@ -131,24 +131,6 @@ public:
   /// Total shared-primitive steps executed so far.
   std::uint64_t stepsTaken() const { return StepsTaken; }
 
-  /// Structural hash of the full machine snapshot (per-CPU VM states,
-  /// local memories, workload progress, the global log) for the Explorer's
-  /// state-dedup cache.  The cumulative step counter is excluded: it never
-  /// influences transitions, so two snapshots differing only in it have
-  /// identical futures.
-  std::uint64_t snapshotHash() const;
-
-  /// Exact structural equality of two snapshots (same config, same
-  /// per-CPU states, same log); resolves snapshotHash collisions instead
-  /// of merging distinct states silently.
-  bool sameSnapshot(const MultiCoreMachine &O) const;
-
-  /// Estimated resident bytes of one retained snapshot (per-CPU
-  /// structures, local memories, and the log's physical copy cost) — the
-  /// currency of the Explorer StateCache's CacheBudgetBytes accounting.
-  /// An estimate: VM-internal heap is approximated by the inline size.
-  std::size_t snapshotBytes() const;
-
 private:
   enum class CpuPhase {
     Idle,     ///< workload finished
@@ -180,9 +162,9 @@ private:
   MachineConfigPtr Cfg;
   std::map<ThreadId, Cpu> Cpus;
   Log GlobalLog;
-  /// Weak-memory state (view fronts, modification orders).  Stays empty —
-  /// and excluded from snapshot hashing/equality — under an SC model, so
-  /// SC snapshots are bit-identical to the pre-model machine.
+  /// Weak-memory state (view fronts, modification orders).  Stays empty
+  /// under an SC model, so SC snapshots are bit-identical to the
+  /// pre-model machine.
   RaState Ra;
   std::string Err;
   std::uint64_t StepsTaken = 0;

@@ -1,4 +1,4 @@
-//===- machine/Soundness.cpp - Contextual refinement (Thm 2.2) --------------===//
+//===- machine/Soundness.cpp - The outcome-inclusion engine -----------------===//
 
 #include "machine/Soundness.h"
 
@@ -16,7 +16,71 @@ namespace {
 /// old semantics must miss, not lie.
 const char RefineCheckerVersion[] = "refine-v1";
 
-JsonValue refinementToPayload(const ContextualRefinementReport &R) {
+} // namespace
+
+bool ccal::detail::sideComplete(ContextualRefinementReport &Report,
+                                bool SpecSide, const ExploreResult &Res) {
+  if (!Res.Ok) {
+    Report.Counterexample =
+        (SpecSide ? "specification machine violation: "
+                  : "implementation machine violation: ") +
+        Res.Violation;
+    return false;
+  }
+  if (!Res.Complete) {
+    if (SpecSide) {
+      // A truncated spec sweep is worse than inconclusive: a capped
+      // outcome set (MaxStoredOutcomes) makes genuinely-refining
+      // implementation outcomes look like counterexamples.  Fail closed
+      // before comparing.
+      Report.Coverage = "spec exploration truncated: " + Res.Truncation;
+      Report.Counterexample =
+          "specification exploration is incomplete (" + Res.Truncation +
+          "): the spec outcome set may be silently capped, so any mismatch "
+          "below would be a false counterexample and any match proves "
+          "nothing; raise the truncating budget and re-run";
+    } else {
+      // Obligations cover only the explored prefix of a truncated sweep;
+      // the refinement statement quantifies over every schedule, so Holds
+      // must stay false.
+      Report.Coverage = "impl exploration truncated: " + Res.Truncation;
+      Report.Counterexample =
+          "implementation exploration is incomplete (" + Res.Truncation +
+          "): only a prefix of the schedule space was matched; raise the "
+          "truncating budget and re-run";
+    }
+    return false;
+  }
+  (SpecSide ? Report.SpecComplete : Report.ImplComplete) = true;
+  return true;
+}
+
+std::string ccal::detail::unmatchedOutcome(const Log &ImplLog,
+                                           const Log &Mapped) {
+  return strFormat("no specification behavior matches implementation "
+                   "outcome\n  impl log:   %s\n  mapped (R): %s",
+                   logToString(ImplLog).c_str(),
+                   logToString(Mapped).c_str());
+}
+
+void ccal::detail::publishRefinementMetrics(
+    const ContextualRefinementReport &Report) {
+  if (!obs::enabled())
+    return;
+  obs::counterAdd("refine.checks", 1);
+  obs::counterAdd("refine.obligations_discharged",
+                  Report.ObligationsChecked);
+  obs::counterAdd("refine.impl_outcomes", Report.ImplOutcomes);
+  obs::counterAdd("refine.spec_outcomes", Report.SpecOutcomes);
+  if (Report.Holds)
+    obs::counterAdd("refine.holds", 1);
+  if (!Report.SpecComplete || !Report.ImplComplete) {
+    obs::counterAdd("refine.truncated", 1);
+    obs::traceInstant("refine.truncation: " + Report.Coverage, "refine");
+  }
+}
+
+JsonValue ccal::refinementToPayload(const ContextualRefinementReport &R) {
   JsonValue V;
   V.K = JsonValue::Kind::Object;
   V.Fields["holds"] = jsonBool(R.Holds);
@@ -33,8 +97,8 @@ JsonValue refinementToPayload(const ContextualRefinementReport &R) {
   return V;
 }
 
-bool refinementFromPayload(const JsonValue &V,
-                           ContextualRefinementReport &R) {
+bool ccal::refinementFromPayload(const JsonValue &V,
+                                 ContextualRefinementReport &R) {
   const JsonValue *Holds = V.field("holds");
   const JsonValue *SpecC = V.field("spec_complete");
   const JsonValue *ImplC = V.field("impl_complete");
@@ -65,155 +129,24 @@ bool refinementFromPayload(const JsonValue &V,
   return true;
 }
 
-} // namespace
-
-namespace {
-
-/// Publishes one refinement check's aggregates; the Explorer has already
-/// published the per-exploration counters underneath.
-void publishRefinementMetrics(const ContextualRefinementReport &Report) {
-  if (!obs::enabled())
-    return;
-  obs::counterAdd("refine.checks", 1);
-  obs::counterAdd("refine.obligations_discharged",
-                  Report.ObligationsChecked);
-  obs::counterAdd("refine.impl_outcomes", Report.ImplOutcomes);
-  obs::counterAdd("refine.spec_outcomes", Report.SpecOutcomes);
-  if (Report.Holds)
-    obs::counterAdd("refine.holds", 1);
-  if (!Report.SpecComplete || !Report.ImplComplete) {
-    obs::counterAdd("refine.truncated", 1);
-    obs::traceInstant("refine.truncation: " + Report.Coverage, "refine");
-  }
-}
-
-} // namespace
-
-namespace {
-
-ContextualRefinementReport checkContextualRefinementImpl(
-    MachineConfigPtr Impl, MachineConfigPtr Spec, const EventMap &R,
-    const ExploreOptions &ImplOpts, const ExploreOptions &SpecOpts) {
-  ContextualRefinementReport Report;
-
-  // When either side runs under the partial-order reduction, outcome logs
-  // on that side are canonical trace forms; the other side's must be
-  // canonicalized the same way (over the SPEC layer's footprints — both
-  // keys are spec-level logs after R) or nothing would ever match.
-  // Canonicalizing both sides unconditionally in that case keeps the
-  // comparison symmetric; with honest spec footprints logs with equal
-  // canonical forms are observationally equivalent, so this never accepts
-  // an outcome full comparison would reject.
-  LayerPtr SpecLayer = Spec->Layer;
-  const bool Canon = ImplOpts.Por || SpecOpts.Por;
-  auto CanonSpecLog = [&SpecLayer, Canon](Log L) {
-    if (!Canon)
-      return L;
-    return canonicalizeLog(L, [&SpecLayer](KindId Kind) {
-      return SpecLayer->footprintOf(Kind);
-    });
-  };
-
-  ExploreResult SpecRes = [&] {
-    obs::Span SpecSpan("refine.spec_explore", "refine");
-    return exploreMachine(std::move(Spec), SpecOpts);
-  }();
-  if (!SpecRes.Ok) {
-    Report.Counterexample =
-        "specification machine violation: " + SpecRes.Violation;
-    return Report;
-  }
-  // A truncated spec sweep is worse than inconclusive: a capped outcome
-  // set (MaxStoredOutcomes) makes genuinely-refining implementation
-  // outcomes look like counterexamples.  Fail closed before comparing.
-  if (!SpecRes.Complete) {
-    Report.Coverage = "spec exploration truncated: " + SpecRes.Truncation;
-    Report.Counterexample =
-        "specification exploration is incomplete (" + SpecRes.Truncation +
-        "): the spec outcome set may be silently capped, so any mismatch "
-        "below would be a false counterexample and any match proves "
-        "nothing; raise the truncating budget and re-run";
-    return Report;
-  }
-  Report.SpecComplete = true;
-
-  OutcomeSet SpecSet;
-  for (const Outcome &O : SpecRes.Outcomes) {
-    Outcome Key;
-    Key.FinalLog = CanonSpecLog(O.FinalLog);
-    Key.Returns = O.Returns;
-    SpecSet.insert(Key);
-  }
-
-  // Stream implementation outcomes through the matcher instead of storing
-  // them: large schedule spaces would not fit in memory otherwise.
-  std::uint64_t ImplOutcomes = 0, Obligations = 0;
-  ExploreOptions ImplOptsCorpus = ImplOpts;
-  ImplOptsCorpus.CollectCorpus = true;
-  ImplOptsCorpus.OnOutcome = [&](const Outcome &O) -> std::string {
-    ++ImplOutcomes;
-    Log Mapped = R.apply(O.FinalLog);
-    Outcome Key;
-    Key.FinalLog = CanonSpecLog(Mapped);
-    Key.Returns = O.Returns;
-    if (!SpecSet.contains(Key))
-      return strFormat(
-          "no specification behavior matches implementation outcome\n"
-          "  impl log:   %s\n  mapped (R): %s",
-          logToString(O.FinalLog).c_str(), logToString(Mapped).c_str());
-    ++Obligations;
-    return "";
-  };
-  ExploreResult ImplRes = [&] {
-    obs::Span ImplSpan("refine.impl_explore", "refine");
-    return exploreMachine(std::move(Impl), ImplOptsCorpus);
-  }();
-  Report.ImplOutcomes = ImplOutcomes;
-  Report.SpecOutcomes = SpecRes.Outcomes.size();
-  Report.SchedulesExplored =
-      ImplRes.SchedulesExplored + SpecRes.SchedulesExplored;
-  Report.StatesExplored = ImplRes.StatesExplored + SpecRes.StatesExplored;
-  Report.ObligationsChecked = Obligations;
-  Report.Corpus = std::move(ImplRes.Corpus);
-  if (!ImplRes.Ok) {
-    Report.Counterexample =
-        "implementation machine violation: " + ImplRes.Violation;
-    return Report;
-  }
-  // Obligations cover only the explored prefix of a truncated sweep; the
-  // refinement statement quantifies over every schedule, so Holds must
-  // stay false.
-  if (!ImplRes.Complete) {
-    Report.Coverage = "impl exploration truncated: " + ImplRes.Truncation;
-    Report.Counterexample =
-        "implementation exploration is incomplete (" + ImplRes.Truncation +
-        "): only a prefix of the schedule space was matched; raise the "
-        "truncating budget and re-run";
-    return Report;
-  }
-  Report.ImplComplete = true;
-  Report.Coverage = "exhaustive";
-  Report.Holds = true;
-  return Report;
-}
-
-} // namespace
-
 ContextualRefinementReport ccal::checkContextualRefinement(
     MachineConfigPtr Impl, MachineConfigPtr Spec, const EventMap &R,
     const ExploreOptions &ImplOpts, const ExploreOptions &SpecOpts) {
-  obs::Span CheckSpan("refine.check", "refine");
+  auto Check = [&] {
+    // The implementation corpus feeds compat implication checks.
+    ExploreOptions ImplCorpus = ImplOpts;
+    ImplCorpus.CollectCorpus = true;
+    return checkOutcomeInclusion(MultiCoreMachine(Impl),
+                                 MultiCoreMachine(Spec), R,
+                                 EventMap::identity(), ImplCorpus, SpecOpts);
+  };
 
   // Load-or-recheck front-end.  Uncacheable checks — store disabled, or
   // an anonymous invariant the key cannot see — run exactly as before.
   cert::CertStore *Store = cert::store();
   if (!Store || !cert::cacheableOptions(ImplOpts) ||
-      !cert::cacheableOptions(SpecOpts)) {
-    ContextualRefinementReport Report = checkContextualRefinementImpl(
-        std::move(Impl), std::move(Spec), R, ImplOpts, SpecOpts);
-    publishRefinementMetrics(Report);
-    return Report;
-  }
+      !cert::cacheableOptions(SpecOpts))
+    return Check();
 
   cert::CertKey Key;
   Key.Checker = "refine";
@@ -234,13 +167,11 @@ ContextualRefinementReport ccal::checkContextualRefinement(
         return refinementFromPayload(E.Payload, Report);
       },
       [&] {
-        Report = checkContextualRefinementImpl(Impl, Spec, R, ImplOpts,
-                                               SpecOpts);
-        publishRefinementMetrics(Report);
+        Report = Check();
         cert::CertStore::Entry Out;
         Out.Cert = makeMachineCertificate("Soundness", Impl->Layer->name(),
                                           Impl->Name, Spec->Layer->name(),
-                                          R, Report);
+                                          R.name(), Report);
         Out.Payload = refinementToPayload(Report);
         return Out;
       });
@@ -253,14 +184,14 @@ ContextualRefinementReport ccal::checkContextualRefinement(
 
 CertPtr ccal::makeMachineCertificate(
     const std::string &Rule, const std::string &Underlay,
-    const std::string &Module, const std::string &Overlay, const EventMap &R,
-    const ContextualRefinementReport &Report) {
+    const std::string &Module, const std::string &Overlay,
+    const std::string &Relation, const ContextualRefinementReport &Report) {
   auto C = std::make_shared<RefinementCertificate>();
   C->Rule = Rule;
   C->Underlay = Underlay;
   C->Module = Module;
   C->Overlay = Overlay;
-  C->Relation = R.name();
+  C->Relation = Relation;
   // Belt and braces: the checker already refuses Holds on a truncated
   // sweep, but a certificate must be impossible to mint Valid from one
   // even if a future checker forgets.

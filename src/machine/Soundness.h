@@ -1,4 +1,4 @@
-//===- machine/Soundness.h - Contextual refinement (Thm 2.2) ---*- C++ -*-===//
+//===- machine/Soundness.h - The outcome-inclusion engine ------*- C++ -*-===//
 //
 // Part of ccal, a C++ reproduction of "Certified Concurrent Abstraction
 // Layers" (PLDI 2018).
@@ -6,19 +6,29 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The soundness theorem (Thm 2.2), checked executably: from
-/// `L'[D] |-R M : L[D]`, for any client program P, every behavior (log) of
-/// `P (+) M` over the underlay machine must have an R-related behavior of
-/// P over the overlay machine, with the same client return values.
+/// Three results of the paper make one statement: every outcome (final log
+/// plus client return values) of an implementation machine has an
+/// R-related outcome on a specification machine.
 ///
-/// The implementation machine runs P *linked with* M (so M's functions are
-/// code); the specification machine runs P with M's functions left as
-/// `extern` — they remain Prim instructions bound to the overlay's atomic
-/// primitives.  This is exactly the paper's picture, including the
-/// compiler: both sides are CompCertX-compiled LAsm.
+///   * Thm 2.2 (soundness): from `L'[D] |-R M : L[D]`, for any client
+///     program P, every behavior of `P (+) M` over the underlay machine
+///     has an R-related behavior of P over the overlay machine, with the
+///     same client return values.  The implementation machine runs P
+///     *linked with* M (so M's functions are code); the specification
+///     machine runs P with M's functions left as `extern` — Prim
+///     instructions bound to the overlay's atomic primitives.  Both sides
+///     are CompCertX-compiled LAsm (checkContextualRefinement).
+///   * Thm 3.1 (multicore linking): the instruction-granularity hardware
+///     machine Mx86 refines the query-point layer machine Lx86[D] under
+///     the identity relation (checkMulticoreLinking, HardwareMachine.h).
+///   * The §5 multithreaded linking check: one multithreaded machine
+///     refines another, with an event map on each side
+///     (checkThreadedRefinement, threads/ThreadMachine.h; Thm 5.1 in
+///     threads/Linking.h).
 ///
-/// The same checker discharges the multicore linking theorem (Thm 3.1)
-/// when the two configs are the hardware machine and `Lx86[D]`.
+/// All three front ends run one engine, checkOutcomeInclusion, and share
+/// one report, one certificate maker and one payload codec, so the
+/// fail-closed logic every certificate rests on lives in one place.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,10 +38,11 @@
 #include "core/Certificate.h"
 #include "core/Simulation.h"
 #include "machine/Explorer.h"
+#include "support/Json.h"
 
 namespace ccal {
 
-/// Outcome of a contextual refinement check between two machines.
+/// Outcome of an outcome-inclusion check between two machines.
 struct ContextualRefinementReport {
   /// True only when every obligation held AND both explorations were
   /// exhaustive (SpecComplete && ImplComplete): a truncated sweep covers a
@@ -58,21 +69,133 @@ struct ContextualRefinementReport {
   std::vector<Log> Corpus;
 };
 
-/// Checks `[[Impl]] <=_R [[Spec]]`: every implementation outcome has a
-/// specification outcome with the R-mapped log and equal client returns.
+namespace detail {
+
+/// The engine's fail-closed gate for one side's exploration: true when
+/// \p Res is a complete sweep without violation (then SpecComplete or
+/// ImplComplete is set); otherwise false, with Counterexample (and, for a
+/// truncation, Coverage) naming the violation or the budget that cut the
+/// side short.
+bool sideComplete(ContextualRefinementReport &Report, bool SpecSide,
+                  const ExploreResult &Res);
+
+/// The counterexample for an implementation outcome whose R-mapped log
+/// matches no specification outcome.
+std::string unmatchedOutcome(const Log &ImplLog, const Log &Mapped);
+
+/// Publishes one check's aggregates into the obs registry; the Explorer
+/// has already published the per-exploration counters underneath.
+void publishRefinementMetrics(const ContextualRefinementReport &Report);
+
+template <typename ImplM, typename SpecM>
+void runOutcomeInclusion(ContextualRefinementReport &Report,
+                         const ImplM &ImplRoot, const SpecM &SpecRoot,
+                         const EventMap &RImpl, const EventMap &RSpec,
+                         const GenericExploreOptions<ImplM> &ImplOpts,
+                         const GenericExploreOptions<SpecM> &SpecOpts) {
+  // Under the partial-order reduction a side's outcome logs are canonical
+  // trace forms, so both sides' mapped logs are canonicalized over the
+  // SPEC machine's footprints (both are spec-level logs after R).  With
+  // honest spec footprints, logs with equal canonical forms are
+  // observationally equivalent, so this never accepts an outcome full
+  // comparison would reject.
+  const bool Canon = ImplOpts.Por || SpecOpts.Por;
+  auto Key = [&](const EventMap &R, const Outcome &O) {
+    Outcome K;
+    K.FinalLog = R.apply(O.FinalLog);
+    if (Canon)
+      K.FinalLog = canonicalizeLog(K.FinalLog, [&SpecRoot](KindId Kind) {
+        return SpecRoot.eventFootprint(Event(0, Kind));
+      });
+    K.Returns = O.Returns;
+    return K;
+  };
+
+  ExploreResult SpecRes = [&] {
+    obs::Span SpecSpan("refine.spec_explore", "refine");
+    return exploreGeneric(SpecRoot, SpecOpts);
+  }();
+  if (!sideComplete(Report, /*SpecSide=*/true, SpecRes))
+    return;
+  OutcomeSet SpecSet;
+  for (const Outcome &O : SpecRes.Outcomes)
+    SpecSet.insert(Key(RSpec, O));
+
+  // Stream implementation outcomes through the matcher instead of storing
+  // them: large schedule spaces would not fit in memory otherwise.
+  std::uint64_t ImplOutcomes = 0, Obligations = 0;
+  GenericExploreOptions<ImplM> Stream = ImplOpts;
+  Stream.OnOutcome = [&](const Outcome &O) -> std::string {
+    ++ImplOutcomes;
+    if (!SpecSet.contains(Key(RImpl, O)))
+      return unmatchedOutcome(O.FinalLog, RImpl.apply(O.FinalLog));
+    ++Obligations;
+    return "";
+  };
+  ExploreResult ImplRes = [&] {
+    obs::Span ImplSpan("refine.impl_explore", "refine");
+    return exploreGeneric(ImplRoot, Stream);
+  }();
+  Report.ImplOutcomes = ImplOutcomes;
+  Report.SpecOutcomes = SpecRes.Outcomes.size();
+  Report.SchedulesExplored =
+      ImplRes.SchedulesExplored + SpecRes.SchedulesExplored;
+  Report.StatesExplored = ImplRes.StatesExplored + SpecRes.StatesExplored;
+  Report.ObligationsChecked = Obligations;
+  Report.Corpus = std::move(ImplRes.Corpus);
+  if (!sideComplete(Report, /*SpecSide=*/false, ImplRes))
+    return;
+  Report.Coverage = "exhaustive";
+  Report.Holds = true;
+}
+
+} // namespace detail
+
+/// The outcome-inclusion engine: checks `[[ImplRoot]] <= [[SpecRoot]]`,
+/// i.e. that every implementation outcome, its log mapped through
+/// \p RImpl, equals some specification outcome mapped through \p RSpec,
+/// with equal client returns.  The spec side is explored and stored
+/// first; implementation outcomes are streamed through OnOutcome, once
+/// per distinct outcome.  A violation or truncation on either side fails
+/// closed: Holds stays false and the report names the cause.
+template <typename ImplM, typename SpecM>
+ContextualRefinementReport
+checkOutcomeInclusion(const ImplM &ImplRoot, const SpecM &SpecRoot,
+                      const EventMap &RImpl, const EventMap &RSpec,
+                      const GenericExploreOptions<ImplM> &ImplOpts,
+                      const GenericExploreOptions<SpecM> &SpecOpts) {
+  obs::Span CheckSpan("refine.check", "refine");
+  ContextualRefinementReport Report;
+  detail::runOutcomeInclusion(Report, ImplRoot, SpecRoot, RImpl, RSpec,
+                              ImplOpts, SpecOpts);
+  detail::publishRefinementMetrics(Report);
+  return Report;
+}
+
+/// Checks `[[Impl]] <=_R [[Spec]]` (Thm 2.2): every implementation outcome
+/// has a specification outcome with the R-mapped log and equal client
+/// returns.  Served from the certificate store when one is configured.
 ContextualRefinementReport
 checkContextualRefinement(MachineConfigPtr Impl, MachineConfigPtr Spec,
                           const EventMap &R, const ExploreOptions &ImplOpts,
                           const ExploreOptions &SpecOpts);
 
 /// Wraps a report into a certificate for the given rule name
-/// ("Soundness", "MulticoreLink", "MultithreadLink", "LogLift", ...).
+/// ("Soundness", "MulticoreLink", "MultithreadLink", "LogLift", ...) and
+/// relation name.
 CertPtr makeMachineCertificate(const std::string &Rule,
                                const std::string &Underlay,
                                const std::string &Module,
                                const std::string &Overlay,
-                               const EventMap &R,
+                               const std::string &Relation,
                                const ContextualRefinementReport &Report);
+
+/// The certificate-store payload of a report: every field, corpus
+/// included.  refinementFromPayload is its strict inverse; false on any
+/// missing or mistyped field.
+JsonValue refinementToPayload(const ContextualRefinementReport &R);
+bool refinementFromPayload(const JsonValue &V,
+                           ContextualRefinementReport &R);
 
 } // namespace ccal
 

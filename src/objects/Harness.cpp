@@ -39,7 +39,7 @@ HarnessOutcome ccal::runObjectHarness(const ObjectHarness &H) {
   CertPtr Cert = makeMachineCertificate(
       "LogLift", CertifiedLayer::atFocus(H.Underlay->name(), focusOf(H)),
       H.ObjectName, CertifiedLayer::atFocus(H.Overlay->name(), focusOf(H)),
-      H.R, Out.Report);
+      H.R.name(), Out.Report);
   if (Out.Report.Holds)
     Out.Layer = calculus::fromCertificate(H.Underlay, H.ObjectName,
                                           H.Overlay, focusOf(H),

@@ -237,7 +237,7 @@ HarnessOutcome ccal::certifySharedQueue(unsigned Producers,
   CertPtr Cert = makeMachineCertificate(
       "LogLift", CertifiedLayer::atFocus(Setup.Underlay->name(), Focus),
       "shared_queue", CertifiedLayer::atFocus(Setup.Overlay->name(), Focus),
-      Setup.R, Out.Report);
+      Setup.R.name(), Out.Report);
   if (Out.Report.Holds)
     Out.Layer = calculus::fromCertificate(Setup.Underlay, "shared_queue",
                                           Setup.Overlay, Focus,

@@ -7,8 +7,8 @@
 ///
 /// \file
 /// One hashing discipline for the whole repository: the splitmix64-based
-/// mixer behind the explorer's snapshot dedup (machine/ThreadMachine
-/// `snapshotHash`) and the certificate store's content-addressed keys
+/// mixer behind the Explorer's outcome dedup (`OutcomeSet` over the log's
+/// running hash) and the certificate store's content-addressed keys
 /// (cert/CertKey.h).  The `Hasher` accumulator enforces the two rules that
 /// make structural hashes trustworthy:
 ///

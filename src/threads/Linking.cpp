@@ -15,56 +15,9 @@ using namespace ccal;
 
 namespace {
 
-const char LinkCheckerVersion[] = "link-v1";
-
-JsonValue threadedToPayload(const ThreadedRefinementReport &R) {
-  JsonValue V;
-  V.K = JsonValue::Kind::Object;
-  V.Fields["holds"] = jsonBool(R.Holds);
-  V.Fields["spec_complete"] = jsonBool(R.SpecComplete);
-  V.Fields["impl_complete"] = jsonBool(R.ImplComplete);
-  V.Fields["coverage"] = jsonStr(R.Coverage);
-  V.Fields["impl_outcomes"] = jsonUInt(R.ImplOutcomes);
-  V.Fields["spec_outcomes"] = jsonUInt(R.SpecOutcomes);
-  V.Fields["obligations"] = jsonUInt(R.ObligationsChecked);
-  V.Fields["schedules"] = jsonUInt(R.SchedulesExplored);
-  V.Fields["states"] = jsonUInt(R.StatesExplored);
-  V.Fields["counterexample"] = jsonStr(R.Counterexample);
-  return V;
-}
-
-bool threadedFromPayload(const JsonValue &V, ThreadedRefinementReport &R) {
-  const JsonValue *Holds = V.field("holds");
-  const JsonValue *SpecC = V.field("spec_complete");
-  const JsonValue *ImplC = V.field("impl_complete");
-  const JsonValue *Cov = V.field("coverage");
-  const JsonValue *IO = V.field("impl_outcomes");
-  const JsonValue *SO = V.field("spec_outcomes");
-  const JsonValue *Ob = V.field("obligations");
-  const JsonValue *Sch = V.field("schedules");
-  const JsonValue *St = V.field("states");
-  const JsonValue *Cex = V.field("counterexample");
-  if (!Holds || !Holds->isBool() || !SpecC || !SpecC->isBool() || !ImplC ||
-      !ImplC->isBool() || !Cov || !Cov->isString() || !IO || !IO->IsInt ||
-      !SO || !SO->IsInt || !Ob || !Ob->IsInt || !Sch || !Sch->IsInt ||
-      !St || !St->IsInt || !Cex || !Cex->isString())
-    return false;
-  R.Holds = Holds->BoolVal;
-  R.SpecComplete = SpecC->BoolVal;
-  R.ImplComplete = ImplC->BoolVal;
-  R.Coverage = Cov->StrVal;
-  R.ImplOutcomes = static_cast<std::uint64_t>(IO->IntVal);
-  R.SpecOutcomes = static_cast<std::uint64_t>(SO->IntVal);
-  R.ObligationsChecked = static_cast<std::uint64_t>(Ob->IntVal);
-  R.SchedulesExplored = static_cast<std::uint64_t>(Sch->IntVal);
-  R.StatesExplored = static_cast<std::uint64_t>(St->IntVal);
-  R.Counterexample = Cex->StrVal;
-  return true;
-}
-
-} // namespace
-
-namespace {
+/// Bump when this checker's semantics or payload layout change: stored
+/// certificates from the old format must miss, not lie.
+const char LinkCheckerVersion[] = "link-v2";
 
 ClightModule makeLinkingClient(unsigned NumThreads) {
   std::string Spawns;
@@ -172,22 +125,9 @@ LinkingReport ccal::checkMultithreadedLinking(const LinkingSetup &Setup) {
     LinkingReport Rep;
     Rep.Refinement = checkThreadedRefinement(LowCfg, HighCfg, RImpl, RSpec,
                                              Opts, Opts);
-    auto C = std::make_shared<RefinementCertificate>();
-    C->Rule = "MultithreadLink";
-    C->Underlay = "Lbtd[0]";
-    C->Module = "M_sched (+) M_local_queue";
-    C->Overlay = "Lhtd[0][Tc]";
-    C->Relation = "Rbtd";
-    C->CoverageComplete =
-        Rep.Refinement.SpecComplete && Rep.Refinement.ImplComplete;
-    C->Coverage = Rep.Refinement.Coverage;
-    C->Valid = Rep.Refinement.Holds && C->CoverageComplete;
-    C->Obligations = Rep.Refinement.ObligationsChecked;
-    C->Runs = Rep.Refinement.SchedulesExplored;
-    C->Moves = Rep.Refinement.StatesExplored;
-    if (!Rep.Refinement.Holds)
-      C->Notes.push_back(Rep.Refinement.Counterexample);
-    Rep.Cert = C;
+    Rep.Cert = makeMachineCertificate(
+        "MultithreadLink", "Lbtd[0]", "M_sched (+) M_local_queue",
+        "Lhtd[0][Tc]", RImpl.name(), Rep.Refinement);
     return Rep;
   };
 
@@ -219,7 +159,7 @@ LinkingReport ccal::checkMultithreadedLinking(const LinkingSetup &Setup) {
   Store->getOrCheck(
       Key,
       [&](const cert::CertStore::Entry &E) {
-        if (!E.Cert || !threadedFromPayload(E.Payload, Out.Refinement))
+        if (!E.Cert || !refinementFromPayload(E.Payload, Out.Refinement))
           return false;
         Out.Cert = E.Cert;
         return true;
@@ -228,7 +168,7 @@ LinkingReport ccal::checkMultithreadedLinking(const LinkingSetup &Setup) {
         Out = RunCheck();
         cert::CertStore::Entry Fresh;
         Fresh.Cert = Out.Cert;
-        Fresh.Payload = threadedToPayload(Out.Refinement);
+        Fresh.Payload = refinementToPayload(Out.Refinement);
         return Fresh;
       });
   return Out;

@@ -35,7 +35,7 @@ struct LinkingSetup {
 
 /// Result of the linking check, with the two machines' statistics.
 struct LinkingReport {
-  ThreadedRefinementReport Refinement;
+  ContextualRefinementReport Refinement;
   CertPtr Cert;
 };
 

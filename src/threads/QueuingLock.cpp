@@ -256,20 +256,8 @@ QueuingLockOutcome ccal::certifyQueuingLock(unsigned Cpus,
                               Setup.RImpl, Setup.RSpec, ImplOpts, SpecOpts);
   Out.ImplLoC = moduleLoC(Setup.Module);
 
-  auto C = std::make_shared<RefinementCertificate>();
-  C->Rule = "LogLift";
-  C->Underlay = Setup.Underlay->name();
-  C->Module = "queuing_lock";
-  C->Overlay = Setup.Overlay->name();
-  C->Relation = Setup.RImpl.name();
-  C->CoverageComplete = Out.Report.SpecComplete && Out.Report.ImplComplete;
-  C->Coverage = Out.Report.Coverage;
-  C->Valid = Out.Report.Holds && C->CoverageComplete;
-  C->Obligations = Out.Report.ObligationsChecked;
-  C->Runs = Out.Report.SchedulesExplored;
-  C->Moves = Out.Report.StatesExplored;
-  if (!Out.Report.Holds)
-    C->Notes.push_back(Out.Report.Counterexample);
-  Out.Cert = C;
+  Out.Cert = makeMachineCertificate("LogLift", Setup.Underlay->name(),
+                                    "queuing_lock", Setup.Overlay->name(),
+                                    Setup.RImpl.name(), Out.Report);
   return Out;
 }

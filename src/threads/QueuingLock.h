@@ -51,7 +51,7 @@ QueuingLockSetup makeQueuingLockSetup(unsigned Cpus, unsigned ThreadsPerCpu,
 /// Certifies the queuing lock: contextual refinement into the blocking
 /// atomic interface, plus the mutual-exclusion invariant on every state.
 struct QueuingLockOutcome {
-  ThreadedRefinementReport Report;
+  ContextualRefinementReport Report;
   CertPtr Cert;
   std::uint64_t ImplLoC = 0;
 };

@@ -259,166 +259,17 @@ ThreadedMachine::cpuMemory(ThreadId Cpu) const {
   return It->second;
 }
 
-std::uint64_t ThreadedMachine::snapshotHash() const {
-  Hasher H(hashLog(GlobalLog));
-  H.u64(Threads.size());
-  for (const auto &[Tid, T] : Threads)
-    H.u64(Tid)
-        .u64(T.Machine.stateHash())
-        .u64(T.Cpu)
-        .u64(T.NextWork)
-        .u64(static_cast<std::uint64_t>(T.Active))
-        .u64(static_cast<std::uint64_t>(T.Parked))
-        .u64(static_cast<std::uint64_t>(T.NeedsRun))
-        .u64(static_cast<std::uint64_t>(T.Exited))
-        .i64s(T.Returns);
-  H.u64(CpuMem.size());
-  for (const auto &[Cpu, Mem] : CpuMem)
-    H.u64(Cpu).i64s(Mem);
-  return H.value();
-}
-
-std::size_t ThreadedMachine::snapshotBytes() const {
-  std::size_t B = sizeof(ThreadedMachine) + GlobalLog.snapshotCopyBytes();
-  for (const auto &[Tid, T] : Threads) {
-    (void)Tid;
-    B += sizeof(Thr) + T.Returns.size() * sizeof(std::int64_t);
-  }
-  for (const auto &[Cpu, Mem] : CpuMem) {
-    (void)Cpu;
-    B += sizeof(Mem) + Mem.size() * sizeof(std::int64_t);
-  }
-  return B;
-}
-
-bool ThreadedMachine::sameSnapshot(const ThreadedMachine &O) const {
-  if (Cfg.get() != O.Cfg.get() || Err != O.Err ||
-      GlobalLog != O.GlobalLog || CpuMem != O.CpuMem ||
-      Threads.size() != O.Threads.size())
-    return false;
-  auto It = O.Threads.begin();
-  for (const auto &[Tid, T] : Threads) {
-    const auto &[OTid, OT] = *It++;
-    if (Tid != OTid || T.Cpu != OT.Cpu || T.NextWork != OT.NextWork ||
-        T.Active != OT.Active || T.Parked != OT.Parked ||
-        T.NeedsRun != OT.NeedsRun || T.Exited != OT.Exited ||
-        T.Returns != OT.Returns || !T.Machine.sameState(OT.Machine))
-      return false;
-  }
-  return true;
-}
-
 ExploreResult ccal::exploreThreaded(ThreadedConfigPtr Cfg,
                                     const ThreadedExploreOptions &Opts) {
   ThreadedMachine Root(std::move(Cfg));
   return exploreGeneric(Root, Opts);
 }
 
-namespace {
-
-ThreadedRefinementReport checkThreadedRefinementImpl(
+ContextualRefinementReport ccal::checkThreadedRefinement(
     ThreadedConfigPtr Impl, ThreadedConfigPtr Spec, const EventMap &RImpl,
     const EventMap &RSpec, const ThreadedExploreOptions &ImplOpts,
     const ThreadedExploreOptions &SpecOpts) {
-  ThreadedRefinementReport Report;
-
-  ExploreResult SpecRes = [&] {
-    obs::Span SpecSpan("refine.spec_explore", "refine");
-    return exploreThreaded(std::move(Spec), SpecOpts);
-  }();
-  if (!SpecRes.Ok) {
-    Report.Counterexample =
-        "specification machine violation: " + SpecRes.Violation;
-    return Report;
-  }
-  // A truncated (e.g. MaxStoredOutcomes-capped) spec outcome set would
-  // turn refining implementation outcomes into false counterexamples;
-  // fail closed before comparing anything.
-  if (!SpecRes.Complete) {
-    Report.Coverage = "spec exploration truncated: " + SpecRes.Truncation;
-    Report.Counterexample =
-        "specification exploration is incomplete (" + SpecRes.Truncation +
-        "): the spec outcome set may be silently capped; raise the "
-        "truncating budget and re-run";
-    return Report;
-  }
-  Report.SpecComplete = true;
-
-  OutcomeSet SpecSet;
-  for (const Outcome &O : SpecRes.Outcomes) {
-    Outcome Key;
-    Key.FinalLog = RSpec.apply(O.FinalLog);
-    Key.Returns = O.Returns;
-    SpecSet.insert(Key);
-  }
-
-  // Stream implementation outcomes through the matcher (memory-bounded).
-  std::uint64_t ImplOutcomes = 0, Obligations = 0;
-  ThreadedExploreOptions ImplStream = ImplOpts;
-  ImplStream.OnOutcome = [&](const Outcome &O) -> std::string {
-    ++ImplOutcomes;
-    Outcome Key;
-    Key.FinalLog = RImpl.apply(O.FinalLog);
-    Key.Returns = O.Returns;
-    if (!SpecSet.contains(Key))
-      return strFormat(
-          "no specification behavior matches implementation outcome\n"
-          "  impl log:   %s\n  mapped (R): %s",
-          logToString(O.FinalLog).c_str(),
-          logToString(Key.FinalLog).c_str());
-    ++Obligations;
-    return "";
-  };
-  ExploreResult ImplRes = [&] {
-    obs::Span ImplSpan("refine.impl_explore", "refine");
-    return exploreThreaded(std::move(Impl), ImplStream);
-  }();
-  Report.ImplOutcomes = ImplOutcomes;
-  Report.SpecOutcomes = SpecRes.Outcomes.size();
-  Report.SchedulesExplored =
-      ImplRes.SchedulesExplored + SpecRes.SchedulesExplored;
-  Report.StatesExplored = ImplRes.StatesExplored + SpecRes.StatesExplored;
-  Report.ObligationsChecked = Obligations;
-  if (!ImplRes.Ok) {
-    Report.Counterexample =
-        "implementation machine violation: " + ImplRes.Violation;
-    return Report;
-  }
-  if (!ImplRes.Complete) {
-    Report.Coverage = "impl exploration truncated: " + ImplRes.Truncation;
-    Report.Counterexample =
-        "implementation exploration is incomplete (" + ImplRes.Truncation +
-        "): only a prefix of the schedule space was matched; raise the "
-        "truncating budget and re-run";
-    return Report;
-  }
-  Report.ImplComplete = true;
-  Report.Coverage = "exhaustive";
-  Report.Holds = true;
-  return Report;
-}
-
-} // namespace
-
-ThreadedRefinementReport ccal::checkThreadedRefinement(
-    ThreadedConfigPtr Impl, ThreadedConfigPtr Spec, const EventMap &RImpl,
-    const EventMap &RSpec, const ThreadedExploreOptions &ImplOpts,
-    const ThreadedExploreOptions &SpecOpts) {
-  obs::Span CheckSpan("refine.threaded_check", "refine");
-  ThreadedRefinementReport Report = checkThreadedRefinementImpl(
-      std::move(Impl), std::move(Spec), RImpl, RSpec, ImplOpts, SpecOpts);
-  if (obs::enabled()) {
-    obs::counterAdd("refine.threaded_checks", 1);
-    obs::counterAdd("refine.obligations_discharged",
-                    Report.ObligationsChecked);
-    obs::counterAdd("refine.impl_outcomes", Report.ImplOutcomes);
-    obs::counterAdd("refine.spec_outcomes", Report.SpecOutcomes);
-    if (Report.Holds)
-      obs::counterAdd("refine.holds", 1);
-    if (!Report.SpecComplete || !Report.ImplComplete) {
-      obs::counterAdd("refine.truncated", 1);
-      obs::traceInstant("refine.truncation: " + Report.Coverage, "refine");
-    }
-  }
-  return Report;
+  return checkOutcomeInclusion(ThreadedMachine(std::move(Impl)),
+                               ThreadedMachine(std::move(Spec)), RImpl, RSpec,
+                               ImplOpts, SpecOpts);
 }

@@ -30,9 +30,8 @@
 #define CCAL_THREADS_THREADMACHINE_H
 
 #include "core/LayerInterface.h"
-#include "core/Simulation.h"
 #include "lasm/Vm.h"
-#include "machine/Explorer.h"
+#include "machine/Soundness.h"
 
 #include <map>
 #include <memory>
@@ -128,16 +127,6 @@ public:
     return Footprint::opaque();
   }
 
-  /// Structural snapshot hash / equality for the Explorer's state-dedup
-  /// cache (see MultiCoreMachine::snapshotHash): per-thread VM states and
-  /// flags, the CPU-local memories, and the global log.
-  std::uint64_t snapshotHash() const;
-  bool sameSnapshot(const ThreadedMachine &O) const;
-
-  /// Estimated resident bytes of one retained snapshot (see
-  /// MultiCoreMachine::snapshotBytes).
-  std::size_t snapshotBytes() const;
-
 private:
   struct Thr {
     Vm Machine;
@@ -172,29 +161,11 @@ using ThreadedExploreOptions = GenericExploreOptions<ThreadedMachine>;
 ExploreResult exploreThreaded(ThreadedConfigPtr Cfg,
                               const ThreadedExploreOptions &Opts);
 
-/// Outcome of a threaded refinement check.
-struct ThreadedRefinementReport {
-  /// True only when every obligation held AND both explorations were
-  /// exhaustive; a truncated sweep never reports Holds.
-  bool Holds = false;
-
-  /// Per-side completion flags and a coverage note ("exhaustive", or which
-  /// budget truncated which side) — see ContextualRefinementReport.
-  bool SpecComplete = false;
-  bool ImplComplete = false;
-  std::string Coverage;
-
-  std::uint64_t ImplOutcomes = 0;
-  std::uint64_t SpecOutcomes = 0;
-  std::uint64_t ObligationsChecked = 0;
-  std::uint64_t SchedulesExplored = 0;
-  std::uint64_t StatesExplored = 0;
-  std::string Counterexample;
-};
-
 /// Contextual refinement between two multithreaded machines, with separate
-/// event maps on each side (machine-internal events are erased by both).
-ThreadedRefinementReport
+/// event maps on each side (machine-internal events are erased by both):
+/// the outcome-inclusion engine of machine/Soundness.h on two
+/// ThreadedMachine roots.
+ContextualRefinementReport
 checkThreadedRefinement(ThreadedConfigPtr Impl, ThreadedConfigPtr Spec,
                         const EventMap &RImpl, const EventMap &RSpec,
                         const ThreadedExploreOptions &ImplOpts,

@@ -14,12 +14,20 @@
 #include "cert/CertJson.h"
 
 #include "cert/CertKey.h"
+#include "cert/CertStore.h"
+#include "machine/Soundness.h"
+#include "objects/TicketLock.h"
 #include "support/Json.h"
+#include "threads/Linking.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <functional>
 #include <limits>
+#include <sstream>
 #include <string>
 
 using namespace ccal;
@@ -45,6 +53,37 @@ Log makeGoldenLog() {
   L.push_back(Event(2, "acq"));
   L.push_back(Event(2, "rel"));
   return L;
+}
+
+/// Content hash of stored or rendered bytes.
+std::uint64_t bytesHash(const std::string &Bytes) {
+  return Hasher().str(Bytes).value();
+}
+
+/// Runs \p Check against a fresh store and returns the single entry it
+/// wrote, byte for byte.
+std::string storedEntry(const std::string &Name,
+                        const std::function<void()> &Check) {
+  namespace fs = std::filesystem;
+  const fs::path Dir =
+      fs::path(::testing::TempDir()) / ("ccal_golden_" + Name);
+  fs::remove_all(Dir);
+  setStoreDir(Dir.string());
+  Check();
+  setStoreDir("");
+  std::vector<fs::path> Files;
+  for (const fs::directory_entry &E : fs::directory_iterator(Dir))
+    Files.push_back(E.path());
+  EXPECT_EQ(Files.size(), 1u) << Name;
+  std::string Bytes;
+  if (!Files.empty()) {
+    std::ifstream In(Files.front(), std::ios::binary);
+    std::ostringstream SS;
+    SS << In.rdbuf();
+    Bytes = SS.str();
+  }
+  fs::remove_all(Dir);
+  return Bytes;
 }
 
 } // namespace
@@ -88,4 +127,47 @@ TEST(CertGoldenTest, EventJsonUsesStringsNotIds) {
   Event A(1, "aa_golden_kind");
   EXPECT_EQ(jsonToString(eventToJson(A)), "[1,\"aa_golden_kind\",[]]");
   EXPECT_EQ(jsonToString(eventToJson(B)), "[1,\"zz_golden_kind\",[]]");
+}
+
+// Stored-entry pins.  The refine-v1 values were captured from the entries
+// the checker wrote before its three outcome-inclusion skeletons became
+// one engine; a refine-v1 entry must never change bytes without a version
+// bump, or existing stores would serve answers to a different question.
+
+TEST(CertGoldenTest, RefineHoldsEntryBytesArePinned) {
+  // The catalog job ticket.1cpu.2r.
+  std::string Bytes = storedEntry("refine_holds", [] {
+    EXPECT_TRUE(runObjectHarness(makeTicketLockHarness(1, 2)).Report.Holds);
+  });
+  EXPECT_EQ(Bytes.size(), 961u);
+  EXPECT_EQ(bytesHash(Bytes), 0x34e865021a9483ecULL) << Bytes;
+}
+
+TEST(CertGoldenTest, RefineRefutedEntryBytesArePinned) {
+  // The broken release/acquire ticket grab.  A refuted check has
+  // incomplete coverage, so the store declines to persist it; pin what the
+  // checker hands the store instead: the certificate and the payload.
+  HarnessOutcome Out = certifyTicketLockRa(2, 1, /*BrokenGrab=*/true);
+  ASSERT_FALSE(Out.Report.Holds);
+  ASSERT_TRUE(Out.Layer.Cert);
+  std::string Payload = jsonToString(refinementToPayload(Out.Report));
+  std::string Cert = jsonToString(certToJson(*Out.Layer.Cert));
+  EXPECT_EQ(Payload.size(), 25389u);
+  EXPECT_EQ(bytesHash(Payload), 0x08e5efba77d60443ULL) << Payload;
+  EXPECT_EQ(Cert.size(), 696u);
+  EXPECT_EQ(bytesHash(Cert), 0x0c3afd541d33d21fULL) << Cert;
+}
+
+TEST(CertGoldenTest, LinkEntryBytesArePinned) {
+  // Thm 5.1 on LinkingSetup{2, 1}.  link-v1 entries (590 bytes, hash
+  // 0x5a41b382b4e63207) carried no corpus field; link-v2 entries are
+  // encoded by the shared refinement codec, which adds it.
+  std::string Bytes = storedEntry("link", [] {
+    EXPECT_TRUE(
+        checkMultithreadedLinking(LinkingSetup{2, 1}).Refinement.Holds);
+  });
+  EXPECT_NE(Bytes.find("\"version\":\"link-v2\""), std::string::npos)
+      << Bytes;
+  EXPECT_EQ(Bytes.size(), 602u);
+  EXPECT_EQ(bytesHash(Bytes), 0x3e8b8af496721e90ULL) << Bytes;
 }

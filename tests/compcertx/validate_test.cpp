@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace ccal;
 
 namespace {
@@ -145,4 +147,60 @@ TEST(ValidateTest, RecursionAgrees) {
   std::vector<ValidationCase> Cases = {{"ack", {2, 3}}, {"ack", {1, 5}}};
   ValidationReport R = validateTranslation(M, Cases, countingPrims());
   EXPECT_TRUE(R.Ok) << R.Error;
+}
+
+TEST(ValidateTest, OverflowWrapsIdenticallyOnAllThreeSides) {
+  // ClightX int is modular 64-bit: + - * and negation wrap in two's
+  // complement, INT64_MIN / -1 is INT64_MIN and INT64_MIN % -1 is 0, while
+  // division by zero still traps.  Once these were C++ undefined
+  // behaviour, and INT64_MIN / -1 killed the process with SIGFPE in the
+  // interpreter, the VM and the optimizer's constant folding (`folded`
+  // below is folded at compile time).
+  ClightModule M = makeModule(R"(
+    int quot(int a, int b) { return a / b; }
+    int rem(int a, int b) { return a % b; }
+    int sum(int a, int b) { return a + b; }
+    int diff(int a, int b) { return a - b; }
+    int prod(int a, int b) { return a * b; }
+    int negate(int a) { return -a; }
+    int folded() {
+      return (0 - 9223372036854775807 - 1) / (0 - 1) +
+             -(0 - 9223372036854775807 - 1) + 9223372036854775807 * 2;
+    }
+  )");
+  const std::int64_t Min = std::numeric_limits<std::int64_t>::min();
+  const std::int64_t Max = std::numeric_limits<std::int64_t>::max();
+  struct Expect {
+    ValidationCase Case;
+    std::optional<std::int64_t> Result; ///< nullopt: the call traps
+  };
+  const std::vector<Expect> Expected = {
+      {{"quot", {Min, -1}}, Min},
+      {{"rem", {Min, -1}}, 0},
+      {{"quot", {Min, 1}}, Min},
+      {{"rem", {-7, 2}}, -1},
+      {{"sum", {Max, 1}}, Min},
+      {{"diff", {Min, 1}}, Max},
+      {{"prod", {Max, 2}}, -2},
+      {{"prod", {Min, -1}}, Min},
+      {{"negate", {Min}}, Min},
+      {{"folded", {}}, -2}, // Min + Min + (-2), wrapped
+      {{"quot", {Min, 0}}, std::nullopt},
+      {{"rem", {1, 0}}, std::nullopt},
+  };
+  std::vector<ValidationCase> Cases;
+  for (const Expect &E : Expected)
+    Cases.push_back(E.Case);
+  ValidationOptions Opts;
+  Opts.CheckOptimized = true;
+  ValidationReport R = validateTranslation(M, Cases, countingPrims(), Opts);
+  ASSERT_TRUE(R.Ok) << R.Error;
+  EXPECT_EQ(R.CasesChecked, Cases.size());
+  EXPECT_EQ(R.BothStuck, 2u);
+  EXPECT_GT(R.OptimizerRewrites, 0u);
+
+  // Agreement alone would also accept three identical wrong answers.
+  Interp I(M, countingPrims()());
+  for (const Expect &E : Expected)
+    EXPECT_EQ(I.call(E.Case.Fn, E.Case.Args), E.Result) << E.Case.Fn;
 }

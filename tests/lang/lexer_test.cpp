@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 using namespace ccal;
 
 namespace {
@@ -28,12 +30,15 @@ TEST(LexerTest, KeywordsAndIdentifiers) {
 }
 
 TEST(LexerTest, IntegerLiterals) {
-  LexResult R = lex("0 42 0x2a 7u");
+  // Literals beyond INT64_MAX wrap modulo 2^64, like ClightX arithmetic.
+  LexResult R = lex("0 42 0x2a 7u 0xffffffffffffffff 9223372036854775808");
   ASSERT_TRUE(R.ok());
   EXPECT_EQ(R.Tokens[0].IntVal, 0);
   EXPECT_EQ(R.Tokens[1].IntVal, 42);
   EXPECT_EQ(R.Tokens[2].IntVal, 42);
   EXPECT_EQ(R.Tokens[3].IntVal, 7);
+  EXPECT_EQ(R.Tokens[4].IntVal, -1);
+  EXPECT_EQ(R.Tokens[5].IntVal, std::numeric_limits<std::int64_t>::min());
 }
 
 TEST(LexerTest, TwoCharOperators) {

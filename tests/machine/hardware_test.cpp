@@ -86,29 +86,56 @@ TEST(HardwareMachineTest, PreemptionBetweenInstructions) {
 TEST(MulticoreLinkTest, Thm31HoldsTwoCpus) {
   // Fairness bound 16 exceeds the longest local stretch, so the hardware
   // sweep is rich enough to check *exactness*: the reduction is lossless.
-  MulticoreLinkReport Rep =
-      checkMulticoreLinking(makeLinkConfig(2, 1), /*FairnessBound=*/16,
+  MachineConfigPtr Cfg = makeLinkConfig(2, 1);
+  ContextualRefinementReport Rep =
+      checkMulticoreLinking(Cfg, /*FairnessBound=*/16,
                             /*MaxSchedules=*/1u << 22,
                             /*CheckExactness=*/true);
   ASSERT_TRUE(Rep.Holds) << Rep.Counterexample;
   // The hardware machine explores many more schedules but produces
-  // exactly the layer machine's outcomes.
-  EXPECT_GT(Rep.HardwareSchedules, Rep.LayerSchedules);
-  EXPECT_EQ(Rep.HardwareOutcomes, Rep.LayerOutcomes);
-  EXPECT_EQ(Rep.ObligationsChecked, Rep.HardwareOutcomes);
+  // exactly the layer machine's outcomes.  The report sums both sides'
+  // schedules; the layer side's are the query-point machine's alone.
+  ExploreOptions LayerOpts;
+  LayerOpts.FairnessBound = 1u << 20;
+  std::uint64_t LayerSchedules =
+      exploreMachine(Cfg, LayerOpts).SchedulesExplored;
+  EXPECT_GT(Rep.SchedulesExplored - LayerSchedules, LayerSchedules);
+  EXPECT_EQ(Rep.ImplOutcomes, Rep.SpecOutcomes);
+  EXPECT_EQ(Rep.ObligationsChecked, Rep.ImplOutcomes);
+}
+
+TEST(MulticoreLinkTest, ExactnessFailsWhenTheSweepMissesLayerOutcomes) {
+  // Fairness bound 1 forbids two consecutive hardware cycles by one CPU
+  // while the other waits, so the hardware sweep reaches only some of the
+  // layer outcomes: the forward inclusion still holds, exactness must not.
+  MachineConfigPtr Cfg = makeLinkConfig(2, 2);
+  ContextualRefinementReport Forward =
+      checkMulticoreLinking(Cfg, /*FairnessBound=*/1);
+  ASSERT_TRUE(Forward.Holds) << Forward.Counterexample;
+  ASSERT_LT(Forward.ImplOutcomes, Forward.SpecOutcomes);
+  ContextualRefinementReport Exact =
+      checkMulticoreLinking(Cfg, /*FairnessBound=*/1,
+                            /*MaxSchedules=*/1u << 22,
+                            /*CheckExactness=*/true);
+  EXPECT_FALSE(Exact.Holds);
+  EXPECT_NE(Exact.Counterexample.find("layer outcomes are reachable"),
+            std::string::npos)
+      << Exact.Counterexample;
 }
 
 TEST(MulticoreLinkTest, Thm31HoldsTwoTicks) {
-  MulticoreLinkReport Rep =
+  ContextualRefinementReport Rep =
       checkMulticoreLinking(makeLinkConfig(2, 2), /*FairnessBound=*/2);
   ASSERT_TRUE(Rep.Holds) << Rep.Counterexample;
-  EXPECT_GE(Rep.HardwareOutcomes, 2u);
+  EXPECT_GE(Rep.ImplOutcomes, 2u);
 }
 
 TEST(MulticoreLinkTest, CertificateRecordsEvidence) {
-  MulticoreLinkReport Rep =
+  ContextualRefinementReport Rep =
       checkMulticoreLinking(makeLinkConfig(2, 1), /*FairnessBound=*/2);
-  CertPtr C = makeMulticoreLinkCertificate("linkcfg", Rep);
+  CertPtr C = makeMachineCertificate("MulticoreLink", "Mx86(linkcfg)",
+                                     "(hardware scheduling)",
+                                     "Lx86[D](linkcfg)", "id", Rep);
   EXPECT_TRUE(C->Valid);
   EXPECT_EQ(C->Rule, "MulticoreLink");
   EXPECT_GT(C->Runs, 0u);
@@ -144,6 +171,7 @@ TEST(MulticoreLinkTest, SharedLocalMemoryWouldBreakTheTheorem) {
   Cfg->Work.emplace(1, std::vector<CpuWorkItem>{{"t_main", {}}});
   Cfg->Work.emplace(2, std::vector<CpuWorkItem>{{"t_main", {}}});
 
-  MulticoreLinkReport Rep = checkMulticoreLinking(Cfg, /*FairnessBound=*/3);
+  ContextualRefinementReport Rep =
+      checkMulticoreLinking(Cfg, /*FairnessBound=*/3);
   EXPECT_FALSE(Rep.Holds);
 }
