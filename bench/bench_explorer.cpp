@@ -280,8 +280,8 @@ void strategySim(benchmark::State &State) {
       return std::optional<std::int64_t>(0);
     });
     EventMap R("R1", [](const Event &E) -> std::optional<Event> {
-      if (E.Kind == "hold")
-        return Event(E.Tid, "acq");
+      if (E.Kind == KindId("hold"))
+        return Event(E.Tid, KindId("acq"));
       return E;
     });
     auto Env = makeNullEnv();
@@ -684,7 +684,7 @@ void emitScalingJson() {
     // optimizes, measured rather than estimated.
     Log Deepest;
     for (std::uint64_t E = 0; E != Res.MaxLogLen; ++E)
-      Deepest.push_back(Event(1, "e"));
+      Deepest.push_back(Event(1, KindId("e")));
     std::fprintf(F,
                  "    {\"threads\": %u, \"seconds\": %.3f, \"schedules\": "
                  "%llu, \"states\": %llu, \"states_per_sec\": %.0f, "

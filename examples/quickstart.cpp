@@ -57,7 +57,7 @@ LayerPtr makeL2() {
                   [](ThreadId, const std::vector<std::int64_t> &,
                      const Log &Prefix) -> AtomicOutcome {
                     std::int64_t K = static_cast<std::int64_t>(
-                        logCountKind(Prefix, "foo"));
+                        logCountKind(Prefix, KindId("foo")));
                     return AtomicOutcome::ok(K * 10 + K);
                   });
   return L2;
@@ -67,8 +67,8 @@ LayerPtr makeL2() {
 /// foo event and erases the rest of the critical section.
 EventMap makeR2() {
   return EventMap("R2", [](const Event &E) -> std::optional<Event> {
-    if (E.Kind == "acq")
-      return Event(E.Tid, "foo");
+    if (E.Kind == KindId("acq"))
+      return Event(E.Tid, KindId("foo"));
     return std::nullopt;
   });
 }

@@ -2,12 +2,10 @@
 
 #include "audit/AuditChecker.h"
 
-#include "core/Replay.h"
 #include "objects/Linearize.h"
 
 #include <algorithm>
 #include <map>
-#include <memory>
 #include <set>
 
 using namespace ccal;
@@ -42,119 +40,76 @@ struct SpecState {
 
 enum class SpecKind { Ticket, Lock, Queue };
 
-/// Shared transition logic.  `step` folds an already-accepted witness event
-/// into the state (used by the Replayer); `retOf` computes the return value
-/// the spec would produce for a candidate operation in a given state, or
-/// nullopt when the spec refuses it there.  The two must agree on
-/// acceptance: the Linearize search only appends events retOf accepted, so
-/// replay over a witness log can never get stuck.
-std::optional<SpecState> specStep(SpecKind K, const SpecState &S,
-                                 const Event &E) {
-  SpecState N = S;
-  const std::string &Kind = E.kind();
-  if (Kind == "acq") {
-    if (S.Holder != 0)
-      return std::nullopt;
-    N.Holder = E.Tid;
-    ++N.Acqs;
-    return N;
-  }
-  if (Kind == "rel") {
-    if (S.Holder != E.Tid)
-      return std::nullopt;
-    N.Holder = 0;
-    ++N.Rels;
-    return N;
-  }
-  if (K == SpecKind::Queue && Kind == "enQ") {
-    if (E.Args.size() != 1)
-      return std::nullopt;
-    N.Items.push_back(E.Args[0]);
-    return N;
-  }
-  if (K == SpecKind::Queue && Kind == "deQ") {
-    if (!N.Items.empty())
-      N.Items.erase(N.Items.begin());
-    return N;
-  }
-  return std::nullopt;
-}
-
-std::optional<std::int64_t> specRet(SpecKind K, const SpecState &S,
-                                    ThreadId Tid, const ObservedOp &Op) {
+/// The one transition function of the registered specs: the value \p Op
+/// performed by \p Tid returns in state S, advancing S past it, or nullopt
+/// when the spec refuses the operation there.  The search and the
+/// committed-state fold both run it, so they agree by construction.
+std::optional<std::int64_t> specApply(SpecKind K, SpecState &S, ThreadId Tid,
+                                      const ObservedOp &Op) {
   if (Op.Method == "acq") {
     if (K == SpecKind::Queue || S.Holder != 0)
       return std::nullopt;
-    return K == SpecKind::Ticket ? S.Acqs : 0;
+    S.Holder = Tid;
+    std::int64_t Ticket = S.Acqs++;
+    return K == SpecKind::Ticket ? Ticket : 0;
   }
   if (Op.Method == "rel") {
     if (K == SpecKind::Queue || S.Holder != Tid)
       return std::nullopt;
-    return K == SpecKind::Ticket ? S.Rels : 0;
+    S.Holder = 0;
+    std::int64_t Served = S.Rels++;
+    return K == SpecKind::Ticket ? Served : 0;
   }
   if (K == SpecKind::Queue && Op.Method == "enQ") {
     if (Op.Args.size() != 1)
       return std::nullopt;
+    S.Items.push_back(Op.Args[0]);
     return 0;
   }
-  if (K == SpecKind::Queue && Op.Method == "deQ")
-    return S.Items.empty() ? -1 : S.Items.front();
+  if (K == SpecKind::Queue && Op.Method == "deQ") {
+    if (S.Items.empty())
+      return -1;
+    std::int64_t Front = S.Items.front();
+    S.Items.erase(S.Items.begin());
+    return Front;
+  }
   return std::nullopt;
 }
 
-/// Spec state for one object, carried across windows.  Each window gets a
-/// FRESH Replayer seeded with the committed base state: the replay memo is
-/// keyed by (replayer identity, log), and two windows' search logs look
-/// identical while meaning different base states — a shared replayer
-/// would serve stale memo hits across the window boundary.
+/// Spec state for one object, carried across windows: the committed base
+/// state is the initial state of the spec every window's search folds
+/// from, so moving to the next window is one assignment.
 class SpecEngine {
 public:
-  explicit SpecEngine(SpecKind K) : K(K) { rebuild(); }
+  explicit SpecEngine(SpecKind K)
+      : Spec{SpecState{},
+             [K](SpecState &S, ThreadId Tid, const ObservedOp &Op) {
+               return specApply(K, S, Tid, Op);
+             }} {}
 
-  const SeqSpec &spec() const { return Fn; }
-  const SpecState &base() const { return Base; }
+  const SeqSpec<SpecState> &spec() const { return Spec; }
+  const SpecState &base() const { return Spec.Init; }
 
   /// The spec state a window witness leaves behind, without committing it
   /// (nullopt only on internal inconsistency: a witness event the spec
   /// refuses — "cannot happen" by construction).
-  std::optional<SpecState> stateAfter(const Log &Witness) {
-    return R->replay(Witness);
+  std::optional<SpecState> stateAfter(const Log &Witness) const {
+    SpecState S = Spec.Init;
+    for (const Event &E : Witness)
+      if (!Spec.Apply(S, E.Tid, ObservedOp{E.kind(), E.Args, 0}))
+        return std::nullopt;
+    return S;
   }
 
-  /// Installs \p S as the base state for the next window and re-seeds the
-  /// replayer.  Callers must only commit states proven witness-independent
-  /// (see queueStateAmbiguous): committing one witness's state where
-  /// another witness would leave a different one turns the checker's later
-  /// FAILs into false alarms.
-  void commitState(SpecState S) {
-    Base = std::move(S);
-    rebuild();
-  }
+  /// Installs \p S as the base state for the next window.  Callers must
+  /// only commit states proven witness-independent (see
+  /// queueStateAmbiguous): committing one witness's state where another
+  /// witness would leave a different one turns the checker's later FAILs
+  /// into false alarms.
+  void commitState(SpecState S) { Spec.Init = std::move(S); }
 
 private:
-  void rebuild() {
-    SpecKind Kind = K;
-    R = std::make_unique<Replayer<SpecState>>(
-        Base, [Kind](const SpecState &S, const Event &E) {
-          return specStep(Kind, S, E);
-        });
-    // The closure replays the search's partial witness log through the
-    // window replayer (O(1) amortized along a DFS path, thanks to the
-    // structural-prefix memo) and asks what the candidate op would return.
-    Replayer<SpecState> *Rp = R.get();
-    Fn = [Rp, Kind](const Log &SoFar, ThreadId Tid,
-                    const ObservedOp &Op) -> std::optional<std::int64_t> {
-      std::optional<SpecState> S = Rp->replay(SoFar);
-      if (!S)
-        return std::nullopt;
-      return specRet(Kind, *S, Tid, Op);
-    };
-  }
-
-  SpecKind K;
-  SpecState Base;
-  std::unique_ptr<Replayer<SpecState>> R;
-  SeqSpec Fn;
+  SeqSpec<SpecState> Spec;
 };
 
 bool specKindOf(const std::string &Name, SpecKind &Out) {

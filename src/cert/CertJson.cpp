@@ -132,7 +132,7 @@ bool cert::eventFromJson(const JsonValue &V, Event &Out) {
       !Args.isArray())
     return false;
   Out.Tid = static_cast<ThreadId>(Tid.IntVal);
-  Out.Kind = Kind.StrVal;
+  Out.Kind = KindId(Kind.StrVal);
   Out.Args.clear();
   for (const JsonValue &A : Args.Items) {
     if (!A.isNumber() || !A.IsInt)

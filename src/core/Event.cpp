@@ -7,11 +7,6 @@
 
 using namespace ccal;
 
-KindId ccal::schedKindId() {
-  static const KindId K(SchedEventKind);
-  return K;
-}
-
 std::string Event::toString() const {
   if (isSched())
     return strFormat("->%u", Tid);

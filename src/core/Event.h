@@ -39,10 +39,7 @@ using ThreadId = std::uint32_t;
 /// The event kind reserved for hardware-scheduler transitions ("the
 /// scheduler acts as a judge of the game", §2).  A `sched` event with
 /// Tid = c records that control transferred to participant c.
-inline const char *const SchedEventKind = "sched";
-
-/// The interned form of SchedEventKind (isSched() is one integer compare).
-KindId schedKindId();
+inline const KindId SchedEventKind{"sched"};
 
 /// One observable event `Tid.Kind(Args)`.
 struct Event {
@@ -56,9 +53,9 @@ struct Event {
 
   /// Convenience constructor for a scheduling event transferring control to
   /// participant \p To.
-  static Event sched(ThreadId To) { return Event(To, schedKindId()); }
+  static Event sched(ThreadId To) { return Event(To, SchedEventKind); }
 
-  bool isSched() const { return Kind == schedKindId(); }
+  bool isSched() const { return Kind == SchedEventKind; }
 
   /// The kind string (stable interned storage; reference never dangles).
   const std::string &kind() const { return Kind.str(); }

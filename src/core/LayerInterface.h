@@ -142,11 +142,6 @@ public:
     return It == ByKind.end() ? nullptr : It->second;
   }
 
-  /// Disambiguates literal arguments between the two overloads above.
-  const Primitive *lookup(const char *Name) const {
-    return lookup(std::string(Name));
-  }
-
   /// Declared footprint of primitive \p Name; opaque when the primitive is
   /// unknown or undeclared, so callers can treat any event kind uniformly.
   Footprint footprintOf(const std::string &Name) const;

@@ -2,8 +2,6 @@
 
 #include "core/Log.h"
 
-#include <array>
-
 using namespace ccal;
 
 void ccal::logAppendAll(Log &L, const std::vector<Event> &Events) {
@@ -30,37 +28,10 @@ std::uint64_t ccal::logCount(const Log &L, ThreadId Tid, KindId Kind) {
 }
 
 std::uint64_t ccal::logCountKind(const Log &L, KindId Kind) {
-  // Counter prims (fetch-inc, read-counter) recount their kind on every
-  // call while the Explorer extends the log one event at a time; resume
-  // from a memoized structural prefix instead of rescanning.  Prefixes
-  // are verified with isPrefixOf (shared-chunk pointer compares), so a
-  // resumed count equals the full scan exactly.
-  struct Memo {
-    bool Used = false;
-    KindId K;
-    Log L;
-    std::uint64_t N = 0;
-  };
-  thread_local std::array<Memo, 8> Memos;
-  thread_local unsigned Next = 0;
-  const Memo *Prefix = nullptr;
-  for (const Memo &M : Memos) {
-    if (!M.Used || M.K != Kind || M.L.size() > L.size())
-      continue;
-    if ((!Prefix || M.L.size() > Prefix->L.size()) && M.L.isPrefixOf(L))
-      Prefix = &M;
-  }
-  std::uint64_t N = Prefix ? Prefix->N : 0;
-  for (size_t I = Prefix ? Prefix->L.size() : 0, E = L.size(); I != E; ++I)
-    if (L[I].Kind == Kind)
+  std::uint64_t N = 0;
+  for (const Event &E : L)
+    if (E.Kind == Kind)
       ++N;
-  if (Prefix && Prefix->L.size() == L.size())
-    return N; // exact hit: keep the slot instead of churning it
-  Memo &M = Memos[Next++ % Memos.size()];
-  M.Used = true;
-  M.K = Kind;
-  M.L = L;
-  M.N = N;
   return N;
 }
 

@@ -99,23 +99,6 @@ public:
     }
   }
 
-  void pop_back() {
-    if (Tail.empty()) {
-      // Unseal the last chunk into the tail, minus its last event; the
-      // sealed copy itself stays untouched for any sharers.
-      Tail.assign(Chunks.back()->begin(), Chunks.back()->end() - 1);
-      Chunks.pop_back();
-    } else {
-      Tail.pop_back();
-    }
-    // The running hash is a one-way fold; removing the last contribution
-    // means refolding.  Only the backtracking linearization search pops,
-    // and its logs are short.
-    RunHash = HashSeed;
-    for (size_t I = 0, E = size(); I != E; ++I)
-      RunHash = hashCombine(RunHash, hashEvent((*this)[I]));
-  }
-
   void clear() {
     Chunks.clear();
     Tail.clear();
@@ -155,28 +138,6 @@ public:
     return Tail == O.Tail;
   }
   bool operator!=(const Log &O) const { return !(*this == O); }
-
-  /// True when this log's contents equal O's first size() events.  Because
-  /// chunk boundaries are a pure function of size(), a prefix's sealed
-  /// chunks line up with O's, so the check is mostly shared-pointer
-  /// compares plus at most one tail-against-chunk walk — cheap enough for
-  /// the replay memo to resume a fold from a memoized prefix state.
-  bool isPrefixOf(const Log &O) const {
-    if (size() > O.size())
-      return false;
-    // size() <= O.size() implies Chunks.size() <= O.Chunks.size().
-    for (size_t I = 0, E = Chunks.size(); I != E; ++I) {
-      if (Chunks[I] == O.Chunks[I])
-        continue;
-      if (*Chunks[I] != *O.Chunks[I])
-        return false;
-    }
-    const size_t Base = Chunks.size() << ChunkShift;
-    for (size_t I = 0, E = Tail.size(); I != E; ++I)
-      if (!(Tail[I] == O[Base + I]))
-        return false;
-    return true;
-  }
 
   /// Random-access const iterator (indexes through the chunk table).
   class const_iterator {
@@ -263,11 +224,10 @@ void logAppendAll(Log &L, const std::vector<Event> &Events);
 /// Renders the log as "e0 • e1 • ...".
 std::string logToString(const Log &L);
 
-/// Number of events with the given participant and kind.  (Callers with a
-/// string intern it implicitly; hot replay folds should pre-intern.)
+/// Number of events with the given participant and kind.
 std::uint64_t logCount(const Log &L, ThreadId Tid, KindId Kind);
 
-/// Number of events with the given kind from any participant.
+/// Number of events with the given kind from any participant (one scan).
 std::uint64_t logCountKind(const Log &L, KindId Kind);
 
 /// All events of one participant, in order.

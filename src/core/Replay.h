@@ -13,7 +13,10 @@
 ///
 /// Each object defines its own replay (`Rticket` for the ticket lock,
 /// `Rshared` for push/pull memory, `Rsched` for the scheduler...); this
-/// header provides the shared fold machinery plus determinism helpers.
+/// header provides the shared fold machinery.  A replay is a plain fold:
+/// one pass from the initial state, each step updating a single state in
+/// place, and nothing cached between calls, so its answer is a function
+/// of the log alone.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,30 +25,18 @@
 
 #include "core/Log.h"
 
-#include <array>
-#include <atomic>
-#include <cstdint>
 #include <functional>
 #include <optional>
 
 namespace ccal {
 
-namespace detail {
-/// Distinct Replayer constructions get distinct ids; copies share their
-/// origin's (same semantics), so the replay memo below may serve either.
-inline std::uint64_t nextReplayerId() {
-  static std::atomic<std::uint64_t> Next{1};
-  return Next.fetch_add(1, std::memory_order_relaxed);
-}
-} // namespace detail
-
 /// A replay function over logs producing shared state of type \p State.
-/// `Step(S, E)` returns the successor state or std::nullopt when the event
-/// is not acceptable in state S (stuck — e.g. pulling an owned location).
+/// `Step(S, E)` folds event E into S in place and returns true, or returns
+/// false when E is not acceptable in state S (stuck — e.g. pulling an
+/// owned location); S is unspecified after a false return.
 template <typename State> class Replayer {
 public:
-  using StepFn = std::function<std::optional<State>(const State &,
-                                                    const Event &)>;
+  using StepFn = std::function<bool(State &, const Event &)>;
 
   Replayer(State Init, StepFn Step)
       : Init(std::move(Init)), Step(std::move(Step)) {}
@@ -61,61 +52,17 @@ public:
     return *this;
   }
 
-  /// Replays the full log from the initial state.
-  ///
-  /// Memoized per thread: the machines dry-run every parked CPU against
-  /// the same global log before each step, and each Explorer frame's log
-  /// is its parent's plus one event, so consecutive calls either repeat a
-  /// fold or extend one.  An exact hit returns the memoized state; a
-  /// prefix hit resumes replayFrom at the memoized state and only folds
-  /// the new suffix.  Both are verified structurally — O(tail) in
-  /// practice, because probe and memo share sealed chunks — never by hash
-  /// alone, and a stuck prefix stays stuck under extension, so every
-  /// answer is exactly what the full fold would compute.  Thread-local
-  /// storage keeps workers race-free without locks.
+  /// Replays the full log from the initial state: one pass, folding each
+  /// relevant event into a single state in place.  std::nullopt when an
+  /// event is stuck.
   std::optional<State> replay(const Log &L) const {
-    struct Memo {
-      std::uint64_t Who = 0; ///< MemoId of the producing Replayer
-      Log L;
-      std::optional<State> S;
-    };
-    thread_local std::array<Memo, 4> Memos;
-    thread_local unsigned Next = 0;
-    const Memo *Prefix = nullptr;
-    for (const Memo &M : Memos) {
-      if (M.Who != MemoId || M.L.size() > L.size())
-        continue;
-      if (M.L.size() == L.size()) {
-        if (M.L == L)
-          return M.S;
-        continue;
-      }
-      if ((!Prefix || M.L.size() > Prefix->L.size()) && M.L.isPrefixOf(L))
-        Prefix = &M;
-    }
-    std::optional<State> Res =
-        Prefix ? (Prefix->S ? replayFrom(*Prefix->S, L, Prefix->L.size())
-                            : std::nullopt)
-               : replayFrom(Init, L, 0);
-    Memo &M = Memos[Next++ % Memos.size()];
-    M.Who = MemoId;
-    M.L = L;
-    M.S = Res;
-    return Res;
-  }
-
-  /// Replays \p L starting at index \p From with explicit start state; used
-  /// by incremental checkers that cache a prefix.
-  std::optional<State> replayFrom(State S, const Log &L, size_t From) const {
+    State S = Init;
     const bool Filter = !Relevant.empty();
-    for (size_t I = From, E = L.size(); I != E; ++I) {
-      const Event &Ev = L[I];
-      if (Filter && !isRelevant(Ev.Kind))
+    for (const Event &E : L) {
+      if (Filter && !isRelevant(E.Kind))
         continue;
-      std::optional<State> Next = Step(S, Ev);
-      if (!Next)
+      if (!Step(S, E))
         return std::nullopt;
-      S = std::move(*Next);
     }
     return S;
   }
@@ -123,8 +70,6 @@ public:
   /// True when the whole log replays without getting stuck ("well-formed",
   /// Fig. 8).
   bool wellFormed(const Log &L) const { return replay(L).has_value(); }
-
-  const State &initial() const { return Init; }
 
 private:
   bool isRelevant(KindId K) const {
@@ -137,7 +82,6 @@ private:
   State Init;
   StepFn Step;
   std::vector<KindId> Relevant; ///< empty = every kind is relevant
-  std::uint64_t MemoId = detail::nextReplayerId();
 };
 
 } // namespace ccal

@@ -22,7 +22,7 @@ std::unique_ptr<Strategy> ccal::makeAtomicCallStrategy(
     ThreadId Tid, std::string Kind, std::vector<std::int64_t> Args,
     std::function<std::optional<std::int64_t>(const Log &)> RetFn) {
   std::string Name = "phi_" + Kind + "[" + std::to_string(Tid) + "]";
-  Event E(Tid, Kind, Args);
+  Event E(Tid, KindId(Kind), Args);
   auto D = [E, RetFn](AutomatonStrategy::State S, const Log &L)
       -> std::optional<AutomatonStrategy::Transition> {
     CCAL_CHECK(S == 0, "atomic strategy has a single live state");

@@ -148,7 +148,9 @@ template <typename MachineT> struct GenericExploreOptions {
   /// in ExploreResult::Corpus for compat implication checking, capped at
   /// MaxCorpus entries.
   bool CollectCorpus = false;
-  size_t MaxCorpus = 2048;
+  /// The corpus cap.  Certificate keys hash it (keyAddExploreOptions), so
+  /// changing it invalidates every stored certificate.
+  static constexpr size_t MaxCorpus = 2048;
 
   /// When set, every (deduplicated) terminal outcome is passed to this
   /// callback *instead of* being stored in ExploreResult::Outcomes —

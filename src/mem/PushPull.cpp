@@ -28,34 +28,33 @@ Replayer<SharedMemState> PushPullModel::replayer() const {
   for (const auto &[Id, Loc] : Locations)
     Init.emplace(Id, CellState{Loc.Init, std::nullopt});
 
-  auto Step = [](const SharedMemState &S,
-                 const Event &E) -> std::optional<SharedMemState> {
-    if (E.Kind != PullEventKind && E.Kind != PushEventKind)
-      return S; // other events do not touch the shared memory
+  auto Step = [](SharedMemState &S, const Event &E) {
     if (E.Args.empty())
-      return std::nullopt;
+      return false;
     auto It = S.find(E.Args[0]);
     if (It == S.end())
-      return std::nullopt; // unknown location
-    SharedMemState Next = S;
-    CellState &Cell = Next[E.Args[0]];
+      return false; // unknown location
+    CellState &Cell = It->second;
     if (E.Kind == PullEventKind) {
       // (v, free) -> (v, own c); anything else is a race.
       if (Cell.Owner.has_value())
-        return std::nullopt;
+        return false;
       Cell.Owner = E.Tid;
-      return Next;
+      return true;
     }
     // push: (_, own c) -> (vals, free); anything else is a race.
     if (!Cell.Owner || *Cell.Owner != E.Tid)
-      return std::nullopt;
+      return false;
     if (E.Args.size() != 1 + Cell.Contents.size())
-      return std::nullopt;
+      return false;
     Cell.Contents.assign(E.Args.begin() + 1, E.Args.end());
     Cell.Owner = std::nullopt;
-    return Next;
+    return true;
   };
-  return Replayer<SharedMemState>(std::move(Init), std::move(Step));
+  Replayer<SharedMemState> R(std::move(Init), std::move(Step));
+  // Other events do not touch the shared memory.
+  R.onlyKinds({PullEventKind, PushEventKind});
+  return R;
 }
 
 std::optional<SharedMemState> PushPullModel::replay(const Log &L) const {
@@ -74,7 +73,7 @@ void PushPullModel::installPrims(LayerInterface &L) const {
   Footprint MemFoot = Footprint::of({"pp_mem"}, {"pp_mem"});
 
   // Fig. 8, sigma_pull: append c.pull(b), replay, deliver the contents.
-  L.addShared(PullEventKind, [R, Locs](const PrimCall &Call)
+  L.addShared(PullEventKind.str(), [R, Locs](const PrimCall &Call)
                   -> std::optional<PrimResult> {
     if (Call.Args.size() != 1)
       return std::nullopt;
@@ -100,7 +99,7 @@ void PushPullModel::installPrims(LayerInterface &L) const {
   }, MemFoot);
 
   // Fig. 8, sigma_push: read the local copy, append c.push(b, vals).
-  L.addShared(PushEventKind, [R, Locs](const PrimCall &Call)
+  L.addShared(PushEventKind.str(), [R, Locs](const PrimCall &Call)
                   -> std::optional<PrimResult> {
     if (Call.Args.size() != 1 || !Call.LocalMem)
       return std::nullopt;

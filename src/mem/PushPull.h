@@ -32,8 +32,8 @@
 namespace ccal {
 
 /// Event kinds used by the model.
-inline const char *const PullEventKind = "pull";
-inline const char *const PushEventKind = "push";
+inline const KindId PullEventKind{"pull"};
+inline const KindId PushEventKind{"push"};
 
 /// Replay state of one shared location.
 struct CellState {

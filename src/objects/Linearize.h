@@ -25,6 +25,12 @@
 /// as "not linearizable" is a false alarm; reporting it as a pass is
 /// unsound.  Use outcome() instead of reading Linearizable directly.
 ///
+/// The sequential specification is a fold over a spec state, and the
+/// depth-first search carries that state down with it: one state per
+/// placed operation on an explicit stack, so placing an operation costs
+/// one spec step (never a replay of the partial witness), and a window of
+/// tens of thousands of operations needs no call stack to match.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CCAL_OBJECTS_LINEARIZE_H
@@ -49,11 +55,16 @@ struct ObservedOp {
   std::int64_t Ret = 0;
 };
 
-/// Sequential specification: given the spec log so far and the candidate
-/// next operation by \p Tid, return the value the spec would produce, or
-/// std::nullopt when the spec refuses the operation in this state.
-using SeqSpec = std::function<std::optional<std::int64_t>(
-    const Log &SoFar, ThreadId Tid, const ObservedOp &Op)>;
+/// Sequential specification as a fold over a spec state: `Apply(S, Tid,
+/// Op)` returns the value the spec produces for \p Op performed by \p Tid
+/// in state S and advances S past it, or returns std::nullopt when the spec
+/// refuses the operation there (S is then discarded).
+template <typename State> struct SeqSpec {
+  State Init;
+  std::function<std::optional<std::int64_t>(State &, ThreadId,
+                                            const ObservedOp &)>
+      Apply;
+};
 
 /// Identifies one operation in a history map: (thread, index within that
 /// thread's vector).
@@ -100,15 +111,41 @@ struct LinearizeResult {
 /// real lock traces near-greedy.
 using PriorityMap = std::map<OpRef, std::uint64_t>;
 
+namespace detail {
+/// The state-free search: program order, real-time precedence, candidate
+/// order and budget.  `TryPlace(Tid, Op)` asks the spec to accept \p Op
+/// with its observed return value, pushing the resulting state when it
+/// does; `Unplace()` pops the last pushed state.
+LinearizeResult searchLinearization(
+    const std::map<ThreadId, std::vector<ObservedOp>> &Histories,
+    const std::function<bool(ThreadId, const ObservedOp &)> &TryPlace,
+    const std::function<void()> &Unplace, std::uint64_t MaxNodes,
+    const PrecedenceMap *Precedence, const PriorityMap *Priority);
+} // namespace detail
+
 /// Searches for a linearization of \p Histories against \p Spec.  When
 /// \p Precedence is non-null the witness must additionally respect its
 /// real-time order (the Herlihy–Wing side condition; without it this
 /// checks sequential consistency of the history, not linearizability).
+template <typename State>
 LinearizeResult
 findLinearization(const std::map<ThreadId, std::vector<ObservedOp>> &Histories,
-                  const SeqSpec &Spec, std::uint64_t MaxNodes = 1u << 22,
+                  const SeqSpec<State> &Spec, std::uint64_t MaxNodes = 1u << 22,
                   const PrecedenceMap *Precedence = nullptr,
-                  const PriorityMap *Priority = nullptr);
+                  const PriorityMap *Priority = nullptr) {
+  std::vector<State> States(1, Spec.Init); // States[K]: after K placed ops
+  return detail::searchLinearization(
+      Histories,
+      [&](ThreadId Tid, const ObservedOp &Op) {
+        State Next = States.back();
+        std::optional<std::int64_t> Ret = Spec.Apply(Next, Tid, Op);
+        if (!Ret || *Ret != Op.Ret)
+          return false; // refused here, or returns differently
+        States.push_back(std::move(Next));
+        return true;
+      },
+      [&] { States.pop_back(); }, MaxNodes, Precedence, Priority);
+}
 
 } // namespace ccal
 

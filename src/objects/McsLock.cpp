@@ -9,65 +9,68 @@
 
 using namespace ccal;
 
+namespace {
+/// The MCS lock's event kinds, interned once.
+const KindId McsInit("mcs_init"), SwapTail("mcs_swap_tail"),
+    SetNext("mcs_set_next"), GetBusy("mcs_get_busy"), GetNext("mcs_get_next"),
+    CasTail("mcs_cas_tail"), ClearBusy("mcs_clear_busy"), Hold("hold"),
+    Acq("acq"), Rel("rel");
+} // namespace
+
 Replayer<McsState> ccal::makeMcsReplayer() {
-  auto Step = [](const McsState &S,
-                 const Event &E) -> std::optional<McsState> {
-    McsState N = S;
-    if (E.Kind == "mcs_init") {
-      N.Busy[E.Tid] = 1;
-      N.Next[E.Tid] = -1;
-      return N;
+  auto Step = [](McsState &S, const Event &E) {
+    if (E.Kind == McsInit) {
+      S.Busy[E.Tid] = 1;
+      S.Next[E.Tid] = -1;
+      return true;
     }
-    if (E.Kind == "mcs_swap_tail") {
-      N.Tail = E.Tid;
-      return N;
+    if (E.Kind == SwapTail) {
+      S.Tail = E.Tid;
+      return true;
     }
-    if (E.Kind == "mcs_set_next") {
+    if (E.Kind == SetNext) {
       if (E.Args.size() != 1 || E.Args[0] < 0)
-        return std::nullopt;
-      N.Next[static_cast<ThreadId>(E.Args[0])] = E.Tid;
-      return N;
+        return false;
+      S.Next[static_cast<ThreadId>(E.Args[0])] = E.Tid;
+      return true;
     }
-    if (E.Kind == "mcs_get_busy" || E.Kind == "mcs_get_next")
-      return N; // reads only append evidence
-    if (E.Kind == "mcs_cas_tail") {
+    if (E.Kind == GetBusy || E.Kind == GetNext)
+      return true; // reads only append evidence
+    if (E.Kind == CasTail) {
       if (E.Args.size() != 1)
-        return std::nullopt;
+        return false;
       bool Success = E.Args[0] != 0;
       if (Success) {
         if (S.Tail != static_cast<std::int64_t>(E.Tid))
-          return std::nullopt; // claimed success without being tail
+          return false; // claimed success without being tail
         if (!S.Holder || *S.Holder != E.Tid)
-          return std::nullopt; // release commit by non-holder
-        N.Tail = -1;
-        N.Holder.reset();
+          return false; // release commit by non-holder
+        S.Tail = -1;
+        S.Holder.reset();
       } else if (S.Tail == static_cast<std::int64_t>(E.Tid)) {
-        return std::nullopt; // claimed failure while being tail
+        return false; // claimed failure while being tail
       }
-      return N;
+      return true;
     }
-    if (E.Kind == "mcs_clear_busy") {
+    if (E.Kind == ClearBusy) {
       if (E.Args.size() != 1 || E.Args[0] < 0)
-        return std::nullopt;
+        return false;
       if (!S.Holder || *S.Holder != E.Tid)
-        return std::nullopt; // handoff by non-holder
-      N.Busy[static_cast<ThreadId>(E.Args[0])] = 0;
-      N.Holder.reset();
-      return N;
+        return false; // handoff by non-holder
+      S.Busy[static_cast<ThreadId>(E.Args[0])] = 0;
+      S.Holder.reset();
+      return true;
     }
-    if (E.Kind == "hold") {
+    if (E.Kind == Hold) {
       if (S.Holder.has_value())
-        return std::nullopt; // mutual exclusion violated
-      N.Holder = E.Tid;
-      return N;
+        return false; // mutual exclusion violated
+      S.Holder = E.Tid;
     }
-    return N;
+    return true;
   };
   Replayer<McsState> R(McsState{}, std::move(Step));
-  R.onlyKinds({KindId("mcs_init"), KindId("mcs_swap_tail"),
-               KindId("mcs_set_next"), KindId("mcs_get_busy"),
-               KindId("mcs_get_next"), KindId("mcs_cas_tail"),
-               KindId("mcs_clear_busy"), KindId("hold")});
+  R.onlyKinds({McsInit, SwapTail, SetNext, GetBusy, GetNext, CasTail,
+               ClearBusy, Hold});
   return R;
 }
 
@@ -93,8 +96,7 @@ McsLockLayers ccal::makeMcsLockLayers() {
                     return std::nullopt;
                   PrimResult Res;
                   Res.Ret = S->Tail;
-                  Res.Events.push_back(
-                      Event(Call.Tid, "mcs_swap_tail"));
+                  Res.Events.push_back(Event(Call.Tid, SwapTail));
                   return Res;
                 },
                 McsRw);
@@ -107,7 +109,7 @@ McsLockLayers ccal::makeMcsLockLayers() {
                   PrimResult Res;
                   auto It = S->Busy.find(Call.Tid);
                   Res.Ret = It == S->Busy.end() ? 1 : It->second;
-                  Res.Events.push_back(Event(Call.Tid, "mcs_get_busy"));
+                  Res.Events.push_back(Event(Call.Tid, GetBusy));
                   return Res;
                 },
                 McsRd);
@@ -119,7 +121,7 @@ McsLockLayers ccal::makeMcsLockLayers() {
                   PrimResult Res;
                   auto It = S->Next.find(Call.Tid);
                   Res.Ret = It == S->Next.end() ? -1 : It->second;
-                  Res.Events.push_back(Event(Call.Tid, "mcs_get_next"));
+                  Res.Events.push_back(Event(Call.Tid, GetNext));
                   return Res;
                 },
                 McsRd);
@@ -134,7 +136,7 @@ McsLockLayers ccal::makeMcsLockLayers() {
                       S->Tail == static_cast<std::int64_t>(Call.Tid);
                   PrimResult Res;
                   Res.Ret = Success ? 1 : 0;
-                  Res.Events.push_back(Event(Call.Tid, "mcs_cas_tail",
+                  Res.Events.push_back(Event(Call.Tid, CasTail,
                                              {Success ? 1 : 0}));
                   return Res;
                 },
@@ -188,17 +190,16 @@ McsLockLayers ccal::makeMcsLockLayers() {
   Out.L1 = L1;
 
   Out.R1 = EventMap("R1_mcs", [](const Event &E) -> std::optional<Event> {
-    if (E.Kind == "hold")
-      return Event(E.Tid, "acq");
-    if (E.Kind == "mcs_cas_tail")
+    if (E.Kind == Hold)
+      return Event(E.Tid, Acq);
+    if (E.Kind == CasTail)
       return E.Args == std::vector<std::int64_t>{1}
-                 ? std::optional<Event>(Event(E.Tid, "rel"))
+                 ? std::optional<Event>(Event(E.Tid, Rel))
                  : std::nullopt;
-    if (E.Kind == "mcs_clear_busy")
-      return Event(E.Tid, "rel");
-    if (E.Kind == "mcs_init" || E.Kind == "mcs_swap_tail" ||
-        E.Kind == "mcs_set_next" || E.Kind == "mcs_get_busy" ||
-        E.Kind == "mcs_get_next")
+    if (E.Kind == ClearBusy)
+      return Event(E.Tid, Rel);
+    if (E.Kind == McsInit || E.Kind == SwapTail || E.Kind == SetNext ||
+        E.Kind == GetBusy || E.Kind == GetNext)
       return std::nullopt;
     return E;
   });

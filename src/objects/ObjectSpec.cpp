@@ -29,28 +29,23 @@ void ccal::addAtomicMethod(LayerInterface &L, const std::string &Name,
 Replayer<AbstractLockState>
 ccal::makeAbstractLockReplayer(std::string AcqKind, std::string RelKind) {
   KindId AcqId(AcqKind), RelId(RelKind);
-  auto Step = [AcqId, RelId](
-                  const AbstractLockState &S,
-                  const Event &E) -> std::optional<AbstractLockState> {
+  auto Step = [AcqId, RelId](AbstractLockState &S, const Event &E) {
     if (E.Kind == AcqId) {
       if (S.Holder.has_value())
-        return std::nullopt; // acq while held: mutual exclusion violated
-      AbstractLockState Next = S;
-      Next.Holder = E.Tid;
-      ++Next.Acquisitions;
-      return Next;
+        return false; // acq while held: mutual exclusion violated
+      S.Holder = E.Tid;
+      ++S.Acquisitions;
+      return true;
     }
     if (E.Kind == RelId) {
       if (!S.Holder || *S.Holder != E.Tid)
-        return std::nullopt; // rel by a non-holder
-      AbstractLockState Next = S;
-      Next.Holder.reset();
-      return Next;
+        return false; // rel by a non-holder
+      S.Holder.reset();
     }
-    return S;
+    return true;
   };
   Replayer<AbstractLockState> R(AbstractLockState{}, std::move(Step));
-  // The fold returns S unchanged for every other kind — declare that so
+  // The fold leaves S unchanged for every other kind — declare that so
   // replay skips them without the type-erased call.
   R.onlyKinds({AcqId, RelId});
   return R;

@@ -11,26 +11,26 @@
 
 using namespace ccal;
 
+namespace {
+/// The shared queue's event kinds, interned once.
+const KindId EnQ("enQ"), DeQ("deQ"), EnqDone("enq_done"), DeqDone("deq_done");
+} // namespace
+
 Replayer<AbstractSharedQueue> ccal::makeSharedQueueReplayer() {
-  auto Step = [](const AbstractSharedQueue &S,
-                 const Event &E) -> std::optional<AbstractSharedQueue> {
-    AbstractSharedQueue N = S;
-    if (E.Kind == "enQ") {
+  auto Step = [](AbstractSharedQueue &S, const Event &E) {
+    if (E.Kind == EnQ) {
       if (E.Args.size() != 1)
-        return std::nullopt;
-      if (N.Items.size() < SharedQueueCap)
-        N.Items.push_back(E.Args[0]);
-      return N;
+        return false;
+      if (S.Items.size() < SharedQueueCap)
+        S.Items.push_back(E.Args[0]);
+      return true;
     }
-    if (E.Kind == "deQ") {
-      if (!N.Items.empty())
-        N.Items.erase(N.Items.begin());
-      return N;
-    }
-    return N;
+    if (E.Kind == DeQ && !S.Items.empty())
+      S.Items.erase(S.Items.begin());
+    return true;
   };
   Replayer<AbstractSharedQueue> R(AbstractSharedQueue{}, std::move(Step));
-  R.onlyKinds({KindId("enQ"), KindId("deQ")});
+  R.onlyKinds({EnQ, DeQ});
   return R;
 }
 
@@ -164,10 +164,10 @@ SharedQueueSetup ccal::makeSharedQueueSetup(unsigned Producers,
   // R: commit markers become the atomic events; lock and memory-model
   // events are internal.
   Out.R = EventMap("Rq", [](const Event &E) -> std::optional<Event> {
-    if (E.Kind == "deq_done")
-      return Event(E.Tid, "deQ");
-    if (E.Kind == "enq_done")
-      return Event(E.Tid, "enQ", E.Args);
+    if (E.Kind == DeqDone)
+      return Event(E.Tid, DeQ);
+    if (E.Kind == EnqDone)
+      return Event(E.Tid, EnQ, E.Args);
     return std::nullopt;
   });
 

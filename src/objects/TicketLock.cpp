@@ -11,34 +11,37 @@
 
 using namespace ccal;
 
+namespace {
+/// The ticket lock's event kinds, interned once.
+const KindId FaiT("FAI_t"), GetN("get_n"), IncN("inc_n"), Hold("hold"),
+    Acq("acq"), Rel("rel");
+} // namespace
+
 Replayer<TicketState> ccal::makeTicketReplayer() {
   // Folds mutual exclusion (hold requires free, inc_n requires holder) and
   // the ticket counters; FIFO acquisition order is the separate whole-log
   // property checkTicketFifo.
-  auto Step = [](const TicketState &S,
-                 const Event &E) -> std::optional<TicketState> {
-    TicketState Next = S;
-    if (E.Kind == "FAI_t") {
-      ++Next.NextTicket;
-      return Next;
+  auto Step = [](TicketState &S, const Event &E) {
+    if (E.Kind == FaiT) {
+      ++S.NextTicket;
+      return true;
     }
-    if (E.Kind == "hold") {
+    if (E.Kind == Hold) {
       if (S.Holder.has_value())
-        return std::nullopt; // mutual exclusion violated
-      Next.Holder = E.Tid;
-      return Next;
+        return false; // mutual exclusion violated
+      S.Holder = E.Tid;
+      return true;
     }
-    if (E.Kind == "inc_n") {
+    if (E.Kind == IncN) {
       if (!S.Holder || *S.Holder != E.Tid)
-        return std::nullopt; // release by non-holder
-      ++Next.NowServing;
-      Next.Holder.reset();
-      return Next;
+        return false; // release by non-holder
+      ++S.NowServing;
+      S.Holder.reset();
     }
-    return Next;
+    return true;
   };
   Replayer<TicketState> R(TicketState{}, std::move(Step));
-  R.onlyKinds({KindId("FAI_t"), KindId("hold"), KindId("inc_n")});
+  R.onlyKinds({FaiT, Hold, IncN});
   return R;
 }
 
@@ -46,11 +49,11 @@ std::string ccal::checkTicketFifo(const Log &L) {
   std::vector<ThreadId> TicketOrder; // tid that fetched the k-th ticket
   size_t NextServed = 0;
   for (const Event &E : L) {
-    if (E.Kind == "FAI_t") {
+    if (E.Kind == FaiT) {
       TicketOrder.push_back(E.Tid);
       continue;
     }
-    if (E.Kind != "hold")
+    if (E.Kind != Hold)
       continue;
     if (NextServed >= TicketOrder.size())
       return "hold without a fetched ticket";
@@ -129,11 +132,11 @@ TicketLockLayers ccal::makeTicketLockLayers() {
   // --- R1 (§2): map i.hold to i.acq, i.inc_n to i.rel, and the other
   // lock-related events to empty ones.
   Out.R1 = EventMap("R1", [](const Event &E) -> std::optional<Event> {
-    if (E.Kind == "hold")
-      return Event(E.Tid, "acq");
-    if (E.Kind == "inc_n")
-      return Event(E.Tid, "rel");
-    if (E.Kind == "FAI_t" || E.Kind == "get_n")
+    if (E.Kind == Hold)
+      return Event(E.Tid, Acq);
+    if (E.Kind == IncN)
+      return Event(E.Tid, Rel);
+    if (E.Kind == FaiT || E.Kind == GetN)
       return std::nullopt;
     return E;
   });
@@ -253,9 +256,9 @@ ccal::checkTicketStarvationFreedom(unsigned NumCpus,
     std::map<ThreadId, size_t> FaiAt;
     for (size_t I = 0; I != O.FinalLog.size(); ++I) {
       const Event &E = O.FinalLog[I];
-      if (E.Kind == "FAI_t")
+      if (E.Kind == FaiT)
         FaiAt[E.Tid] = I;
-      else if (E.Kind == "hold") {
+      else if (E.Kind == Hold) {
         auto It = FaiAt.find(E.Tid);
         if (It == FaiAt.end())
           return "hold without a ticket";

@@ -22,9 +22,8 @@
 /// shards, the optimizer's stats struct) and publish aggregates once per
 /// run, so enabling metrics does not perturb the measured loops either.
 ///
-/// Enablement: programmatic (`obs::setEnabled`), per-exploration
-/// (`GenericExploreOptions::Metrics`), or the `CCAL_TRACE` environment
-/// variable (see obs/Trace.h for the file-dumping forms).
+/// Enablement: programmatic (`obs::setEnabled`) or the `CCAL_TRACE`
+/// environment variable (see obs/Trace.h for the file-dumping forms).
 ///
 /// Thread safety: all registry operations are safe to call concurrently
 /// (the parallel Explorer's workers and the runtime-lock benches do); the

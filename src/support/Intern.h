@@ -14,6 +14,13 @@
 /// byte-wise in every dedup probe.  A KindId is 4 bytes, compares and
 /// copies as an integer, and resolves back to its string in O(1).
 ///
+/// Interning is explicit.  Interning a string costs a content hash and a
+/// table probe, so a conversion hidden in a comparison such as
+/// `E.Kind == "FAI_t"` pays that on every explored state (about a third of
+/// the reference certification job's samples).  A string becomes a KindId
+/// only through the explicit constructors: each kind is interned once
+/// where it is named, and hot paths compare integers.
+///
 /// Determinism contract: a KindId's *id* depends on interning order (which
 /// differs across runs and across Explorer workers), so ids must never
 /// leak into hashes, certificates, or any ordering the seed baseline
@@ -51,18 +58,17 @@ const InternEntry *internString(std::string_view S);
 const InternEntry *internEntryOf(std::uint32_t Id);
 } // namespace detail
 
-/// An interned event-kind string.  Implicitly constructible from string
-/// types so existing call sites (`E.Kind == "FAI_t"`, `Event(1, Name)`)
-/// compile unchanged; the conversion interns, so build KindIds once
-/// outside hot loops.
+/// An interned event-kind string.  The string constructors intern, so
+/// they are explicit: build a kind once where it is named (a file-local
+/// constant, a lambda capture) and compare or construct Events with it.
 class KindId {
 public:
   /// The empty kind "" (id 0 is pre-interned).
   KindId() = default;
 
-  KindId(std::string_view S) : Id(idOf(S)) {}
-  KindId(const std::string &S) : Id(idOf(S)) {}
-  KindId(const char *S) : Id(idOf(S)) {}
+  explicit KindId(std::string_view S) : Id(idOf(S)) {}
+  explicit KindId(const std::string &S) : Id(idOf(S)) {}
+  explicit KindId(const char *S) : Id(idOf(S)) {}
 
   std::uint32_t id() const { return Id; }
   bool empty() const { return Id == 0; }

@@ -12,6 +12,11 @@
 
 using namespace ccal;
 
+namespace {
+/// The monitor's event kinds, interned once.
+const KindId RelQ("rel_q"), Sleep("sleep"), Wakeup("wakeup");
+} // namespace
+
 ClightModule ccal::makeCondVarModule() {
   ClightModule M = parseModuleOrDie("M_condvar", R"(
     extern void acq_q();
@@ -47,8 +52,8 @@ LayerPtr ccal::makeMonitorLayer(const std::map<ThreadId, ThreadId> &CpuOf) {
     if (!S || !S->Holder || *S->Holder != Call.Tid)
       return std::nullopt; // must hold the monitor to wait
     PrimResult Res;
-    Res.Events.push_back(Event(Call.Tid, "rel_q"));
-    Res.Events.push_back(Event(Call.Tid, "sleep", Call.Args));
+    Res.Events.push_back(Event(Call.Tid, RelQ));
+    Res.Events.push_back(Event(Call.Tid, Sleep, Call.Args));
     return Res;
   });
   L->addShared("cv_wake", [SchedR](const PrimCall &Call)
@@ -63,7 +68,7 @@ LayerPtr ccal::makeMonitorLayer(const std::map<ThreadId, ThreadId> &CpuOf) {
     Res.Ret = (It == S->Sleep.end() || It->second.empty())
                   ? -1
                   : static_cast<std::int64_t>(It->second.front());
-    Res.Events.push_back(Event(Call.Tid, "wakeup", Call.Args));
+    Res.Events.push_back(Event(Call.Tid, Wakeup, Call.Args));
     return Res;
   });
   L->addShared("done", makeEventPrim("done"));

@@ -19,6 +19,9 @@ namespace {
 /// certificates from the old format must miss, not lie.
 const char LinkCheckerVersion[] = "link-v2";
 
+/// The scheduler event kinds the two relations rewrite, interned once.
+const KindId Cswitch("cswitch"), Yield("yield"), Spawn("spawn");
+
 ClightModule makeLinkingClient(unsigned NumThreads) {
   std::string Spawns;
   for (unsigned T = 1; T <= NumThreads; ++T)
@@ -105,14 +108,14 @@ LinkingReport ccal::checkMultithreadedLinking(const LinkingSetup &Setup) {
   // Relations: concrete context switches become atomic yields; the
   // machine-internal events are erased on both sides.
   EventMap RImpl("Rbtd", [](const Event &E) -> std::optional<Event> {
-    if (E.Kind == "cswitch")
-      return Event(E.Tid, "yield");
+    if (E.Kind == Cswitch)
+      return Event(E.Tid, Yield);
     if (E.Kind == ThreadExitEventKind || E.Kind == ReschedEventKind)
       return std::nullopt;
     return E;
   });
   EventMap RSpec("Rhtd", [](const Event &E) -> std::optional<Event> {
-    if (E.Kind == "spawn" || E.Kind == ThreadExitEventKind ||
+    if (E.Kind == Spawn || E.Kind == ThreadExitEventKind ||
         E.Kind == ReschedEventKind)
       return std::nullopt;
     return E;

@@ -14,11 +14,18 @@ using namespace ccal;
 
 namespace {
 
+/// The queuing lock's event kinds, interned once.
+const KindId Rel("rel"), Sleep("sleep"), Wakeup("wakeup"),
+    GetBusy("ql_get_busy"), SetBusy("ql_set_busy"), QHold("qlock_hold"),
+    QWakeHold("qlock_wake_hold"), QPass("qlock_pass"),
+    QHoldAny("qlock_hold_any"), AcqQ("acq_q"), RelQ("rel_q"), Crit("crit"),
+    Done("done");
+
 /// Replays the queuing lock's busy word from ql_set_busy events.
 std::int64_t replayBusy(const Log &L) {
   std::int64_t Busy = -1;
   for (const Event &E : L)
-    if (E.Kind == "ql_set_busy" && E.Args.size() == 1)
+    if (E.Kind == SetBusy && E.Args.size() == 1)
       Busy = E.Args[0];
   return Busy;
 }
@@ -112,8 +119,8 @@ QueuingLockSetup ccal::makeQueuingLockSetup(unsigned Cpus,
     if (!S || !S->Holder || *S->Holder != Call.Tid)
       return std::nullopt; // must hold the spinlock to sleep
     PrimResult Res;
-    Res.Events.push_back(Event(Call.Tid, "rel"));
-    Res.Events.push_back(Event(Call.Tid, "sleep", {0}));
+    Res.Events.push_back(Event(Call.Tid, Rel));
+    Res.Events.push_back(Event(Call.Tid, Sleep, {0}));
     return Res;
   });
   Under->addShared("wakeup_q", [SchedR](const PrimCall &Call)
@@ -126,7 +133,7 @@ QueuingLockSetup ccal::makeQueuingLockSetup(unsigned Cpus,
     Res.Ret = (It == S->Sleep.end() || It->second.empty())
                   ? -1
                   : static_cast<std::int64_t>(It->second.front());
-    Res.Events.push_back(Event(Call.Tid, "wakeup", {0}));
+    Res.Events.push_back(Event(Call.Tid, Wakeup, {0}));
     return Res;
   });
   Under->addShared("ql_get_busy", [SpinR](const PrimCall &Call)
@@ -136,7 +143,7 @@ QueuingLockSetup ccal::makeQueuingLockSetup(unsigned Cpus,
       return std::nullopt; // busy word is spinlock-protected
     PrimResult Res;
     Res.Ret = replayBusy(*Call.L);
-    Res.Events.push_back(Event(Call.Tid, "ql_get_busy"));
+    Res.Events.push_back(Event(Call.Tid, GetBusy));
     return Res;
   });
   Under->addShared("ql_set_busy", [SpinR](const PrimCall &Call)
@@ -147,7 +154,7 @@ QueuingLockSetup ccal::makeQueuingLockSetup(unsigned Cpus,
     if (!S || !S->Holder || *S->Holder != Call.Tid)
       return std::nullopt;
     PrimResult Res;
-    Res.Events.push_back(Event(Call.Tid, "ql_set_busy", Call.Args));
+    Res.Events.push_back(Event(Call.Tid, SetBusy, Call.Args));
     return Res;
   });
   Under->addShared("qlock_hold", makeEventPrim("qlock_hold"));
@@ -167,11 +174,11 @@ QueuingLockSetup ccal::makeQueuingLockSetup(unsigned Cpus,
 
   Out.RImpl =
       EventMap("Rqlock", [](const Event &E) -> std::optional<Event> {
-        if (E.Kind == "qlock_hold" || E.Kind == "qlock_wake_hold")
-          return Event(E.Tid, "acq_q");
-        if (E.Kind == "qlock_pass")
-          return Event(E.Tid, "rel_q");
-        if (E.Kind == "crit" || E.Kind == "done")
+        if (E.Kind == QHold || E.Kind == QWakeHold)
+          return Event(E.Tid, AcqQ);
+        if (E.Kind == QPass)
+          return Event(E.Tid, RelQ);
+        if (E.Kind == Crit || E.Kind == Done)
           return E;
         return std::nullopt;
       });
@@ -224,8 +231,8 @@ QueuingLockOutcome ccal::certifyQueuingLock(unsigned Cpus,
       makeAbstractLockReplayer("qlock_hold_any", "qlock_pass");
   // qlock_hold and qlock_wake_hold are both acquisitions; normalize first.
   EventMap Normalize("norm", [](const Event &E) -> std::optional<Event> {
-    if (E.Kind == "qlock_hold" || E.Kind == "qlock_wake_hold")
-      return Event(E.Tid, "qlock_hold_any");
+    if (E.Kind == QHold || E.Kind == QWakeHold)
+      return Event(E.Tid, QHoldAny);
     return E;
   });
 

@@ -11,6 +11,12 @@
 
 using namespace ccal;
 
+namespace {
+/// The schedulers' event kinds, interned once.
+const KindId Spawn("spawn"), Yield("yield"), Sleep("sleep"), Wakeup("wakeup"),
+    Cswitch("cswitch");
+} // namespace
+
 Replayer<HighSchedState>
 ccal::makeHighSchedReplayer(std::map<ThreadId, ThreadId> CpuOf,
                             bool PreloadReady) {
@@ -22,8 +28,7 @@ ccal::makeHighSchedReplayer(std::map<ThreadId, ThreadId> CpuOf,
       Init.Ready[Cpu].push_back(Tid);
   }
 
-  auto Step = [CpuOf](const HighSchedState &S,
-                      const Event &E) -> std::optional<HighSchedState> {
+  auto Step = [CpuOf](HighSchedState &N, const Event &E) {
     auto CpuOfTid = [&CpuOf](ThreadId T) -> std::optional<ThreadId> {
       auto It = CpuOf.find(T);
       if (It == CpuOf.end())
@@ -31,7 +36,6 @@ ccal::makeHighSchedReplayer(std::map<ThreadId, ThreadId> CpuOf,
       return It->second;
     };
 
-    HighSchedState N = S;
     auto PopReady = [&N](ThreadId Cpu) -> std::int64_t {
       auto &Q = N.Ready[Cpu];
       if (Q.empty())
@@ -41,76 +45,75 @@ ccal::makeHighSchedReplayer(std::map<ThreadId, ThreadId> CpuOf,
       return T;
     };
 
-    if (E.Kind == "spawn") {
+    if (E.Kind == Spawn) {
       if (E.Args.size() != 1)
-        return std::nullopt;
+        return false;
       ThreadId T = static_cast<ThreadId>(E.Args[0]);
       std::optional<ThreadId> Cpu = CpuOfTid(T);
       if (!Cpu)
-        return std::nullopt;
+        return false;
       // Set semantics: re-spawning a queued or running thread is a no-op.
       auto &Q = N.Ready[*Cpu];
       if (std::find(Q.begin(), Q.end(), T) == Q.end() &&
           N.Current[*Cpu] != static_cast<std::int64_t>(T))
         Q.push_back(T);
-      return N;
+      return true;
     }
-    if (E.Kind == "yield") {
+    if (E.Kind == Yield) {
       std::optional<ThreadId> Cpu = CpuOfTid(E.Tid);
       if (!Cpu || N.Current[*Cpu] != static_cast<std::int64_t>(E.Tid))
-        return std::nullopt; // only the current thread may yield
+        return false; // only the current thread may yield
       N.Ready[*Cpu].push_back(E.Tid);
       N.Current[*Cpu] = PopReady(*Cpu);
-      return N;
+      return true;
     }
-    if (E.Kind == "sleep") {
+    if (E.Kind == Sleep) {
       if (E.Args.empty())
-        return std::nullopt;
+        return false;
       std::optional<ThreadId> Cpu = CpuOfTid(E.Tid);
       if (!Cpu || N.Current[*Cpu] != static_cast<std::int64_t>(E.Tid))
-        return std::nullopt;
+        return false;
       N.Sleep[E.Args[0]].push_back(E.Tid);
       N.Sleeping.insert(E.Tid);
       N.Current[*Cpu] = PopReady(*Cpu);
-      return N;
+      return true;
     }
-    if (E.Kind == "wakeup") {
+    if (E.Kind == Wakeup) {
       if (E.Args.empty())
-        return std::nullopt;
+        return false;
       auto &Q = N.Sleep[E.Args[0]];
       if (Q.empty())
-        return N; // waking an empty queue is a no-op
+        return true; // waking an empty queue is a no-op
       ThreadId W = Q.front();
       Q.erase(Q.begin());
       N.Sleeping.erase(W);
       std::optional<ThreadId> Cpu = CpuOfTid(W);
       if (!Cpu)
-        return std::nullopt;
+        return false;
       if (N.Current[*Cpu] == -1)
         N.Current[*Cpu] = W; // idle CPU: dispatch directly
       else
         N.Ready[*Cpu].push_back(W);
-      return N;
+      return true;
     }
     if (E.Kind == ThreadExitEventKind) {
       std::optional<ThreadId> Cpu = CpuOfTid(E.Tid);
       if (!Cpu || N.Current[*Cpu] != static_cast<std::int64_t>(E.Tid))
-        return std::nullopt;
+        return false;
       N.Current[*Cpu] = PopReady(*Cpu);
-      return N;
+      return true;
     }
     if (E.Kind == ReschedEventKind) {
       std::optional<ThreadId> Cpu = CpuOfTid(E.Tid);
       if (!Cpu || N.Current[*Cpu] != -1)
-        return std::nullopt; // resched only fills an idle CPU
+        return false; // resched only fills an idle CPU
       auto &Q = N.Ready[*Cpu];
       auto It = std::find(Q.begin(), Q.end(), E.Tid);
       if (It != Q.end())
         Q.erase(It);
       N.Current[*Cpu] = E.Tid;
-      return N;
     }
-    return N;
+    return true;
   };
   return Replayer<HighSchedState>(std::move(Init), std::move(Step));
 }
@@ -144,7 +147,7 @@ SchedReplayFn ccal::makeLowSchedFn(std::map<ThreadId, ThreadId> CpuOf) {
       if (CpuIt == CpuOf.end())
         continue;
       ThreadId Cpu = CpuIt->second;
-      if (E.Kind == "cswitch") {
+      if (E.Kind == Cswitch) {
         if (E.Args.size() != 1 ||
             V.Current[Cpu] != static_cast<std::int64_t>(E.Tid))
           return std::nullopt;
@@ -183,7 +186,7 @@ void ccal::installHighSchedPrims(LayerInterface &L,
     if (!RequireCurrent(Call.Tid, *Call.L))
       return std::nullopt;
     PrimResult Res;
-    Res.Events.push_back(Event(Call.Tid, "yield"));
+    Res.Events.push_back(Event(Call.Tid, Yield));
     return Res;
   });
 
@@ -192,7 +195,7 @@ void ccal::installHighSchedPrims(LayerInterface &L,
     if (Call.Args.size() != 1)
       return std::nullopt;
     PrimResult Res;
-    Res.Events.push_back(Event(Call.Tid, "spawn", Call.Args));
+    Res.Events.push_back(Event(Call.Tid, Spawn, Call.Args));
     return Res;
   });
 
@@ -201,7 +204,7 @@ void ccal::installHighSchedPrims(LayerInterface &L,
     if (Call.Args.size() != 1 || !RequireCurrent(Call.Tid, *Call.L))
       return std::nullopt;
     PrimResult Res;
-    Res.Events.push_back(Event(Call.Tid, "sleep", Call.Args));
+    Res.Events.push_back(Event(Call.Tid, Sleep, Call.Args));
     return Res;
   });
 
@@ -217,7 +220,7 @@ void ccal::installHighSchedPrims(LayerInterface &L,
     Res.Ret = (It == S->Sleep.end() || It->second.empty())
                   ? -1
                   : static_cast<std::int64_t>(It->second.front());
-    Res.Events.push_back(Event(Call.Tid, "wakeup", Call.Args));
+    Res.Events.push_back(Event(Call.Tid, Wakeup, Call.Args));
     return Res;
   });
 
@@ -252,7 +255,7 @@ void ccal::installLowSchedPrims(LayerInterface &L,
     if (!V)
       return std::nullopt;
     PrimResult Res;
-    Res.Events.push_back(Event(Call.Tid, "cswitch", Call.Args));
+    Res.Events.push_back(Event(Call.Tid, Cswitch, Call.Args));
     return Res;
   });
 

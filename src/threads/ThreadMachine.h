@@ -41,8 +41,8 @@
 namespace ccal {
 
 /// Machine-internal event kinds.
-inline const char *const ThreadExitEventKind = "texit";
-inline const char *const ReschedEventKind = "resched";
+inline const KindId ThreadExitEventKind{"texit"};
+inline const KindId ReschedEventKind{"resched"};
 
 /// The per-CPU view a scheduler replay produces.
 struct SchedView {

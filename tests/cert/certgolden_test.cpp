@@ -40,18 +40,19 @@ namespace {
 Log makeGoldenLog() {
   Log L;
   L.push_back(Event::sched(1));
-  L.push_back(Event(1, "FAI_t"));
-  L.push_back(Event(1, "hold"));
-  L.push_back(Event(2, "FAI_t", {7, -3}));
-  L.push_back(Event(1, "f", {0}));
-  L.push_back(Event(1, "g"));
-  L.push_back(Event(1, "inc_n"));
+  L.push_back(Event(1, KindId("FAI_t")));
+  L.push_back(Event(1, KindId("hold")));
+  L.push_back(Event(2, KindId("FAI_t"), {7, -3}));
+  L.push_back(Event(1, KindId("f"), {0}));
+  L.push_back(Event(1, KindId("g")));
+  L.push_back(Event(1, KindId("inc_n")));
   L.push_back(Event::sched(2));
-  L.push_back(Event(2, "push",
+  L.push_back(Event(2, KindId("push"),
                     {42, std::numeric_limits<std::int64_t>::max()}));
-  L.push_back(Event(3, "pop", {std::numeric_limits<std::int64_t>::min()}));
-  L.push_back(Event(2, "acq"));
-  L.push_back(Event(2, "rel"));
+  L.push_back(Event(3, KindId("pop"),
+                    {std::numeric_limits<std::int64_t>::min()}));
+  L.push_back(Event(2, KindId("acq")));
+  L.push_back(Event(2, KindId("rel")));
   return L;
 }
 
@@ -112,9 +113,9 @@ TEST(CertGoldenTest, CertKeyLogHashMatchesPreInterningCapture) {
   // change.  Captured from the seed Hasher on this log.
   Log L;
   L.push_back(Event::sched(1));
-  L.push_back(Event(1, "FAI_t"));
-  L.push_back(Event(2, "hold", {7, -3}));
-  L.push_back(Event(1, "inc_n", {0}));
+  L.push_back(Event(1, KindId("FAI_t")));
+  L.push_back(Event(2, KindId("hold"), {7, -3}));
+  L.push_back(Event(1, KindId("inc_n"), {0}));
   Hasher H;
   keyAddLog(H, L);
   EXPECT_EQ(H.value(), 0x434aa5b685e27c8bULL);
@@ -123,8 +124,8 @@ TEST(CertGoldenTest, CertKeyLogHashMatchesPreInterningCapture) {
 TEST(CertGoldenTest, EventJsonUsesStringsNotIds) {
   // Intern two fresh kinds in reverse lexicographic order: the serialized
   // form must depend only on the strings.
-  Event B(1, "zz_golden_kind");
-  Event A(1, "aa_golden_kind");
+  Event B(1, KindId("zz_golden_kind"));
+  Event A(1, KindId("aa_golden_kind"));
   EXPECT_EQ(jsonToString(eventToJson(A)), "[1,\"aa_golden_kind\",[]]");
   EXPECT_EQ(jsonToString(eventToJson(B)), "[1,\"zz_golden_kind\",[]]");
 }

@@ -128,14 +128,14 @@ TEST(CertJsonTest, StrictReaderRejectsMissingAndIllTypedFields) {
 }
 
 TEST(CertJsonTest, EventAndLogRoundTrip) {
-  Log L = {Event(1, "FAI_t"), Event(2, "done", {-7, 42}),
-           Event(0, "weird \"kind\"\n", {INT64_MIN, INT64_MAX})};
+  Log L = {Event(1, KindId("FAI_t")), Event(2, KindId("done"), {-7, 42}),
+           Event(0, KindId("weird \"kind\"\n"), {INT64_MIN, INT64_MAX})};
   JsonValue V = logToJson(L);
   Log Back;
   ASSERT_TRUE(logFromJson(V, Back));
   EXPECT_EQ(L, Back);
 
-  std::vector<Log> Corpus = {L, {}, {Event(3, "x")}};
+  std::vector<Log> Corpus = {L, {}, {Event(3, KindId("x"))}};
   std::vector<Log> CorpusBack;
   ASSERT_TRUE(logsFromJson(logsToJson(Corpus), CorpusBack));
   EXPECT_EQ(Corpus, CorpusBack);
@@ -151,7 +151,7 @@ TEST(CertJsonTest, ImplicationRoundTrip) {
   R.Conclusion = "no-double-hold";
   R.LogsChecked = 17;
   R.Holds = false;
-  R.Counterexample = {Event(1, "hold"), Event(2, "hold")};
+  R.Counterexample = {Event(1, KindId("hold")), Event(2, KindId("hold"))};
   ImplicationReport Back;
   ASSERT_TRUE(implicationFromJson(implicationToJson(R), Back));
   EXPECT_EQ(R.Premise, Back.Premise);

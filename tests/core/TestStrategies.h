@@ -21,29 +21,30 @@ inline std::unique_ptr<Strategy> makeAcqImplStrategy(ThreadId Tid) {
     AutomatonStrategy::Transition T;
     switch (S) {
     case 0: {
-      T.Move.Events.push_back(Event(Tid, "FAI_t"));
-      T.Move.Return = static_cast<std::int64_t>(logCountKind(L, "FAI_t"));
+      T.Move.Events.push_back(Event(Tid, KindId("FAI_t")));
+      T.Move.Return =
+          static_cast<std::int64_t>(logCountKind(L, KindId("FAI_t")));
       T.Next = 1;
       return T;
     }
     case 1: {
       std::int64_t Mine = -1, Idx = 0;
       for (const Event &E : L) {
-        if (E.Kind != "FAI_t")
+        if (E.Kind != KindId("FAI_t"))
           continue;
         if (E.Tid == Tid)
           Mine = Idx;
         ++Idx;
       }
       std::int64_t Serving =
-          static_cast<std::int64_t>(logCountKind(L, "inc_n"));
-      T.Move.Events.push_back(Event(Tid, "get_n"));
+          static_cast<std::int64_t>(logCountKind(L, KindId("inc_n")));
+      T.Move.Events.push_back(Event(Tid, KindId("get_n")));
       T.Move.Return = Serving;
       T.Next = Serving == Mine ? 2 : 1;
       return T;
     }
     case 2:
-      T.Move.Events.push_back(Event(Tid, "hold"));
+      T.Move.Events.push_back(Event(Tid, KindId("hold")));
       T.Move.CriticalAfter = true;
       T.Next = 3;
       return T;
@@ -77,11 +78,11 @@ inline std::unique_ptr<Strategy> makeRelSpecStrategy(ThreadId Tid) {
 /// erased; everything else maps to itself.
 inline EventMap makeR1() {
   return EventMap("R1", [](const Event &E) -> std::optional<Event> {
-    if (E.Kind == "hold")
-      return Event(E.Tid, "acq");
-    if (E.Kind == "inc_n")
-      return Event(E.Tid, "rel");
-    if (E.Kind == "FAI_t" || E.Kind == "get_n")
+    if (E.Kind == KindId("hold"))
+      return Event(E.Tid, KindId("acq"));
+    if (E.Kind == KindId("inc_n"))
+      return Event(E.Tid, KindId("rel"));
+    if (E.Kind == KindId("FAI_t") || E.Kind == KindId("get_n"))
       return std::nullopt;
     return E;
   });

@@ -97,7 +97,7 @@ TEST(CalculusTest, PcompUnionsFocusSets) {
   CertifiedLayer A = makeLeaf("L0", "M1", "L1", {1});
   CertifiedLayer B = makeLeaf("L0", "M1", "L1", {2});
 
-  std::vector<Log> Corpus = {{}, {Event(1, "acq")}};
+  std::vector<Log> Corpus = {{}, {Event(1, KindId("acq"))}};
   LayerInterface L0("L0");
   CompatReport Under = checkCompat(L0, {1}, {2}, Corpus);
   CompatReport Over = checkCompat(L0, {1}, {2}, Corpus);
@@ -126,13 +126,13 @@ TEST(CalculusTest, CompatDetectsGuaranteeRelyGap) {
   LayerInterface L("L");
   L.rg().Guar.emplace(
       1, LogInvariant{"has-acq", [](const Log &Lg) {
-                        return logCountKind(Lg, "acq") > 0;
+                        return logCountKind(Lg, KindId("acq")) > 0;
                       }});
   L.rg().Rely.emplace(
       1, LogInvariant{"has-rel", [](const Log &Lg) {
-                        return logCountKind(Lg, "rel") > 0;
+                        return logCountKind(Lg, KindId("rel")) > 0;
                       }});
-  std::vector<Log> Corpus = {{Event(1, "acq")}};
+  std::vector<Log> Corpus = {{Event(1, KindId("acq"))}};
   CompatReport Rep = checkCompat(L, {1}, {2}, Corpus);
   EXPECT_FALSE(Rep.Holds);
   CertPtr C = Rep.cert("L");
@@ -176,13 +176,13 @@ TEST(CalculusTest, DerivationTreeRendersAllRules) {
 
 TEST(RelyGuaranteeTest, ConjDisjAndDefaults) {
   LogInvariant HasAcq{"has-acq", [](const Log &L) {
-                        return logCountKind(L, "acq") > 0;
+                        return logCountKind(L, KindId("acq")) > 0;
                       }};
   LogInvariant HasRel{"has-rel", [](const Log &L) {
-                        return logCountKind(L, "rel") > 0;
+                        return logCountKind(L, KindId("rel")) > 0;
                       }};
-  Log Both = {Event(1, "acq"), Event(1, "rel")};
-  Log OnlyAcq = {Event(1, "acq")};
+  Log Both = {Event(1, KindId("acq")), Event(1, KindId("rel"))};
+  Log OnlyAcq = {Event(1, KindId("acq"))};
   EXPECT_TRUE(LogInvariant::conj(HasAcq, HasRel).Holds(Both));
   EXPECT_FALSE(LogInvariant::conj(HasAcq, HasRel).Holds(OnlyAcq));
   EXPECT_TRUE(LogInvariant::disj(HasAcq, HasRel).Holds(OnlyAcq));
@@ -193,10 +193,10 @@ TEST(RelyGuaranteeTest, ConjDisjAndDefaults) {
 
 TEST(RelyGuaranteeTest, ComposeIntersectsRelyUnionsGuar) {
   LogInvariant HasAcq{"has-acq", [](const Log &L) {
-                        return logCountKind(L, "acq") > 0;
+                        return logCountKind(L, KindId("acq")) > 0;
                       }};
   LogInvariant HasRel{"has-rel", [](const Log &L) {
-                        return logCountKind(L, "rel") > 0;
+                        return logCountKind(L, KindId("rel")) > 0;
                       }};
   RelyGuarantee A, B;
   A.Rely.emplace(1, HasAcq);
@@ -205,7 +205,7 @@ TEST(RelyGuaranteeTest, ComposeIntersectsRelyUnionsGuar) {
   B.Guar.emplace(1, HasRel);
   RelyGuarantee C = RelyGuarantee::compose(A, B, {1}, {2});
 
-  Log OnlyAcq = {Event(1, "acq")};
+  Log OnlyAcq = {Event(1, KindId("acq"))};
   EXPECT_FALSE(C.rely(1).Holds(OnlyAcq)); // intersection
   EXPECT_TRUE(C.guar(1).Holds(OnlyAcq));  // union
 }

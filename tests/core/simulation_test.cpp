@@ -42,21 +42,23 @@ std::unique_ptr<Strategy> makeAcqRelSpec(ThreadId Tid) {
 
 TEST(EventMapTest, IdentityAndCompose) {
   EventMap Id = EventMap::identity();
-  Event E(1, "x", {2});
+  Event E(1, KindId("x"), {2});
   EXPECT_EQ(Id.map(E), E);
 
   EventMap R1 = makeR1();
   EventMap Composed = EventMap::compose(Id, R1);
-  EXPECT_EQ(Composed.map(Event(1, "hold")), Event(1, "acq"));
-  EXPECT_FALSE(Composed.map(Event(1, "get_n")).has_value());
+  EXPECT_EQ(Composed.map(Event(1, KindId("hold"))), Event(1, KindId("acq")));
+  EXPECT_FALSE(Composed.map(Event(1, KindId("get_n"))).has_value());
   EXPECT_EQ(Composed.name(), "R1");
 }
 
 TEST(EventMapTest, ApplyErasesAndMaps) {
   EventMap R1 = makeR1();
-  Log Impl = {Event(1, "FAI_t"), Event(1, "get_n"), Event(1, "hold"),
-              Event(1, "f"),     Event(1, "inc_n")};
-  Log Expect = {Event(1, "acq"), Event(1, "f"), Event(1, "rel")};
+  Log Impl = {Event(1, KindId("FAI_t")), Event(1, KindId("get_n")),
+              Event(1, KindId("hold")), Event(1, KindId("f")),
+              Event(1, KindId("inc_n"))};
+  Log Expect = {Event(1, KindId("acq")), Event(1, KindId("f")),
+                Event(1, KindId("rel"))};
   EXPECT_EQ(R1.apply(Impl), Expect);
 }
 
@@ -79,9 +81,9 @@ TEST(SimulationTest, ContendedAcqSpinsThenHolds) {
   // context, under which the spin loop terminates and the simulation
   // holds.
   std::vector<EnvChoice> Lead(2);
-  Lead[0].Events = {Event(2, "FAI_t"), Event(2, "hold")};
+  Lead[0].Events = {Event(2, KindId("FAI_t")), Event(2, KindId("hold"))};
   Lead[0].ReturnsControl = true; // control back to thread 1: it FAIs, spins
-  Lead[1].Events = {Event(2, "inc_n")};
+  Lead[1].Events = {Event(2, KindId("inc_n"))};
   Lead[1].ReturnsControl = true;
   auto Env = makeEnv(std::move(Lead), 8);
 
@@ -100,7 +102,7 @@ TEST(SimulationTest, UnfairEnvironmentDivergesAndFails) {
   // held locks are eventually released), the spin diverges and the checker
   // reports it — the reason L'1[i].R must include definite release (§2).
   std::vector<EnvChoice> Lead(1);
-  Lead[0].Events = {Event(2, "FAI_t"), Event(2, "hold")};
+  Lead[0].Events = {Event(2, KindId("FAI_t")), Event(2, KindId("hold"))};
   Lead[0].ReturnsControl = true;
   auto Env = makeEnv(std::move(Lead), 64);
 

@@ -21,8 +21,8 @@ std::unique_ptr<Strategy> makeAcqImplStrategy(ThreadId Tid) {
     switch (S) {
     case 0: {
       std::int64_t Ticket =
-          static_cast<std::int64_t>(logCountKind(L, "FAI_t"));
-      T.Move.Events.push_back(Event(Tid, "FAI_t"));
+          static_cast<std::int64_t>(logCountKind(L, KindId("FAI_t")));
+      T.Move.Events.push_back(Event(Tid, KindId("FAI_t")));
       T.Move.Return = Ticket;
       T.Next = 1;
       return T;
@@ -32,21 +32,21 @@ std::unique_ptr<Strategy> makeAcqImplStrategy(ThreadId Tid) {
       // the log: the ticket this thread fetched is the index of its FAI_t.
       std::int64_t Mine = -1, Idx = 0;
       for (const Event &E : L) {
-        if (E.Kind != "FAI_t")
+        if (E.Kind != KindId("FAI_t"))
           continue;
         if (E.Tid == Tid)
           Mine = Idx;
         ++Idx;
       }
       std::int64_t Serving =
-          static_cast<std::int64_t>(logCountKind(L, "inc_n"));
-      T.Move.Events.push_back(Event(Tid, "get_n"));
+          static_cast<std::int64_t>(logCountKind(L, KindId("inc_n")));
+      T.Move.Events.push_back(Event(Tid, KindId("get_n")));
       T.Move.Return = Serving;
       T.Next = Serving == Mine ? 2 : 1;
       return T;
     }
     case 2:
-      T.Move.Events.push_back(Event(Tid, "hold"));
+      T.Move.Events.push_back(Event(Tid, KindId("hold")));
       T.Move.CriticalAfter = true;
       T.Next = 3;
       return T;
@@ -69,7 +69,7 @@ TEST(StrategyTest, AtomicCallEmitsOneEventAndReturn) {
   std::optional<StrategyMove> M = S->onScheduled(L);
   ASSERT_TRUE(M.has_value());
   ASSERT_EQ(M->Events.size(), 1u);
-  EXPECT_EQ(M->Events[0], Event(1, "acq"));
+  EXPECT_EQ(M->Events[0], Event(1, KindId("acq")));
   EXPECT_EQ(M->Return, 1); // computed on the extended log
   EXPECT_TRUE(S->done());
 }
@@ -90,7 +90,7 @@ TEST(StrategyTest, IdleStrategyIsDone) {
 
 TEST(StrategyTest, AcqImplSpinsUntilServed) {
   auto S = makeAcqImplStrategy(2);
-  Log L = {Event(1, "FAI_t")}; // thread 1 fetched ticket 0 first
+  Log L = {Event(1, KindId("FAI_t"))}; // thread 1 fetched ticket 0 first
 
   std::optional<StrategyMove> M = S->onScheduled(L);
   ASSERT_TRUE(M);
@@ -100,13 +100,13 @@ TEST(StrategyTest, AcqImplSpinsUntilServed) {
   // Spin: serving is 0, mine is 1.
   M = S->onScheduled(L);
   ASSERT_TRUE(M);
-  EXPECT_EQ(M->Events[0].Kind, "get_n");
+  EXPECT_EQ(M->Events[0].Kind, KindId("get_n"));
   EXPECT_EQ(M->Return, 0);
   logAppendAll(L, M->Events);
   EXPECT_FALSE(S->done());
 
   // Thread 1 releases.
-  logAppend(L, Event(1, "inc_n"));
+  logAppend(L, Event(1, KindId("inc_n")));
   M = S->onScheduled(L);
   ASSERT_TRUE(M);
   EXPECT_EQ(M->Return, 1); // now serving matches
@@ -114,7 +114,7 @@ TEST(StrategyTest, AcqImplSpinsUntilServed) {
 
   M = S->onScheduled(L);
   ASSERT_TRUE(M);
-  EXPECT_EQ(M->Events[0].Kind, "hold");
+  EXPECT_EQ(M->Events[0].Kind, KindId("hold"));
   EXPECT_TRUE(S->critical()); // gray state: no env query until release
   EXPECT_TRUE(S->done());
 }
@@ -125,8 +125,9 @@ TEST(StrategyTest, CloneIsIndependent) {
   S->onScheduled(L); // advance original past FAI
   auto C = S->clone();
   // Both are at the spin state; advancing the clone must not move S.
-  logAppend(L, Event(1, "FAI_t"));
-  logAppend(L, Event(1, "inc_n")); // pretend ticket 0 is served... spin check
+  logAppend(L, Event(1, KindId("FAI_t")));
+  // Pretend ticket 0 is served... spin check.
+  logAppend(L, Event(1, KindId("inc_n")));
   (void)C->onScheduled(L);
   EXPECT_FALSE(S->done());
 }
@@ -141,11 +142,11 @@ TEST(StrategyTest, SeqStrategyRunsInOrder) {
   Log L;
   std::optional<StrategyMove> M = S->onScheduled(L);
   ASSERT_TRUE(M);
-  EXPECT_EQ(M->Events[0].Kind, "acq");
+  EXPECT_EQ(M->Events[0].Kind, KindId("acq"));
   EXPECT_FALSE(S->done());
   M = S->onScheduled(L);
   ASSERT_TRUE(M);
-  EXPECT_EQ(M->Events[0].Kind, "rel");
+  EXPECT_EQ(M->Events[0].Kind, KindId("rel"));
   EXPECT_TRUE(S->done());
 }
 
@@ -160,7 +161,7 @@ TEST(EnvContextTest, NullEnvReturnsControlImmediately) {
 
 TEST(EnvContextTest, ScriptedEnvPlaysScript) {
   std::vector<EnvChoice> Script(2);
-  Script[0].Events = {Event(2, "FAI_t")};
+  Script[0].Events = {Event(2, KindId("FAI_t"))};
   Script[0].ReturnsControl = false;
   Script[1].ReturnsControl = true;
   auto E = makeScriptedEnv(Script);
@@ -188,7 +189,7 @@ TEST(EnvContextTest, StrategyEnvOffersMovesAndReturn) {
   ASSERT_EQ(Choices.size(), 2u);
   EXPECT_TRUE(Choices[0].ReturnsControl);
   ASSERT_EQ(Choices[1].Events.size(), 1u);
-  EXPECT_EQ(Choices[1].Events[0].Kind, "acq");
+  EXPECT_EQ(Choices[1].Events[0].Kind, KindId("acq"));
 
   E->advance(1, L);
   logAppendAll(L, Choices[1].Events);

@@ -86,7 +86,7 @@ TEST(ExplorerTest, FairnessBoundPrunesRuns) {
 TEST(ExplorerTest, InvariantViolationIsReported) {
   ExploreOptions Opts;
   Opts.Invariant = [](const MultiCoreMachine &M) -> std::string {
-    if (logCountKind(M.log(), "tick") >= 3)
+    if (logCountKind(M.log(), KindId("tick")) >= 3)
       return "too many ticks";
     return "";
   };
@@ -238,7 +238,7 @@ TEST(ExplorerTest, ParallelInvariantViolationReported) {
   ExploreOptions Opts;
   Opts.Threads = 4;
   Opts.Invariant = [](const MultiCoreMachine &M) -> std::string {
-    if (logCountKind(M.log(), "tick") >= 3)
+    if (logCountKind(M.log(), KindId("tick")) >= 3)
       return "too many ticks";
     return "";
   };

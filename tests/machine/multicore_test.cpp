@@ -160,7 +160,7 @@ TEST(MultiCoreTest, BlockedPrimIsNotSchedulable) {
       return PrimResult::blocked();
     PrimResult Res;
     Res.Ret = 1;
-    Res.Events.push_back(Event(Call.Tid, "gate"));
+    Res.Events.push_back(Event(Call.Tid, KindId("gate")));
     return Res;
   });
   L->addShared("tick", makeFetchIncPrim("tick"));

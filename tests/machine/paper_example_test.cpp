@@ -93,10 +93,12 @@ TEST(PaperExampleTest, Section2ScheduleProducesLogLgPrime) {
 
   // l'_g from §2.
   Log LgPrime = {
-      Event(1, "FAI_t"), Event(2, "FAI_t"), Event(2, "get_n"),
-      Event(1, "get_n"), Event(1, "hold"),  Event(2, "get_n"),
-      Event(1, "f"),     Event(2, "get_n"), Event(1, "g"),
-      Event(1, "inc_n"), Event(2, "get_n"), Event(2, "hold"),
+      Event(1, KindId("FAI_t")), Event(2, KindId("FAI_t")),
+      Event(2, KindId("get_n")), Event(1, KindId("get_n")),
+      Event(1, KindId("hold")),  Event(2, KindId("get_n")),
+      Event(1, KindId("f")),     Event(2, KindId("get_n")),
+      Event(1, KindId("g")),     Event(1, KindId("inc_n")),
+      Event(2, KindId("get_n")), Event(2, KindId("hold")),
   };
   ASSERT_GE(O.FinalLog.size(), LgPrime.size());
   for (size_t I = 0; I != LgPrime.size(); ++I)
@@ -105,8 +107,9 @@ TEST(PaperExampleTest, Section2ScheduleProducesLogLgPrime) {
   // The R1 image of the l'_g prefix is l_g from §2.
   TicketLockLayers Layers = makeTicketLockLayers();
   Log Mapped = Layers.R1.apply(LgPrime);
-  Log Lg = {Event(1, "acq"), Event(1, "f"), Event(1, "g"), Event(1, "rel"),
-            Event(2, "acq")};
+  Log Lg = {Event(1, KindId("acq")), Event(1, KindId("f")),
+            Event(1, KindId("g")), Event(1, KindId("rel")),
+            Event(2, KindId("acq"))};
   EXPECT_EQ(Mapped, Lg);
 }
 
@@ -122,7 +125,7 @@ TEST(PaperExampleTest, MutualExclusionHoldsOnEverySchedule) {
   // Both lock-acquisition orders are reachable.
   bool OneFirst = false, TwoFirst = false;
   for (const Outcome &O : Res.Outcomes) {
-    Log Holds = logFilterKind(O.FinalLog, "hold");
+    Log Holds = logFilterKind(O.FinalLog, KindId("hold"));
     ASSERT_EQ(Holds.size(), 2u);
     OneFirst |= Holds[0].Tid == 1;
     TwoFirst |= Holds[0].Tid == 2;
@@ -140,7 +143,7 @@ TEST(PaperExampleTest, ClientReturnValuesFollowCriticalSectionOrder) {
   ExploreResult Res = exploreMachine(makeFig3ImplConfig(), Opts);
   ASSERT_TRUE(Res.Ok) << Res.Violation;
   for (const Outcome &O : Res.Outcomes) {
-    Log Holds = logFilterKind(O.FinalLog, "hold");
+    Log Holds = logFilterKind(O.FinalLog, KindId("hold"));
     ASSERT_EQ(Holds.size(), 2u);
     ThreadId First = Holds[0].Tid;
     ThreadId Second = Holds[1].Tid;

@@ -9,32 +9,31 @@ using namespace ccal;
 namespace {
 
 /// Sequential counter spec: "inc" returns the number of previous incs.
-SeqSpec counterSpec() {
-  return [](const Log &SoFar, ThreadId,
-            const ObservedOp &Op) -> std::optional<std::int64_t> {
-    if (Op.Method != "inc")
-      return std::nullopt;
-    return static_cast<std::int64_t>(logCountKind(SoFar, "inc"));
-  };
+SeqSpec<std::int64_t> counterSpec() {
+  return {0, [](std::int64_t &Incs, ThreadId,
+                const ObservedOp &Op) -> std::optional<std::int64_t> {
+            if (Op.Method != "inc")
+              return std::nullopt;
+            return Incs++;
+          }};
 }
 
 /// Sequential FIFO queue spec over enQ/deQ.
-SeqSpec queueSpec() {
-  return [](const Log &SoFar, ThreadId,
-            const ObservedOp &Op) -> std::optional<std::int64_t> {
-    std::vector<std::int64_t> Q;
-    for (const Event &E : SoFar) {
-      if (E.Kind == "enQ")
-        Q.push_back(E.Args[0]);
-      else if (E.Kind == "deQ" && !Q.empty())
-        Q.erase(Q.begin());
-    }
-    if (Op.Method == "enQ")
-      return 0;
-    if (Op.Method == "deQ")
-      return Q.empty() ? -1 : Q.front();
-    return std::nullopt;
-  };
+SeqSpec<std::vector<std::int64_t>> queueSpec() {
+  return {{}, [](std::vector<std::int64_t> &Q, ThreadId,
+                 const ObservedOp &Op) -> std::optional<std::int64_t> {
+            if (Op.Method == "enQ") {
+              Q.push_back(Op.Args[0]);
+              return 0;
+            }
+            if (Op.Method != "deQ")
+              return std::nullopt;
+            if (Q.empty())
+              return -1;
+            std::int64_t Front = Q.front();
+            Q.erase(Q.begin());
+            return Front;
+          }};
 }
 
 } // namespace
@@ -164,4 +163,19 @@ TEST(LinearizeTest, PriorityChangesSearchOrderNeverOutcome) {
     EXPECT_EQ(R.Witness[1].Tid, 2u)
         << "only one witness exists; priority may not invent another";
   }
+}
+
+TEST(LinearizeTest, LongSingleThreadHistoryNeedsNoCallStack) {
+  // One placed operation per search node, 65,536 deep (the auditor's
+  // window cap): the search keeps its path on an explicit stack, so the
+  // depth is bounded by memory, not by the thread's call stack.
+  const std::int64_t N = 65536;
+  std::map<ThreadId, std::vector<ObservedOp>> H;
+  for (std::int64_t I = 0; I != N; ++I)
+    H[1].push_back({"inc", {}, I});
+  LinearizeResult R = findLinearization(H, counterSpec());
+  ASSERT_EQ(R.outcome(), LinearizeOutcome::Linearizable);
+  EXPECT_EQ(R.NodesExplored, static_cast<std::uint64_t>(N + 1));
+  ASSERT_EQ(R.Witness.size(), static_cast<size_t>(N));
+  EXPECT_EQ(R.Witness.back().Tid, 1u);
 }

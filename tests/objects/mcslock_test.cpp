@@ -12,7 +12,7 @@ using namespace ccal;
 
 TEST(McsReplayTest, SwapSetsTail) {
   Replayer<McsState> R = makeMcsReplayer();
-  Log L = {Event(1, "mcs_init"), Event(1, "mcs_swap_tail")};
+  Log L = {Event(1, KindId("mcs_init")), Event(1, KindId("mcs_swap_tail"))};
   std::optional<McsState> S = R.replay(L);
   ASSERT_TRUE(S.has_value());
   EXPECT_EQ(S->Tail, 1);
@@ -22,11 +22,16 @@ TEST(McsReplayTest, SwapSetsTail) {
 
 TEST(McsReplayTest, HandoffProtocol) {
   Log L = {
-      Event(1, "mcs_init"),      Event(1, "mcs_swap_tail"),
-      Event(1, "hold"),          Event(2, "mcs_init"),
-      Event(2, "mcs_swap_tail"), Event(2, "mcs_set_next", {1}),
-      Event(1, "mcs_get_next"),  Event(1, "mcs_clear_busy", {2}),
-      Event(2, "mcs_get_busy"),  Event(2, "hold"),
+      Event(1, KindId("mcs_init")),
+      Event(1, KindId("mcs_swap_tail")),
+      Event(1, KindId("hold")),
+      Event(2, KindId("mcs_init")),
+      Event(2, KindId("mcs_swap_tail")),
+      Event(2, KindId("mcs_set_next"), {1}),
+      Event(1, KindId("mcs_get_next")),
+      Event(1, KindId("mcs_clear_busy"), {2}),
+      Event(2, KindId("mcs_get_busy")),
+      Event(2, KindId("hold")),
   };
   Replayer<McsState> R = makeMcsReplayer();
   std::optional<McsState> S = R.replay(L);
@@ -36,19 +41,20 @@ TEST(McsReplayTest, HandoffProtocol) {
 }
 
 TEST(McsReplayTest, CasSuccessWithoutBeingTailIsStuck) {
-  Log L = {Event(1, "mcs_init"), Event(1, "mcs_cas_tail", {1})};
+  Log L = {Event(1, KindId("mcs_init")), Event(1, KindId("mcs_cas_tail"), {1})};
   Replayer<McsState> R = makeMcsReplayer();
   EXPECT_FALSE(R.replay(L).has_value()); // tail is -1, not 1
 }
 
 TEST(McsReplayTest, ClearBusyByNonHolderIsStuck) {
-  Log L = {Event(1, "mcs_init"), Event(1, "mcs_clear_busy", {1})};
+  Log L = {Event(1, KindId("mcs_init")),
+           Event(1, KindId("mcs_clear_busy"), {1})};
   Replayer<McsState> R = makeMcsReplayer();
   EXPECT_FALSE(R.replay(L).has_value());
 }
 
 TEST(McsReplayTest, DoubleHoldIsStuck) {
-  Log L = {Event(1, "hold"), Event(2, "hold")};
+  Log L = {Event(1, KindId("hold")), Event(2, KindId("hold"))};
   Replayer<McsState> R = makeMcsReplayer();
   EXPECT_FALSE(R.replay(L).has_value());
 }

@@ -12,7 +12,8 @@ using namespace ccal;
 
 TEST(SharedQueueReplayTest, EnqDeqFifo) {
   Replayer<AbstractSharedQueue> R = makeSharedQueueReplayer();
-  Log L = {Event(1, "enQ", {10}), Event(1, "enQ", {20}), Event(2, "deQ")};
+  Log L = {Event(1, KindId("enQ"), {10}), Event(1, KindId("enQ"), {20}),
+           Event(2, KindId("deQ"))};
   std::optional<AbstractSharedQueue> S = R.replay(L);
   ASSERT_TRUE(S.has_value());
   EXPECT_EQ(S->Items, (std::vector<std::int64_t>{20}));
@@ -20,7 +21,7 @@ TEST(SharedQueueReplayTest, EnqDeqFifo) {
 
 TEST(SharedQueueReplayTest, DeqOnEmptyIsNoop) {
   Replayer<AbstractSharedQueue> R = makeSharedQueueReplayer();
-  Log L = {Event(1, "deQ"), Event(1, "enQ", {5})};
+  Log L = {Event(1, KindId("deQ")), Event(1, KindId("enQ"), {5})};
   std::optional<AbstractSharedQueue> S = R.replay(L);
   ASSERT_TRUE(S.has_value());
   EXPECT_EQ(S->Items, (std::vector<std::int64_t>{5}));
@@ -30,7 +31,7 @@ TEST(SharedQueueReplayTest, CapacityBounded) {
   Replayer<AbstractSharedQueue> R = makeSharedQueueReplayer();
   Log L;
   for (int I = 0; I != SharedQueueCap + 3; ++I)
-    logAppend(L, Event(1, "enQ", {I}));
+    logAppend(L, Event(1, KindId("enQ"), {I}));
   std::optional<AbstractSharedQueue> S = R.replay(L);
   ASSERT_TRUE(S.has_value());
   EXPECT_EQ(S->Items.size(), static_cast<size_t>(SharedQueueCap));
@@ -60,10 +61,12 @@ TEST(SharedQueueTest, SetupWiring) {
   EXPECT_TRUE(S.Overlay->provides("deQ"));
   EXPECT_TRUE(S.Overlay->provides("enQ"));
   // The commit relation maps markers to atomic events and hides the rest.
-  EXPECT_EQ(S.R.map(Event(1, "deq_done", {5})), Event(1, "deQ"));
-  EXPECT_EQ(S.R.map(Event(1, "enq_done", {5})), Event(1, "enQ", {5}));
-  EXPECT_FALSE(S.R.map(Event(1, "acq")).has_value());
-  EXPECT_FALSE(S.R.map(Event(1, "pull", {0})).has_value());
+  EXPECT_EQ(S.R.map(Event(1, KindId("deq_done"), {5})),
+            Event(1, KindId("deQ")));
+  EXPECT_EQ(S.R.map(Event(1, KindId("enq_done"), {5})),
+            Event(1, KindId("enQ"), {5}));
+  EXPECT_FALSE(S.R.map(Event(1, KindId("acq"))).has_value());
+  EXPECT_FALSE(S.R.map(Event(1, KindId("pull"), {0})).has_value());
 }
 
 TEST(SharedQueueTest, ImplMachineUsesPushPullSafely) {

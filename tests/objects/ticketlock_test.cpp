@@ -12,7 +12,8 @@ using namespace ccal;
 
 TEST(TicketReplayTest, TracksCountersAndHolder) {
   Replayer<TicketState> R = makeTicketReplayer();
-  Log L = {Event(1, "FAI_t"), Event(2, "FAI_t"), Event(1, "hold")};
+  Log L = {Event(1, KindId("FAI_t")), Event(2, KindId("FAI_t")),
+           Event(1, KindId("hold"))};
   std::optional<TicketState> S = R.replay(L);
   ASSERT_TRUE(S.has_value());
   EXPECT_EQ(S->NextTicket, 2);
@@ -22,21 +23,23 @@ TEST(TicketReplayTest, TracksCountersAndHolder) {
 
 TEST(TicketReplayTest, DoubleHoldIsStuck) {
   Replayer<TicketState> R = makeTicketReplayer();
-  Log L = {Event(1, "hold"), Event(2, "hold")};
+  Log L = {Event(1, KindId("hold")), Event(2, KindId("hold"))};
   EXPECT_FALSE(R.replay(L).has_value());
 }
 
 TEST(TicketReplayTest, ReleaseByNonHolderIsStuck) {
   Replayer<TicketState> R = makeTicketReplayer();
-  Log L = {Event(1, "hold"), Event(2, "inc_n")};
+  Log L = {Event(1, KindId("hold")), Event(2, KindId("inc_n"))};
   EXPECT_FALSE(R.replay(L).has_value());
 }
 
 TEST(TicketReplayTest, FifoOrderChecked) {
-  Log Good = {Event(1, "FAI_t"), Event(2, "FAI_t"), Event(1, "hold"),
-              Event(1, "inc_n"), Event(2, "hold")};
+  Log Good = {Event(1, KindId("FAI_t")), Event(2, KindId("FAI_t")),
+              Event(1, KindId("hold")), Event(1, KindId("inc_n")),
+              Event(2, KindId("hold"))};
   EXPECT_EQ(checkTicketFifo(Good), "");
-  Log Bad = {Event(1, "FAI_t"), Event(2, "FAI_t"), Event(2, "hold")};
+  Log Bad = {Event(1, KindId("FAI_t")), Event(2, KindId("FAI_t")),
+             Event(2, KindId("hold"))};
   EXPECT_NE(checkTicketFifo(Bad), "");
 }
 
@@ -101,8 +104,9 @@ TEST(TicketLockTest, BuggyLockIsCaught) {
 TEST(TicketLockTest, UnfairnessWouldStarve) {
   // Without the FIFO discipline, a non-ticket "test-and-set-like" lock
   // can acquire out of ticket order; the FIFO whole-log check rejects it.
-  Log OutOfOrder = {Event(1, "FAI_t"), Event(2, "FAI_t"), Event(2, "hold"),
-                    Event(2, "inc_n"), Event(1, "hold")};
+  Log OutOfOrder = {Event(1, KindId("FAI_t")), Event(2, KindId("FAI_t")),
+                    Event(2, KindId("hold")), Event(2, KindId("inc_n")),
+                    Event(1, KindId("hold"))};
   EXPECT_NE(checkTicketFifo(OutOfOrder), "");
 }
 

@@ -16,10 +16,21 @@
 
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 using namespace ccal;
+
+// Interning is never implicit: a kind is interned where it is named, and a
+// string literal compared against a kind does not compile.
+static_assert(!std::is_convertible_v<const char *, KindId>);
+static_assert(!std::is_convertible_v<std::string, KindId>);
+static_assert(!std::is_convertible_v<std::string_view, KindId>);
+static_assert(std::is_constructible_v<KindId, const char *> &&
+              std::is_constructible_v<KindId, std::string> &&
+              std::is_constructible_v<KindId, std::string_view>);
 
 TEST(InternTest, RoundTripsStrings) {
   KindId A("acq");

@@ -27,10 +27,11 @@ TEST(QueuingLockTest, SetupWiring) {
   EXPECT_TRUE(S.Overlay->provides("acq_q"));
   EXPECT_TRUE(S.Overlay->provides("rel_q"));
   // Both acquisition paths map to the same atomic event.
-  EXPECT_EQ(S.RImpl.map(Event(1, "qlock_hold")), Event(1, "acq_q"));
-  EXPECT_EQ(S.RImpl.map(Event(1, "qlock_wake_hold")), Event(1, "acq_q"));
-  EXPECT_EQ(S.RImpl.map(Event(1, "qlock_pass")), Event(1, "rel_q"));
-  EXPECT_FALSE(S.RImpl.map(Event(1, "sleep", {0})).has_value());
+  const Event AcqQ(1, KindId("acq_q")), RelQ(1, KindId("rel_q"));
+  EXPECT_EQ(S.RImpl.map(Event(1, KindId("qlock_hold"))), AcqQ);
+  EXPECT_EQ(S.RImpl.map(Event(1, KindId("qlock_wake_hold"))), AcqQ);
+  EXPECT_EQ(S.RImpl.map(Event(1, KindId("qlock_pass"))), RelQ);
+  EXPECT_FALSE(S.RImpl.map(Event(1, KindId("sleep"), {0})).has_value());
 }
 
 TEST(QueuingLockTest, SleepersActuallySleepUnderContention) {
@@ -44,7 +45,7 @@ TEST(QueuingLockTest, SleepersActuallySleepUnderContention) {
   ASSERT_TRUE(Res.Ok) << Res.Violation;
   bool SomeoneSlept = false;
   for (const Outcome &O : Res.Outcomes)
-    SomeoneSlept |= logCountKind(O.FinalLog, "sleep") > 0;
+    SomeoneSlept |= logCountKind(O.FinalLog, KindId("sleep")) > 0;
   EXPECT_TRUE(SomeoneSlept);
 }
 
@@ -61,7 +62,7 @@ TEST(QueuingLockTest, NoSpinningEver) {
   Replayer<AbstractLockState> Spin = makeAbstractLockReplayer("acq", "rel");
   for (const Outcome &O : Res.Outcomes) {
     for (size_t I = 0; I != O.FinalLog.size(); ++I) {
-      if (O.FinalLog[I].Kind != "ql_get_busy")
+      if (O.FinalLog[I].Kind != KindId("ql_get_busy"))
         continue;
       Log Prefix(O.FinalLog.begin(),
                  O.FinalLog.begin() + static_cast<std::ptrdiff_t>(I));
@@ -85,9 +86,9 @@ TEST(QueuingLockTest, HandoffIsFifo) {
   for (const Outcome &O : Res.Outcomes) {
     std::vector<ThreadId> SleepOrder, WakeHoldOrder;
     for (const Event &E : O.FinalLog) {
-      if (E.Kind == "sleep")
+      if (E.Kind == KindId("sleep"))
         SleepOrder.push_back(E.Tid);
-      if (E.Kind == "qlock_wake_hold")
+      if (E.Kind == KindId("qlock_wake_hold"))
         WakeHoldOrder.push_back(E.Tid);
     }
     EXPECT_EQ(SleepOrder, WakeHoldOrder);

@@ -73,7 +73,7 @@ Log projectOwn(const Log &L, ThreadId T) {
   for (const Event &E : L) {
     if (E.Tid != T)
       continue;
-    if (E.Kind == "yield" || E.Kind == ThreadExitEventKind ||
+    if (E.Kind == KindId("yield") || E.Kind == ThreadExitEventKind ||
         E.Kind == ReschedEventKind)
       continue;
     Out.push_back(E);

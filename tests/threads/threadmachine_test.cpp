@@ -107,8 +107,8 @@ TEST(ThreadMachineTest, ExploreSingleCpuHasOneSchedule) {
 TEST(HighSchedReplayTest, YieldRotatesReadyQueue) {
   std::map<ThreadId, ThreadId> CpuOf = {{0, 0}, {1, 0}, {2, 0}};
   Replayer<HighSchedState> R = makeHighSchedReplayer(CpuOf);
-  Log L = {Event(0, ReschedEventKind), Event(0, "spawn", {1}),
-           Event(0, "spawn", {2}), Event(0, "yield")};
+  Log L = {Event(0, ReschedEventKind), Event(0, KindId("spawn"), {1}),
+           Event(0, KindId("spawn"), {2}), Event(0, KindId("yield"))};
   std::optional<HighSchedState> S = R.replay(L);
   ASSERT_TRUE(S.has_value());
   EXPECT_EQ(S->Current.at(0), 1);
@@ -121,7 +121,7 @@ TEST(HighSchedReplayTest, SleepAndWakeupAcrossCpus) {
   std::map<ThreadId, ThreadId> CpuOf = {{0, 0}, {1, 1}};
   Replayer<HighSchedState> R = makeHighSchedReplayer(CpuOf);
   Log L = {Event(0, ReschedEventKind), Event(1, ReschedEventKind),
-           Event(0, "sleep", {9}), Event(1, "wakeup", {9})};
+           Event(0, KindId("sleep"), {9}), Event(1, KindId("wakeup"), {9})};
   std::optional<HighSchedState> S = R.replay(L);
   ASSERT_TRUE(S.has_value());
   // Thread 0 slept; CPU 0 became idle; the wakeup dispatched it directly.
@@ -132,15 +132,15 @@ TEST(HighSchedReplayTest, SleepAndWakeupAcrossCpus) {
 TEST(HighSchedReplayTest, YieldByNonCurrentIsStuck) {
   std::map<ThreadId, ThreadId> CpuOf = {{0, 0}, {1, 0}};
   Replayer<HighSchedState> R = makeHighSchedReplayer(CpuOf);
-  Log L = {Event(0, ReschedEventKind), Event(1, "yield")};
+  Log L = {Event(0, ReschedEventKind), Event(1, KindId("yield"))};
   EXPECT_FALSE(R.replay(L).has_value());
 }
 
 TEST(LowSchedReplayTest, CswitchTransfersControl) {
   std::map<ThreadId, ThreadId> CpuOf = {{0, 0}, {1, 0}};
   SchedReplayFn Low = makeLowSchedFn(CpuOf);
-  Log L = {Event(0, ReschedEventKind), Event(0, "cswitch", {1}),
-           Event(1, "cswitch", {0})};
+  Log L = {Event(0, ReschedEventKind), Event(0, KindId("cswitch"), {1}),
+           Event(1, KindId("cswitch"), {0})};
   std::optional<SchedView> V = Low(L);
   ASSERT_TRUE(V.has_value());
   EXPECT_EQ(V->Current.at(0), 0);
@@ -149,7 +149,7 @@ TEST(LowSchedReplayTest, CswitchTransfersControl) {
 TEST(LowSchedReplayTest, CswitchByNonCurrentIsStuck) {
   std::map<ThreadId, ThreadId> CpuOf = {{0, 0}, {1, 0}};
   SchedReplayFn Low = makeLowSchedFn(CpuOf);
-  Log L = {Event(0, ReschedEventKind), Event(1, "cswitch", {0})};
+  Log L = {Event(0, ReschedEventKind), Event(1, KindId("cswitch"), {0})};
   EXPECT_FALSE(Low(L).has_value());
 }
 
@@ -201,7 +201,7 @@ TEST(ThreadMachineTest, CrossCpuWakeup) {
   }
   EXPECT_EQ(M.returns().at(0), std::vector<std::int64_t>{42});
   EXPECT_EQ(M.returns().at(1), std::vector<std::int64_t>{0}); // woke tid 0
-  EXPECT_EQ(logCountKind(M.log(), "done"), 1u);
+  EXPECT_EQ(logCountKind(M.log(), KindId("done")), 1u);
 }
 
 TEST(ThreadMachineTest, LostCrossCpuWakeupIsADeadlock) {
