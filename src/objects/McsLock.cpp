@@ -5,7 +5,6 @@
 #include "machine/CpuLocal.h"
 #include "lang/Parser.h"
 #include "lang/TypeCheck.h"
-#include "objects/TicketLock.h" // for makeTicketClient (same client shape)
 
 using namespace ccal;
 
@@ -252,33 +251,8 @@ std::string ccal::mcsMutexInvariant(const MultiCoreMachine &M) {
 }
 
 ObjectHarness ccal::makeMcsLockHarness(unsigned NumCpus, unsigned Rounds) {
-  McsLockLayers Layers = makeMcsLockLayers();
-  // Owned modules, not function-local statics — see makeTicketLockHarness.
-  auto M1 = std::make_shared<ClightModule>(cloneModule(Layers.M1));
-  auto Client = std::make_shared<ClightModule>(
-      makeTicketClient()); // same acq/f/g/rel client shape
-
-  ObjectHarness H;
-  H.Owned = {M1, Client};
-  H.ObjectName = "mcs_lock";
-  H.Underlay = Layers.L0;
-  H.Modules = {M1.get()};
-  H.Overlay = Layers.L1;
-  H.R = Layers.R1;
-  H.Client = Client.get();
-  for (unsigned C = 1; C <= NumCpus; ++C) {
-    std::vector<CpuWorkItem> Items;
-    for (unsigned I = 0; I != Rounds; ++I)
-      Items.push_back({"t_main", {}});
-    H.Work.emplace(C, std::move(Items));
-  }
-  H.ImplOpts.FairnessBound = 2;
-  H.ImplOpts.MaxSteps = 512;
-  H.ImplOpts.Invariant = mcsMutexInvariant;
-  H.ImplOpts.InvariantName = "mcs.mutex";
-  H.SpecOpts.FairnessBound = 1u << 20;
-  H.SpecOpts.MaxSteps = 512;
-  return H;
+  return makeLockHarness("mcs_lock", makeMcsLockLayers(), NumCpus, Rounds,
+                         mcsMutexInvariant, "mcs.mutex");
 }
 
 HarnessOutcome ccal::certifyMcsLock(unsigned NumCpus, unsigned Rounds) {
@@ -287,32 +261,8 @@ HarnessOutcome ccal::certifyMcsLock(unsigned NumCpus, unsigned Rounds) {
 
 ObjectHarness ccal::makeMcsLockHarnessRa(unsigned NumCpus,
                                          unsigned Rounds) {
-  McsLockLayers Layers = makeMcsLockLayersRa();
-  auto M1 = std::make_shared<ClightModule>(cloneModule(Layers.M1));
-  auto Client = std::make_shared<ClightModule>(makeTicketClient());
-
-  ObjectHarness H;
-  H.Owned = {M1, Client};
-  H.ObjectName = "mcs_lock_ra";
-  H.Underlay = Layers.L0;
-  H.Modules = {M1.get()};
-  H.Overlay = Layers.L1;
-  H.R = Layers.R1;
-  H.Client = Client.get();
-  for (unsigned C = 1; C <= NumCpus; ++C) {
-    std::vector<CpuWorkItem> Items;
-    for (unsigned I = 0; I != Rounds; ++I)
-      Items.push_back({"t_main", {}});
-    H.Work.emplace(C, std::move(Items));
-  }
-  H.ImplOpts.FairnessBound = 2;
-  H.ImplOpts.MaxSteps = 512;
-  H.ImplOpts.Invariant = mcsMutexInvariant;
-  H.ImplOpts.InvariantName = "mcs.mutex";
-  H.SpecOpts.FairnessBound = 1u << 20;
-  H.SpecOpts.MaxSteps = 512;
-  H.ImplModel = raMemory();
-  return H;
+  return makeLockHarness("mcs_lock_ra", makeMcsLockLayersRa(), NumCpus,
+                         Rounds, mcsMutexInvariant, "mcs.mutex", raMemory());
 }
 
 HarnessOutcome ccal::certifyMcsLockRa(unsigned NumCpus, unsigned Rounds) {

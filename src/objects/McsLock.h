@@ -25,6 +25,7 @@
 
 #include "objects/Harness.h"
 #include "objects/ObjectSpec.h"
+#include "objects/TicketLock.h"
 
 namespace ccal {
 
@@ -42,12 +43,7 @@ Replayer<McsState> makeMcsReplayer();
 
 /// All MCS layer pieces; the overlay L1 and relation target the same
 /// atomic acq/rel events as the ticket lock.
-struct McsLockLayers {
-  LayerPtr L0;
-  ClightModule M1;
-  LayerPtr L1;
-  EventMap R1;
-};
+using McsLockLayers = LockLayers;
 
 McsLockLayers makeMcsLockLayers();
 

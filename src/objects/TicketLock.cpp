@@ -224,20 +224,9 @@ std::string ccal::ticketMutexInvariant(const MultiCoreMachine &M) {
 StarvationReport
 ccal::checkTicketStarvationFreedom(unsigned NumCpus,
                                    unsigned FairnessBound) {
-  TicketLockLayers Layers = makeTicketLockLayers();
-  static ClightModule M1;
-  static ClightModule Client;
-  M1 = cloneModule(Layers.M1);
-  Client = makeTicketClient();
-
-  ObjectHarness H;
-  H.ObjectName = "ticket_starvation";
-  H.Underlay = Layers.L0;
-  H.Modules = {&M1};
-  H.Overlay = Layers.L1;
-  H.Client = &Client;
-  for (unsigned C = 1; C <= NumCpus; ++C)
-    H.Work.emplace(C, std::vector<CpuWorkItem>{{"t_main", {}}});
+  ObjectHarness H =
+      makeLockHarness("ticket_starvation", makeTicketLockLayers(), NumCpus,
+                      /*Rounds=*/1, ticketMutexInvariant, "ticket.mutex");
 
   StarvationReport Report;
   // n: events a holder emits from hold to inc_n inclusive (hold, f, g,
@@ -278,37 +267,38 @@ ccal::checkTicketStarvationFreedom(unsigned NumCpus,
   return Report;
 }
 
-ObjectHarness ccal::makeTicketLockHarness(unsigned NumCpus,
-                                          unsigned Rounds) {
-  TicketLockLayers Layers = makeTicketLockLayers();
-  // The harness owns its modules (no function-local statics): concurrent
-  // callers — certd workers certifying different CPU counts — must not
-  // reassign each other's ASTs mid-exploration.
+ObjectHarness ccal::makeLockHarness(
+    std::string ObjectName, const LockLayers &Layers, unsigned NumCpus,
+    unsigned Rounds, std::string (*Invariant)(const MultiCoreMachine &),
+    std::string InvariantName, MemoryModelPtr ImplModel) {
   auto M1 = std::make_shared<ClightModule>(cloneModule(Layers.M1));
   auto Client = std::make_shared<ClightModule>(makeTicketClient());
 
   ObjectHarness H;
   H.Owned = {M1, Client};
-  H.ObjectName = "ticket_lock";
+  H.ObjectName = std::move(ObjectName);
   H.Underlay = Layers.L0;
   H.Modules = {M1.get()};
   H.Overlay = Layers.L1;
   H.R = Layers.R1;
   H.Client = Client.get();
-  for (unsigned C = 1; C <= NumCpus; ++C) {
-    std::vector<CpuWorkItem> Items;
-    for (unsigned I = 0; I != Rounds; ++I)
-      Items.push_back({"t_main", {}});
-    H.Work.emplace(C, std::move(Items));
-  }
+  for (unsigned C = 1; C <= NumCpus; ++C)
+    H.Work.emplace(C, std::vector<CpuWorkItem>(Rounds, {"t_main", {}}));
   H.ImplOpts.FairnessBound = 2;
   H.ImplOpts.MaxSteps = 512;
-  H.ImplOpts.Invariant = ticketMutexInvariant;
-  H.ImplOpts.InvariantName = "ticket.mutex";
+  H.ImplOpts.Invariant = Invariant;
+  H.ImplOpts.InvariantName = std::move(InvariantName);
   // The atomic spec never spins; no fairness pruning on the spec side.
   H.SpecOpts.FairnessBound = 1u << 20;
   H.SpecOpts.MaxSteps = 512;
+  H.ImplModel = std::move(ImplModel);
   return H;
+}
+
+ObjectHarness ccal::makeTicketLockHarness(unsigned NumCpus,
+                                          unsigned Rounds) {
+  return makeLockHarness("ticket_lock", makeTicketLockLayers(), NumCpus,
+                         Rounds, ticketMutexInvariant, "ticket.mutex");
 }
 
 HarnessOutcome ccal::certifyTicketLock(unsigned NumCpus, unsigned Rounds) {
@@ -318,32 +308,10 @@ HarnessOutcome ccal::certifyTicketLock(unsigned NumCpus, unsigned Rounds) {
 ObjectHarness ccal::makeTicketLockHarnessRa(unsigned NumCpus,
                                             unsigned Rounds,
                                             bool BrokenGrab) {
-  TicketLockLayers Layers = makeTicketLockLayersRa(BrokenGrab);
-  auto M1 = std::make_shared<ClightModule>(cloneModule(Layers.M1));
-  auto Client = std::make_shared<ClightModule>(makeTicketClient());
-
-  ObjectHarness H;
-  H.Owned = {M1, Client};
-  H.ObjectName = BrokenGrab ? "ticket_lock_ra_broken" : "ticket_lock_ra";
-  H.Underlay = Layers.L0;
-  H.Modules = {M1.get()};
-  H.Overlay = Layers.L1;
-  H.R = Layers.R1;
-  H.Client = Client.get();
-  for (unsigned C = 1; C <= NumCpus; ++C) {
-    std::vector<CpuWorkItem> Items;
-    for (unsigned I = 0; I != Rounds; ++I)
-      Items.push_back({"t_main", {}});
-    H.Work.emplace(C, std::move(Items));
-  }
-  H.ImplOpts.FairnessBound = 2;
-  H.ImplOpts.MaxSteps = 512;
-  H.ImplOpts.Invariant = ticketMutexInvariant;
-  H.ImplOpts.InvariantName = "ticket.mutex";
-  H.SpecOpts.FairnessBound = 1u << 20;
-  H.SpecOpts.MaxSteps = 512;
-  H.ImplModel = raMemory();
-  return H;
+  return makeLockHarness(BrokenGrab ? "ticket_lock_ra_broken"
+                                    : "ticket_lock_ra",
+                         makeTicketLockLayersRa(BrokenGrab), NumCpus, Rounds,
+                         ticketMutexInvariant, "ticket.mutex", raMemory());
 }
 
 HarnessOutcome ccal::certifyTicketLockRa(unsigned NumCpus, unsigned Rounds,

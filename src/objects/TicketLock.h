@@ -46,13 +46,17 @@ Replayer<TicketState> makeTicketReplayer();
 /// k-th ticket (FIFO handout); returns "" when it holds.
 std::string checkTicketFifo(const Log &L);
 
-/// All ticket-lock layer pieces.
-struct TicketLockLayers {
+/// The pieces of a certified lock layer: the underlay L0, the ClightX
+/// module M1 implementing acq/rel over it, the atomic overlay L1, and the
+/// relation R1 between their logs.  The ticket and MCS locks differ only
+/// in L0, M1 and R1; both refine the same L1 (§6).
+struct LockLayers {
   LayerPtr L0;
   ClightModule M1;
   LayerPtr L1;
   EventMap R1;
 };
+using TicketLockLayers = LockLayers;
 
 /// Builds L0, M1, L1, and R1.
 TicketLockLayers makeTicketLockLayers();
@@ -66,6 +70,17 @@ ClightModule makeTicketClient();
 /// Mutual-exclusion invariant over the implementation machine, expressed
 /// on the replayed ticket state; returns "" when it holds.
 std::string ticketMutexInvariant(const MultiCoreMachine &M);
+
+/// The harness every lock certification runs: each of \p NumCpus CPUs
+/// runs the makeTicketClient client \p Rounds times over \p Layers, and
+/// the implementation machine checks \p Invariant (certificate-keyed as
+/// \p InvariantName) on every state under \p ImplModel (null = SC).  The
+/// harness owns its modules, so concurrent harnesses share no AST.
+ObjectHarness
+makeLockHarness(std::string ObjectName, const LockLayers &Layers,
+                unsigned NumCpus, unsigned Rounds,
+                std::string (*Invariant)(const MultiCoreMachine &),
+                std::string InvariantName, MemoryModelPtr ImplModel = nullptr);
 
 /// Builds (without running) the harness certifyTicketLock runs: callers
 /// that need to inject exploration knobs — the certd daemon threads a

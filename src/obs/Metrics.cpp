@@ -25,7 +25,6 @@ struct Metric {
   std::uint64_t Count = 0;
   std::int64_t Value = 0;
   std::uint64_t TotalNs = 0;
-  HistogramData Hist;
 };
 
 struct Registry {
@@ -44,13 +43,6 @@ Metric &entry(Registry &R, const std::string &Name, MetricSample::Kind K) {
   Metric &M = R.Metrics[Name];
   M.K = K; // last writer wins; names are kind-disjoint by convention
   return M;
-}
-
-unsigned bucketOf(std::uint64_t V) {
-  unsigned B = 0;
-  while (V >>= 1)
-    ++B;
-  return B;
 }
 
 /// Env-driven enablement runs before main so every binary honors
@@ -84,21 +76,6 @@ std::uint64_t obs::nowNs() {
   return support::monotonicNowNs();
 }
 
-std::uint64_t HistogramData::quantile(double Q) const {
-  if (Count == 0)
-    return 0;
-  std::uint64_t Rank = static_cast<std::uint64_t>(Q * static_cast<double>(Count));
-  if (Rank >= Count)
-    Rank = Count - 1;
-  std::uint64_t Seen = 0;
-  for (unsigned B = 0; B != NumBuckets; ++B) {
-    Seen += Buckets[B];
-    if (Seen > Rank)
-      return B == 0 ? 1 : (2ull << B) - 1; // inclusive upper bound
-  }
-  return Max;
-}
-
 void obs::counterAdd(const std::string &Name, std::uint64_t Delta) {
   if (!enabled())
     return;
@@ -125,22 +102,6 @@ void obs::timerRecordNs(const std::string &Name, std::uint64_t Ns) {
   M.TotalNs += Ns;
 }
 
-void obs::histRecord(const std::string &Name, std::uint64_t Value) {
-  if (!enabled())
-    return;
-  Registry &R = registry();
-  std::lock_guard<std::mutex> L(R.Mu);
-  Metric &M = entry(R, Name, MetricSample::Kind::Histogram);
-  HistogramData &H = M.Hist;
-  if (H.Count == 0 || Value < H.Min)
-    H.Min = Value;
-  if (Value > H.Max)
-    H.Max = Value;
-  ++H.Count;
-  H.Sum += Value;
-  ++H.Buckets[bucketOf(Value)];
-}
-
 std::uint64_t obs::counterValue(const std::string &Name) {
   Registry &R = registry();
   std::lock_guard<std::mutex> L(R.Mu);
@@ -153,13 +114,6 @@ std::int64_t obs::gaugeValue(const std::string &Name) {
   std::lock_guard<std::mutex> L(R.Mu);
   auto It = R.Metrics.find(Name);
   return It == R.Metrics.end() ? 0 : It->second.Value;
-}
-
-HistogramData obs::histData(const std::string &Name) {
-  Registry &R = registry();
-  std::lock_guard<std::mutex> L(R.Mu);
-  auto It = R.Metrics.find(Name);
-  return It == R.Metrics.end() ? HistogramData() : It->second.Hist;
 }
 
 std::size_t obs::metricsCount() {
@@ -177,10 +131,9 @@ std::vector<MetricSample> obs::metricsSnapshot() {
     MetricSample S;
     S.Name = Name;
     S.K = M.K;
-    S.Count = M.K == MetricSample::Kind::Histogram ? M.Hist.Count : M.Count;
+    S.Count = M.Count;
     S.Value = M.Value;
     S.TotalNs = M.TotalNs;
-    S.Hist = M.Hist;
     Out.push_back(std::move(S));
   }
   return Out;
@@ -217,18 +170,6 @@ std::string obs::metricsJson() {
     return "{\"count\": " + std::to_string(S.Count) +
            ", \"total_ns\": " + std::to_string(S.TotalNs) + "}";
   });
-  Out += ",\n";
-  Emit(Out, MetricSample::Kind::Histogram, "histograms",
-       [](const MetricSample &S) {
-         const HistogramData &H = S.Hist;
-         return "{\"count\": " + std::to_string(H.Count) +
-                ", \"sum\": " + std::to_string(H.Sum) +
-                ", \"min\": " + std::to_string(H.Min) +
-                ", \"max\": " + std::to_string(H.Max) +
-                ", \"p50\": " + std::to_string(H.quantile(0.50)) +
-                ", \"p90\": " + std::to_string(H.quantile(0.90)) +
-                ", \"p99\": " + std::to_string(H.quantile(0.99)) + "}";
-       });
   Out += "\n}\n";
   return Out;
 }
@@ -237,16 +178,4 @@ void obs::metricsReset() {
   Registry &R = registry();
   std::lock_guard<std::mutex> L(R.Mu);
   R.Metrics.clear();
-}
-
-ScopedTimer::ScopedTimer(const char *Name)
-    : Name(Name), StartNs(enabled() ? nowNs() : 0) {
-  if (StartNs == 0)
-    StartNs = enabled() ? 1 : 0; // 0 is the disabled sentinel
-}
-
-ScopedTimer::~ScopedTimer() {
-  if (StartNs == 0)
-    return;
-  timerRecordNs(Name, nowNs() - StartNs);
 }

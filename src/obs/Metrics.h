@@ -6,13 +6,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A process-wide metrics registry: named counters, gauges, timers, and
-/// power-of-two histograms, behind one atomic enablement flag.  The
-/// paper's evaluation (§6) is built on measurement — proof effort,
-/// compilation stages, lock latency — and the hot subsystems (Explorer,
-/// refinement checkers, CompCertX pipeline, runtime locks) report into
-/// this registry so the numbers behind BENCH_*.json are inspectable and
-/// assertable rather than ad-hoc printouts.
+/// A process-wide metrics registry: named counters, gauges and timers,
+/// behind one atomic enablement flag.  The paper's evaluation (§6) is
+/// built on measurement — proof effort, compilation stages, lock latency —
+/// and the model-side subsystems (Explorer, refinement checkers, CompCertX
+/// pipeline, certificate store, certd) report into this registry so the
+/// numbers behind BENCH_*.json are inspectable and assertable rather than
+/// ad-hoc printouts.  The runtime locks do not: every registry call takes
+/// one global mutex, which has no place on an acquire path, so lock
+/// latency and contention come from the audit recorder's per-operation
+/// timestamps (audit/Recorder.h) instead.
 ///
 /// Cost model.  Every recording call starts with one relaxed atomic load
 /// of the enablement flag; when disabled (the default) nothing else
@@ -26,7 +29,7 @@
 /// environment variable (see obs/Trace.h for the file-dumping forms).
 ///
 /// Thread safety: all registry operations are safe to call concurrently
-/// (the parallel Explorer's workers and the runtime-lock benches do); the
+/// (the parallel Explorer's workers and certd's job workers do); the
 /// registry map is mutex-guarded and values are plain integers under that
 /// mutex.  The CI TSan job drives this concurrently on purpose.
 ///
@@ -35,7 +38,6 @@
 #ifndef CCAL_OBS_METRICS_H
 #define CCAL_OBS_METRICS_H
 
-#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -56,30 +58,14 @@ void setEnabled(bool On);
 /// main via a static initializer.  Returns the resulting enablement.
 bool initFromEnv();
 
-/// One histogram: power-of-two buckets (bucket i counts values V with
-/// bit_width(V) == i; zero lands in bucket 0) plus count/sum/min/max.
-struct HistogramData {
-  static constexpr unsigned NumBuckets = 64;
-  std::uint64_t Count = 0;
-  std::uint64_t Sum = 0;
-  std::uint64_t Min = 0;
-  std::uint64_t Max = 0;
-  std::array<std::uint64_t, NumBuckets> Buckets{};
-
-  /// Upper bound of the bucket holding the q-quantile (0 <= q <= 1); an
-  /// estimate within 2x, which is what latency shapes need.
-  std::uint64_t quantile(double Q) const;
-};
-
 /// A snapshot of one registered metric.
 struct MetricSample {
-  enum class Kind { Counter, Gauge, Timer, Histogram };
+  enum class Kind { Counter, Gauge, Timer };
   std::string Name;
   Kind K = Kind::Counter;
-  std::uint64_t Count = 0;  ///< counter value / timer or histogram count
+  std::uint64_t Count = 0;  ///< counter value / timer count
   std::int64_t Value = 0;   ///< gauge value
   std::uint64_t TotalNs = 0; ///< timers: accumulated nanoseconds
-  HistogramData Hist;       ///< histograms only
 };
 
 /// Adds \p Delta to counter \p Name (created on first use).  Counters are
@@ -92,18 +78,12 @@ void gaugeSet(const std::string &Name, std::int64_t Value);
 /// Adds one duration observation to timer \p Name.
 void timerRecordNs(const std::string &Name, std::uint64_t Ns);
 
-/// Adds one value observation to histogram \p Name.
-void histRecord(const std::string &Name, std::uint64_t Value);
-
 /// Current value of counter \p Name (0 when absent — a disabled run has
 /// no entries).
 std::uint64_t counterValue(const std::string &Name);
 
 /// Current value of gauge \p Name (0 when absent).
 std::int64_t gaugeValue(const std::string &Name);
-
-/// Histogram \p Name (empty when absent).
-HistogramData histData(const std::string &Name);
 
 /// Number of registered metrics (0 while disabled — recording while
 /// disabled must not create entries).
@@ -113,28 +93,11 @@ std::size_t metricsCount();
 std::vector<MetricSample> metricsSnapshot();
 
 /// The registry as a JSON object {"counters": {...}, "gauges": {...},
-/// "timers": {...}, "histograms": {...}} — the structure BENCH_*.json
-/// embeds.
+/// "timers": {...}} — the structure BENCH_*.json embeds.
 std::string metricsJson();
 
 /// Drops every registered metric (tests isolate themselves with this).
 void metricsReset();
-
-/// RAII timer: records the scope's duration into timer \p Name and (when
-/// tracing is on) a span into the trace buffer.  Near-zero when disabled:
-/// the constructor is one relaxed load and the destructor one branch.
-class ScopedTimer {
-public:
-  explicit ScopedTimer(const char *Name);
-  ~ScopedTimer();
-
-  ScopedTimer(const ScopedTimer &) = delete;
-  ScopedTimer &operator=(const ScopedTimer &) = delete;
-
-private:
-  const char *Name;
-  std::uint64_t StartNs; ///< 0 = disabled at construction
-};
 
 /// Monotonic nanoseconds since process start (0 origin keeps Chrome trace
 /// timestamps small).

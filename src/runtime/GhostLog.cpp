@@ -19,47 +19,5 @@ GhostLog &threadGhostLog() {
   return Log;
 }
 
-GhostStats ghostStats(const GhostLog &L) {
-  GhostStats S;
-  bool InAcquire = false;
-  bool Waited = false;
-  std::uint64_t MyTicket = 0;
-  auto Close = [&] {
-    if (InAcquire && Waited)
-      ++S.Contended;
-    InAcquire = false;
-    Waited = false;
-  };
-  for (const GhostLog::Entry &E : L.entries()) {
-    switch (E.Kind) {
-    case GhostFai: // ticket acquire begins; Arg = my ticket
-      Close();
-      InAcquire = true;
-      ++S.Acquires;
-      MyTicket = E.Arg;
-      break;
-    case GhostGetNow: // Arg = now-serving read by the poll
-      if (InAcquire && E.Arg != MyTicket) {
-        ++S.SpinObservations;
-        Waited = true;
-      }
-      break;
-    case GhostSwapTail: // MCS acquire; Arg = predecessor pointer
-      Close();
-      ++S.Acquires;
-      if (E.Arg != 0)
-        ++S.Contended;
-      break;
-    case GhostHold: // acquire completed
-      Close();
-      break;
-    default:
-      break;
-    }
-  }
-  Close();
-  return S;
-}
-
 } // namespace rt
 } // namespace ccal

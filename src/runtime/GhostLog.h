@@ -42,29 +42,12 @@ public:
   size_t size() const { return Entries.size(); }
   void clear() { Entries.clear(); }
 
-  /// The recorded events, oldest first (bounded — see record()).
-  const std::vector<Entry> &entries() const { return Entries; }
-
 private:
   std::vector<Entry> Entries;
 };
 
 /// The calling thread's ghost log.
 GhostLog &threadGhostLog();
-
-/// Contention statistics reconstructed from one thread's ghost log — the
-/// observability counters §6's latency story needs.  An acquire is a
-/// GhostFai (ticket) or GhostSwapTail (MCS) event; it counts as contended
-/// when the log shows waiting (a GhostGetNow poll that read a serving
-/// number other than the held ticket, or a swap that returned a non-null
-/// predecessor).
-struct GhostStats {
-  std::uint64_t Acquires = 0;
-  std::uint64_t Contended = 0;        ///< acquires that had to wait
-  std::uint64_t SpinObservations = 0; ///< failed polls across all acquires
-};
-
-GhostStats ghostStats(const GhostLog &L);
 
 /// Ghost event kinds used by the runtime locks.
 enum GhostKind : std::uint32_t {

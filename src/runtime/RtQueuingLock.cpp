@@ -42,10 +42,13 @@ void QueuingLock::release() {
   Sleepers.pop_front(); // ql_busy = wakeup(): direct handoff
   Spin.release();
   {
+    // Notify while holding the waiter's mutex: once the mutex is free the
+    // waiter may see Granted, return, and destroy its Waiter, condition
+    // variable included.
     std::lock_guard<std::mutex> Guard(Next->M);
     Next->Granted = true;
+    Next->Cv.notify_one();
   }
-  Next->Cv.notify_one();
   if (AInv)
     audit::record(this, audit::Method::Rel, /*HasArg=*/false, 0, 0, AInv);
 }

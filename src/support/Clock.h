@@ -7,16 +7,16 @@
 ///
 /// \file
 /// The single monotonic timestamp source every runtime-side consumer
-/// shares: the obs layer's `nowNs` (latency histograms, Chrome trace
-/// spans, the ghost-log contention reconstruction they are correlated
-/// against) and the audit recorder's invocation/response stamps all read
-/// this clock, anchored to one process-wide origin.  Keeping them on one
-/// source is a correctness matter, not a convenience: the audit checker
-/// derives real-time *precedence* from these stamps (response(A) <
-/// invoke(B) means A must linearize before B), so two subsystems reading
-/// clocks with different origins — or a monotonic clock here and a
-/// wall clock there — could manufacture or hide precedence edges and make
-/// the trace auditor disagree with the ghost-log view of the same run.
+/// shares: the obs layer's `nowNs` (timers, Chrome trace spans) and the
+/// audit recorder's invocation/response stamps (which also yield the lock
+/// benches' acquire latency and contention) all read this clock, anchored
+/// to one process-wide origin.  Keeping them on one source is a
+/// correctness matter, not a convenience: the audit checker derives
+/// real-time *precedence* from these stamps (response(A) < invoke(B)
+/// means A must linearize before B), so two subsystems reading clocks
+/// with different origins — or a monotonic clock here and a wall clock
+/// there — could manufacture or hide precedence edges and make a trace
+/// disagree with the spans recorded alongside it.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -154,12 +154,9 @@ MonitorCheck runBufferCheck(unsigned Items, unsigned Producers,
   for (ThreadId T = 0; T <= Producers; ++T)
     CpuOf.emplace(T, 0);
 
-  static ClightModule Buffer;
-  static ClightModule Cv;
-  static ClightModule Client;
-  Buffer = makeBufferModule(SharedCv);
-  Cv = makeCondVarModule();
-  Client = makeBufferClient();
+  ClightModule Buffer = makeBufferModule(SharedCv);
+  ClightModule Cv = makeCondVarModule();
+  ClightModule Client = makeBufferClient();
 
   auto Cfg = std::make_shared<ThreadedConfig>();
   Cfg->Name = SharedCv ? "buffer.sharedcv" : "buffer";

@@ -50,12 +50,9 @@ ClightModule ccal::makeIpcChannelModule() {
 MonitorCheck ccal::checkIpcChannel(unsigned Items) {
   std::map<ThreadId, ThreadId> CpuOf = {{0, 0}, {1, 0}};
 
-  static ClightModule Channel;
-  static ClightModule Cv;
-  static ClightModule Client;
-  Channel = makeIpcChannelModule();
-  Cv = makeCondVarModule();
-  Client = parseModuleOrDie("P_ipc_client", R"(
+  ClightModule Channel = makeIpcChannelModule();
+  ClightModule Cv = makeCondVarModule();
+  ClightModule Client = parseModuleOrDie("P_ipc_client", R"(
     extern void send(int v);
     extern int recv();
     extern void done(int v);

@@ -65,12 +65,9 @@ LinkingReport ccal::checkMultithreadedLinking(const LinkingSetup &Setup) {
   for (ThreadId T = 0; T <= Setup.NumThreads; ++T)
     CpuOf.emplace(T, 0);
 
-  static ClightModule Client;
-  static ClightModule Sched;
-  static ClightModule Queue;
-  Client = makeLinkingClient(Setup.NumThreads);
-  Sched = makeSchedModule();
-  Queue = makeLocalQueueModule();
+  ClightModule Client = makeLinkingClient(Setup.NumThreads);
+  ClightModule Sched = makeSchedModule();
+  ClightModule Queue = makeLocalQueueModule();
 
   // --- Lbtd[c]: scheduler and ready queue are linked code.
   auto Low = makeInterface("Lbtd");

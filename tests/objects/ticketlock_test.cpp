@@ -5,6 +5,7 @@
 #include "compcertx/Linker.h"
 #include "lang/Parser.h"
 #include "lang/TypeCheck.h"
+#include "tests/common/concurrent_calls.h"
 
 #include <gtest/gtest.h>
 
@@ -141,6 +142,19 @@ TEST(TicketLockTest, StarvationBoundScalesWithFairness) {
   EXPECT_LE(Tight.WorstWait, Loose.WorstWait);
   EXPECT_TRUE(Tight.WithinBound);
   EXPECT_TRUE(Loose.WithinBound);
+}
+
+TEST(TicketLockTest, StarvationCheckIsSafeToCallConcurrently) {
+  StarvationReport Seq = checkTicketStarvationFreedom(2, 1);
+  ASSERT_TRUE(Seq.Ok) << Seq.Violation;
+  for (const StarvationReport &Rep : test::callOnTwoThreads(
+           [] { return checkTicketStarvationFreedom(2, 1); }, 200)) {
+    EXPECT_EQ(Rep.Ok, Seq.Ok);
+    EXPECT_EQ(Rep.Violation, Seq.Violation);
+    EXPECT_EQ(Rep.WorstWait, Seq.WorstWait);
+    EXPECT_EQ(Rep.Bound, Seq.Bound);
+    EXPECT_EQ(Rep.SchedulesExplored, Seq.SchedulesExplored);
+  }
 }
 
 TEST(TicketLockTest, HarnessStatsPopulated) {

@@ -58,26 +58,11 @@ TEST_F(ObsTest, GaugesOverwriteAndCountersDoNot) {
   EXPECT_EQ(obs::gaugeValue("t.g"), -2);
 }
 
-TEST_F(ObsTest, HistogramQuantilesBracketTheData) {
-  for (std::uint64_t V = 1; V <= 1000; ++V)
-    obs::histRecord("t.h", V);
-  obs::HistogramData H = obs::histData("t.h");
-  EXPECT_EQ(H.Count, 1000u);
-  EXPECT_EQ(H.Min, 1u);
-  EXPECT_EQ(H.Max, 1000u);
-  // Power-of-two buckets: quantiles are 2x estimates, so bracket loosely.
-  EXPECT_GE(H.quantile(0.5), 256u);
-  EXPECT_LE(H.quantile(0.5), 1024u);
-  EXPECT_GE(H.quantile(0.99), H.quantile(0.5));
-}
-
 TEST_F(ObsTest, DisabledModeCreatesNoRegistryEntries) {
   obs::setEnabled(false);
   obs::counterAdd("off.c", 10);
   obs::gaugeSet("off.g", 1);
-  obs::histRecord("off.h", 1);
   obs::timerRecordNs("off.t", 1);
-  { obs::ScopedTimer T("off.scoped"); }
   { obs::Span S("off.span", "test"); }
   obs::traceInstant("off.instant", "test");
   EXPECT_EQ(obs::metricsCount(), 0u);
@@ -161,7 +146,6 @@ TEST_F(ObsTest, MetricsJsonParses) {
   obs::counterAdd("j.c", 3);
   obs::gaugeSet("j.g", -1);
   obs::timerRecordNs("j.t", 1000);
-  obs::histRecord("j.h", 42);
   JsonParseResult P = parseJson(obs::metricsJson());
   ASSERT_TRUE(P.Ok) << P.Error;
   const JsonValue *Counters = P.Value.field("counters");
@@ -199,7 +183,6 @@ TEST_F(ObsTest, ConcurrentIncrementsAreExact) {
       for (unsigned I = 0; I != PerThread; ++I) {
         obs::counterAdd("conc.total");
         obs::counterAdd("conc.t" + std::to_string(T));
-        obs::histRecord("conc.h", I);
         if (I % 256 == 0) {
           obs::Span S("conc.span", "test");
           obs::gaugeSet("conc.g", static_cast<std::int64_t>(I));
@@ -212,8 +195,6 @@ TEST_F(ObsTest, ConcurrentIncrementsAreExact) {
             static_cast<std::uint64_t>(Threads) * PerThread);
   for (unsigned T = 0; T != Threads; ++T)
     EXPECT_EQ(obs::counterValue("conc.t" + std::to_string(T)), PerThread);
-  EXPECT_EQ(obs::histData("conc.h").Count,
-            static_cast<std::uint64_t>(Threads) * PerThread);
 }
 
 /// Concurrent enable/disable races against recording — the flag is the

@@ -2,6 +2,8 @@
 
 #include "threads/CondVar.h"
 
+#include "tests/common/concurrent_calls.h"
+
 #include <gtest/gtest.h>
 
 using namespace ccal;
@@ -25,6 +27,18 @@ TEST(CondVarTest, LostWakeupDeadlockIsFound) {
   EXPECT_FALSE(C.Ok);
   EXPECT_NE(C.Violation.find("deadlock"), std::string::npos)
       << C.Violation;
+}
+
+TEST(CondVarTest, CheckIsSafeToCallConcurrently) {
+  MonitorCheck Seq = checkBoundedBuffer(3);
+  ASSERT_TRUE(Seq.Ok) << Seq.Violation;
+  for (const MonitorCheck &C :
+       test::callOnTwoThreads([] { return checkBoundedBuffer(3); }, 200)) {
+    EXPECT_EQ(C.Ok, Seq.Ok);
+    EXPECT_EQ(C.Violation, Seq.Violation);
+    EXPECT_EQ(C.SchedulesExplored, Seq.SchedulesExplored);
+    EXPECT_EQ(C.StatesExplored, Seq.StatesExplored);
+  }
 }
 
 TEST(CondVarTest, ModuleShapes) {

@@ -2,6 +2,8 @@
 
 #include "threads/Ipc.h"
 
+#include "tests/common/concurrent_calls.h"
+
 #include <gtest/gtest.h>
 
 using namespace ccal;
@@ -16,6 +18,18 @@ TEST(IpcTest, RingOverflowForcesBothBlockingPaths) {
   // the receiver on not-empty.
   MonitorCheck C = checkIpcChannel(IpcRingCap + 2);
   EXPECT_TRUE(C.Ok) << C.Violation;
+}
+
+TEST(IpcTest, CheckIsSafeToCallConcurrently) {
+  MonitorCheck Seq = checkIpcChannel(2);
+  ASSERT_TRUE(Seq.Ok) << Seq.Violation;
+  for (const MonitorCheck &C :
+       test::callOnTwoThreads([] { return checkIpcChannel(2); }, 200)) {
+    EXPECT_EQ(C.Ok, Seq.Ok);
+    EXPECT_EQ(C.Violation, Seq.Violation);
+    EXPECT_EQ(C.SchedulesExplored, Seq.SchedulesExplored);
+    EXPECT_EQ(C.StatesExplored, Seq.StatesExplored);
+  }
 }
 
 TEST(IpcTest, ChannelModuleUsesRing) {

@@ -2,6 +2,9 @@
 
 #include "threads/Linking.h"
 
+#include "support/Json.h"
+#include "tests/common/concurrent_calls.h"
+
 #include <gtest/gtest.h>
 
 using namespace ccal;
@@ -34,4 +37,18 @@ TEST(LinkingTest, ManyRounds) {
   LinkingReport Rep = checkMultithreadedLinking(Setup);
   EXPECT_TRUE(Rep.Refinement.Holds) << Rep.Refinement.Counterexample;
   EXPECT_GT(Rep.Refinement.ObligationsChecked, 0u);
+}
+
+TEST(LinkingTest, CheckIsSafeToCallConcurrently) {
+  LinkingSetup Setup;
+  Setup.NumThreads = 2;
+  Setup.Rounds = 2;
+  auto Payload = [](const LinkingReport &Rep) {
+    return jsonToString(refinementToPayload(Rep.Refinement));
+  };
+  LinkingReport Seq = checkMultithreadedLinking(Setup);
+  ASSERT_TRUE(Seq.Refinement.Holds) << Seq.Refinement.Counterexample;
+  for (const LinkingReport &Rep : test::callOnTwoThreads(
+           [&] { return checkMultithreadedLinking(Setup); }, 200))
+    EXPECT_EQ(Payload(Rep), Payload(Seq));
 }
