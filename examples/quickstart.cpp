@@ -79,7 +79,8 @@ int main() {
   std::printf("== ccal quickstart: certifying Fig. 3 bottom-up ==\n\n");
 
   // ---- Step 1: the ticket-lock layer (L0 |- M1 : L1) on CPUs {1,2}.
-  HarnessOutcome Ticket = certifyTicketLock(/*NumCpus=*/2);
+  ObjectHarness TicketH = makeTicketLockHarness(/*NumCpus=*/2);
+  HarnessOutcome Ticket = runObjectHarness(TicketH);
   if (!Ticket.Report.Holds) {
     std::printf("ticket lock failed: %s\n",
                 Ticket.Report.Counterexample.c_str());
@@ -127,11 +128,16 @@ int main() {
   CertifiedLayer Stack = calculus::vcomp(Ticket.Layer, FooOut.Layer);
   std::printf("[3] Fig. 5 derivation:\n%s\n", Stack.Cert->tree().c_str());
 
-  // ---- Step 4: the Compat side condition (Fig. 9) on real logs.
+  // ---- Step 4: the Compat side condition (Fig. 9) on real logs: the
+  // ticket layer's implementation machine, explored again with its corpus
+  // collected, and each log mapped through R1.
   static TicketLockLayers Layers = makeTicketLockLayers();
   {
+    ExploreOptions Opts = TicketH.ImplOpts;
+    Opts.CollectCorpus = true;
+    ExploreResult Impl = exploreMachine(TicketH.implConfig(), Opts);
     std::vector<Log> Corpus;
-    for (const Log &Lg : Ticket.Report.Corpus)
+    for (const Log &Lg : Impl.Corpus)
       Corpus.push_back(Layers.R1.apply(Lg));
     calculus::CompatReport Compat =
         calculus::checkCompat(*Layers.L1, {1}, {2}, Corpus);

@@ -4,14 +4,8 @@
 
 using namespace ccal;
 
-namespace {
-
-// Strict field accessors: every helper returns false on a missing or
-// ill-typed field so a malformed document can never half-populate a
-// certificate.
-
-bool getStr(const JsonValue &V, const char *Name, std::string &Out,
-            std::string &Error) {
+bool cert::getStr(const JsonValue &V, const char *Name, std::string &Out,
+                  std::string &Error) {
   const JsonValue *F = V.field(Name);
   if (!F || !F->isString()) {
     Error = std::string("missing or non-string field '") + Name + "'";
@@ -21,8 +15,8 @@ bool getStr(const JsonValue &V, const char *Name, std::string &Out,
   return true;
 }
 
-bool getBool(const JsonValue &V, const char *Name, bool &Out,
-             std::string &Error) {
+bool cert::getBool(const JsonValue &V, const char *Name, bool &Out,
+                   std::string &Error) {
   const JsonValue *F = V.field(Name);
   if (!F || !F->isBool()) {
     Error = std::string("missing or non-bool field '") + Name + "'";
@@ -32,8 +26,8 @@ bool getBool(const JsonValue &V, const char *Name, bool &Out,
   return true;
 }
 
-bool getU64(const JsonValue &V, const char *Name, std::uint64_t &Out,
-            std::string &Error) {
+bool cert::getU64(const JsonValue &V, const char *Name, std::uint64_t &Out,
+                  std::string &Error) {
   const JsonValue *F = V.field(Name);
   if (!F || !F->isNumber() || !F->IsInt || F->IntVal < 0) {
     Error = std::string("missing or non-integer field '") + Name + "'";
@@ -42,8 +36,6 @@ bool getU64(const JsonValue &V, const char *Name, std::uint64_t &Out,
   Out = static_cast<std::uint64_t>(F->IntVal);
   return true;
 }
-
-} // namespace
 
 JsonValue cert::certToJson(const RefinementCertificate &C) {
   JsonValue V;
@@ -158,26 +150,6 @@ bool cert::logFromJson(const JsonValue &V, Log &Out) {
     if (!eventFromJson(E, Ev))
       return false;
     Out.push_back(std::move(Ev));
-  }
-  return true;
-}
-
-JsonValue cert::logsToJson(const std::vector<Log> &Ls) {
-  std::vector<JsonValue> Logs;
-  for (const Log &L : Ls)
-    Logs.push_back(logToJson(L));
-  return jsonArray(std::move(Logs));
-}
-
-bool cert::logsFromJson(const JsonValue &V, std::vector<Log> &Out) {
-  if (!V.isArray())
-    return false;
-  Out.clear();
-  for (const JsonValue &L : V.Items) {
-    Log Lg;
-    if (!logFromJson(L, Lg))
-      return false;
-    Out.push_back(std::move(Lg));
   }
   return true;
 }

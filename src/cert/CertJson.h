@@ -7,7 +7,8 @@
 ///
 /// \file
 /// JSON (de)serialization of RefinementCertificate trees, event logs, and
-/// implication reports — the payloads the certificate store persists.  The
+/// implication reports — the payloads the certificate store persists —
+/// plus the strict field readers every payload decoder uses.  The
 /// writer goes through support/Json.h's deterministic renderer, so equal
 /// derivations always serialize to byte-identical text (what lets CI
 /// compare a warm cache to a cold one by checksum), and the reader is
@@ -24,11 +25,21 @@
 #include "core/RelyGuarantee.h"
 #include "support/Json.h"
 
+#include <cstdint>
 #include <string>
-#include <vector>
 
 namespace ccal {
 namespace cert {
+
+/// Strict field readers for the payload decoders: each returns false, with
+/// \p Error naming the field, when \p Name is missing or ill-typed (for
+/// getU64, also when it is negative), and leaves \p Out untouched then.
+bool getStr(const JsonValue &V, const char *Name, std::string &Out,
+            std::string &Error);
+bool getBool(const JsonValue &V, const char *Name, bool &Out,
+             std::string &Error);
+bool getU64(const JsonValue &V, const char *Name, std::uint64_t &Out,
+            std::string &Error);
 
 /// Serializes a certificate tree (premises recursively).
 JsonValue certToJson(const RefinementCertificate &C);
@@ -43,9 +54,6 @@ bool eventFromJson(const JsonValue &V, Event &Out);
 
 JsonValue logToJson(const Log &L);
 bool logFromJson(const JsonValue &V, Log &Out);
-
-JsonValue logsToJson(const std::vector<Log> &Ls);
-bool logsFromJson(const JsonValue &V, std::vector<Log> &Out);
 
 JsonValue implicationToJson(const ImplicationReport &R);
 bool implicationFromJson(const JsonValue &V, ImplicationReport &Out);

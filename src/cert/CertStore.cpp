@@ -30,6 +30,8 @@ void count(const char *Name) {
     obs::counterAdd(Name);
 }
 
+thread_local cert::Traffic ThisThread;
+
 /// Reads \p P whole.  With several PROCESSES sharing one store directory
 /// (the certd daemon's contract) a file can be evicted between the
 /// caller's existence probe and this open — \p Vanished distinguishes
@@ -101,7 +103,7 @@ bool CertStore::load(const CertKey &Key, Entry &Out) {
   JsonParseResult Parsed = parseJson(Text);
   if (!Parsed)
     return Reject();
-  const JsonValue &Doc = Parsed.Value;
+  JsonValue &Doc = Parsed.Value;
 
   const JsonValue *Schema = Doc.field("schema");
   if (!Schema || !Schema->isNumber() || !Schema->IsInt ||
@@ -136,12 +138,12 @@ bool CertStore::load(const CertKey &Key, Entry &Out) {
   if (!C->CoverageComplete)
     return Reject();
 
-  const JsonValue *Payload = Doc.field("payload");
-  if (!Payload)
+  auto Payload = Doc.Fields.find("payload");
+  if (Payload == Doc.Fields.end())
     return Reject();
 
   Out.Cert = std::move(C);
-  Out.Payload = *Payload;
+  Out.Payload = std::move(Payload->second);
   return true;
 }
 
@@ -183,6 +185,7 @@ void CertStore::store(const CertKey &Key, const Entry &E) {
     fs::remove(Tmp, Ec);
     return;
   }
+  ++ThisThread.Stores;
   count("cert.stores");
 }
 
@@ -240,6 +243,7 @@ bool CertStore::getOrCheck(const CertKey &Key,
   Entry Stored;
   if (load(Key, Stored)) {
     if (Decode(Stored)) {
+      ++ThisThread.Hits;
       count("cert.hits");
       return true;
     }
@@ -250,11 +254,14 @@ bool CertStore::getOrCheck(const CertKey &Key,
     std::filesystem::remove(
         fs::path(Dir) / (Key.fileStem() + ".cert.json"), Ec);
   }
+  ++ThisThread.Misses;
   count("cert.misses");
   Entry Fresh = Check();
   store(Key, Fresh);
   return false;
 }
+
+cert::Traffic cert::threadTraffic() { return ThisThread; }
 
 namespace {
 

@@ -29,7 +29,8 @@
 /// Enabled by `CCAL_CERT_CACHE=<dir>` (created on demand); an optional
 /// `CCAL_CERT_CACHE_MAX=<n>` caps the entry count, evicting oldest-mtime
 /// files.  Hits/misses/stores/rejections/evictions are exported through
-/// the obs:: registry as `cert.*`.
+/// the obs:: registry as `cert.*`; hits, misses and stores are also
+/// tallied per thread (threadTraffic) for per-job attribution.
 ///
 /// Cross-process contract.  The directory may be shared by any number of
 /// threads AND processes concurrently (ctest -j, N ccal-verify clients
@@ -50,6 +51,7 @@
 #include "cert/CertJson.h"
 #include "cert/CertKey.h"
 
+#include <cstdint>
 #include <functional>
 #include <string>
 
@@ -67,7 +69,7 @@ public:
 
   /// One stored entry: the certificate tree plus the checker-specific
   /// report payload (whatever the front-end needs to reconstruct its full
-  /// report — evidence counters, corpus logs, implication details).
+  /// report — verdict, evidence counters, implication details).
   struct Entry {
     CertPtr Cert;
     JsonValue Payload;
@@ -103,6 +105,20 @@ private:
   std::string Dir;
   std::size_t MaxEntries;
 };
+
+/// Certificate-store hits, misses and stores counted on one thread.
+struct Traffic {
+  std::uint64_t Hits = 0;
+  std::uint64_t Misses = 0;
+  std::uint64_t Stores = 0;
+};
+
+/// The calling thread's store traffic since the thread started, counted
+/// whether or not the obs registry is enabled.  The registry's `cert.*`
+/// counters are process-wide, so concurrent checks mix there; a caller
+/// that runs a check on its own thread takes the difference of this tally
+/// around it instead (certd's per-job figures).
+Traffic threadTraffic();
 
 /// The process-wide store, configured from CCAL_CERT_CACHE on first use;
 /// nullptr when caching is disabled (the default — every checker then

@@ -28,20 +28,12 @@ JsonValue validationToPayload(const ValidationReport &R) {
 }
 
 bool validationFromPayload(const JsonValue &V, ValidationReport &R) {
-  const JsonValue *Ok = V.field("ok");
-  const JsonValue *Cases = V.field("cases_checked");
-  const JsonValue *Err = V.field("error");
-  const JsonValue *Stuck = V.field("both_stuck");
-  const JsonValue *Rw = V.field("optimizer_rewrites");
-  if (!Ok || !Ok->isBool() || !Cases || !Cases->IsInt || !Err ||
-      !Err->isString() || !Stuck || !Stuck->IsInt || !Rw || !Rw->IsInt)
-    return false;
-  R.Ok = Ok->BoolVal;
-  R.CasesChecked = static_cast<std::uint64_t>(Cases->IntVal);
-  R.Error = Err->StrVal;
-  R.BothStuck = static_cast<std::uint64_t>(Stuck->IntVal);
-  R.OptimizerRewrites = static_cast<std::uint64_t>(Rw->IntVal);
-  return true;
+  std::string Error;
+  return cert::getBool(V, "ok", R.Ok, Error) &&
+         cert::getU64(V, "cases_checked", R.CasesChecked, Error) &&
+         cert::getStr(V, "error", R.Error, Error) &&
+         cert::getU64(V, "both_stuck", R.BothStuck, Error) &&
+         cert::getU64(V, "optimizer_rewrites", R.OptimizerRewrites, Error);
 }
 
 } // namespace

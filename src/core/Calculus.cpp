@@ -247,14 +247,12 @@ JsonValue compatToPayload(const calculus::CompatReport &R) {
 }
 
 bool compatFromPayload(const JsonValue &V, calculus::CompatReport &R) {
-  const JsonValue *Holds = V.field("holds");
-  const JsonValue *Logs = V.field("logs_checked");
+  std::string Error;
   const JsonValue *Details = V.field("details");
-  if (!Holds || !Holds->isBool() || !Logs || !Logs->IsInt || !Details ||
+  if (!cert::getBool(V, "holds", R.Holds, Error) ||
+      !cert::getU64(V, "logs_checked", R.LogsChecked, Error) || !Details ||
       !Details->isArray())
     return false;
-  R.Holds = Holds->BoolVal;
-  R.LogsChecked = static_cast<std::uint64_t>(Logs->IntVal);
   R.Details.clear();
   for (const JsonValue &D : Details->Items) {
     ImplicationReport I;

@@ -25,23 +25,13 @@ JsonValue simToPayload(const SimReport &R) {
 }
 
 bool simFromPayload(const JsonValue &V, SimReport &R) {
-  const JsonValue *Holds = V.field("holds");
-  const JsonValue *Complete = V.field("complete");
-  const JsonValue *Runs = V.field("runs");
-  const JsonValue *Moves = V.field("moves");
-  const JsonValue *Ob = V.field("obligations");
-  const JsonValue *Cex = V.field("counterexample");
-  if (!Holds || !Holds->isBool() || !Complete || !Complete->isBool() ||
-      !Runs || !Runs->IsInt || !Moves || !Moves->IsInt || !Ob ||
-      !Ob->IsInt || !Cex || !Cex->isString())
-    return false;
-  R.Holds = Holds->BoolVal;
-  R.Complete = Complete->BoolVal;
-  R.Runs = static_cast<std::uint64_t>(Runs->IntVal);
-  R.Moves = static_cast<std::uint64_t>(Moves->IntVal);
-  R.Obligations = static_cast<std::uint64_t>(Ob->IntVal);
-  R.Counterexample = Cex->StrVal;
-  return true;
+  std::string Error;
+  return cert::getBool(V, "holds", R.Holds, Error) &&
+         cert::getBool(V, "complete", R.Complete, Error) &&
+         cert::getU64(V, "runs", R.Runs, Error) &&
+         cert::getU64(V, "moves", R.Moves, Error) &&
+         cert::getU64(V, "obligations", R.Obligations, Error) &&
+         cert::getStr(V, "counterexample", R.Counterexample, Error);
 }
 
 } // namespace

@@ -12,9 +12,10 @@ using namespace ccal;
 
 namespace {
 
-/// Bump when this checker's semantics change: stored certificates from the
-/// old semantics must miss, not lie.
-const char RefineCheckerVersion[] = "refine-v1";
+/// Bump when this checker's semantics or payload layout change: stored
+/// certificates from the old format must miss, not lie.  v2 dropped the
+/// implementation corpus from the payload.
+const char RefineCheckerVersion[] = "refine-v2";
 
 } // namespace
 
@@ -93,52 +94,31 @@ JsonValue ccal::refinementToPayload(const ContextualRefinementReport &R) {
   V.Fields["schedules"] = jsonUInt(R.SchedulesExplored);
   V.Fields["states"] = jsonUInt(R.StatesExplored);
   V.Fields["counterexample"] = jsonStr(R.Counterexample);
-  V.Fields["corpus"] = cert::logsToJson(R.Corpus);
   return V;
 }
 
 bool ccal::refinementFromPayload(const JsonValue &V,
                                  ContextualRefinementReport &R) {
-  const JsonValue *Holds = V.field("holds");
-  const JsonValue *SpecC = V.field("spec_complete");
-  const JsonValue *ImplC = V.field("impl_complete");
-  const JsonValue *Cov = V.field("coverage");
-  const JsonValue *IO = V.field("impl_outcomes");
-  const JsonValue *SO = V.field("spec_outcomes");
-  const JsonValue *Ob = V.field("obligations");
-  const JsonValue *Sch = V.field("schedules");
-  const JsonValue *St = V.field("states");
-  const JsonValue *Cex = V.field("counterexample");
-  const JsonValue *Corpus = V.field("corpus");
-  if (!Holds || !Holds->isBool() || !SpecC || !SpecC->isBool() || !ImplC ||
-      !ImplC->isBool() || !Cov || !Cov->isString() || !IO || !IO->IsInt ||
-      !SO || !SO->IsInt || !Ob || !Ob->IsInt || !Sch || !Sch->IsInt ||
-      !St || !St->IsInt || !Cex || !Cex->isString() || !Corpus ||
-      !cert::logsFromJson(*Corpus, R.Corpus))
-    return false;
-  R.Holds = Holds->BoolVal;
-  R.SpecComplete = SpecC->BoolVal;
-  R.ImplComplete = ImplC->BoolVal;
-  R.Coverage = Cov->StrVal;
-  R.ImplOutcomes = static_cast<std::uint64_t>(IO->IntVal);
-  R.SpecOutcomes = static_cast<std::uint64_t>(SO->IntVal);
-  R.ObligationsChecked = static_cast<std::uint64_t>(Ob->IntVal);
-  R.SchedulesExplored = static_cast<std::uint64_t>(Sch->IntVal);
-  R.StatesExplored = static_cast<std::uint64_t>(St->IntVal);
-  R.Counterexample = Cex->StrVal;
-  return true;
+  std::string Error;
+  return cert::getBool(V, "holds", R.Holds, Error) &&
+         cert::getBool(V, "spec_complete", R.SpecComplete, Error) &&
+         cert::getBool(V, "impl_complete", R.ImplComplete, Error) &&
+         cert::getStr(V, "coverage", R.Coverage, Error) &&
+         cert::getU64(V, "impl_outcomes", R.ImplOutcomes, Error) &&
+         cert::getU64(V, "spec_outcomes", R.SpecOutcomes, Error) &&
+         cert::getU64(V, "obligations", R.ObligationsChecked, Error) &&
+         cert::getU64(V, "schedules", R.SchedulesExplored, Error) &&
+         cert::getU64(V, "states", R.StatesExplored, Error) &&
+         cert::getStr(V, "counterexample", R.Counterexample, Error);
 }
 
 ContextualRefinementReport ccal::checkContextualRefinement(
     MachineConfigPtr Impl, MachineConfigPtr Spec, const EventMap &R,
     const ExploreOptions &ImplOpts, const ExploreOptions &SpecOpts) {
   auto Check = [&] {
-    // The implementation corpus feeds compat implication checks.
-    ExploreOptions ImplCorpus = ImplOpts;
-    ImplCorpus.CollectCorpus = true;
     return checkOutcomeInclusion(MultiCoreMachine(Impl),
                                  MultiCoreMachine(Spec), R,
-                                 EventMap::identity(), ImplCorpus, SpecOpts);
+                                 EventMap::identity(), ImplOpts, SpecOpts);
   };
 
   // Load-or-recheck front-end.  Uncacheable checks — store disabled, or

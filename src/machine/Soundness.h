@@ -64,9 +64,6 @@ struct ContextualRefinementReport {
   std::uint64_t SchedulesExplored = 0;
   std::uint64_t StatesExplored = 0;
   std::string Counterexample;
-
-  /// Logs gathered from the implementation exploration (for compat checks).
-  std::vector<Log> Corpus;
 };
 
 namespace detail {
@@ -142,7 +139,6 @@ void runOutcomeInclusion(ContextualRefinementReport &Report,
       ImplRes.SchedulesExplored + SpecRes.SchedulesExplored;
   Report.StatesExplored = ImplRes.StatesExplored + SpecRes.StatesExplored;
   Report.ObligationsChecked = Obligations;
-  Report.Corpus = std::move(ImplRes.Corpus);
   if (!sideComplete(Report, /*SpecSide=*/false, ImplRes))
     return;
   Report.Coverage = "exhaustive";
@@ -190,9 +186,10 @@ CertPtr makeMachineCertificate(const std::string &Rule,
                                const std::string &Relation,
                                const ContextualRefinementReport &Report);
 
-/// The certificate-store payload of a report: every field, corpus
-/// included.  refinementFromPayload is its strict inverse; false on any
-/// missing or mistyped field.
+/// The certificate-store payload of a report: its verdict, coverage,
+/// evidence counters and counterexample.  refinementFromPayload is its
+/// strict inverse; false on any missing or mistyped field, or a negative
+/// counter.
 JsonValue refinementToPayload(const ContextualRefinementReport &R);
 bool refinementFromPayload(const JsonValue &V,
                            ContextualRefinementReport &R);

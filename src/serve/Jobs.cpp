@@ -2,10 +2,10 @@
 
 #include "serve/Jobs.h"
 
+#include "cert/CertStore.h"
 #include "objects/Harness.h"
 #include "objects/McsLock.h"
 #include "objects/TicketLock.h"
-#include "obs/Metrics.h"
 
 #include <chrono>
 #include <map>
@@ -134,12 +134,11 @@ JobResult serve::runJob(const std::string &Name, const JobContext &Ctx) {
     return R;
   }
 
-  // Cert traffic attribution: registry deltas around the run.  Exact when
-  // the daemon runs jobs serially; under concurrent jobs a neighbour's
-  // traffic can land in this window — documented as approximate.
-  std::uint64_t Hits0 = obs::counterValue("cert.hits");
-  std::uint64_t Misses0 = obs::counterValue("cert.misses");
-  std::uint64_t Stores0 = obs::counterValue("cert.stores");
+  // Cert traffic attribution: this thread's store tally around the run.
+  // Exact under concurrent jobs, because every store call a job makes runs
+  // on the thread that runs the job (Explorer workers never call the
+  // store), so a neighbour's traffic lands in its own thread's tally.
+  const cert::Traffic Before = cert::threadTraffic();
   auto T0 = std::chrono::steady_clock::now();
 
   JobResult R = Fn(Ctx);
@@ -150,8 +149,9 @@ JobResult serve::runJob(const std::string &Name, const JobContext &Ctx) {
       std::chrono::duration_cast<std::chrono::duration<double, std::milli>>(
           T1 - T0)
           .count();
-  R.CertHits = obs::counterValue("cert.hits") - Hits0;
-  R.CertMisses = obs::counterValue("cert.misses") - Misses0;
-  R.CertStores = obs::counterValue("cert.stores") - Stores0;
+  const cert::Traffic After = cert::threadTraffic();
+  R.CertHits = After.Hits - Before.Hits;
+  R.CertMisses = After.Misses - Before.Misses;
+  R.CertStores = After.Stores - Before.Stores;
   return R;
 }

@@ -60,7 +60,9 @@ bool haveJob(const std::string &Name);
 
 /// Runs \p Name under \p Ctx.  Unknown names return Known=false (the
 /// daemon answers per-job instead of failing the whole batch).  Fills the
-/// JobResult cert traffic fields from registry deltas around the run.
+/// JobResult cert traffic fields from the calling thread's store tally
+/// (cert::threadTraffic) around the run, so they count exactly the store
+/// calls the job makes on that thread.
 JobResult runJob(const std::string &Name, const JobContext &Ctx);
 
 /// Registers (or replaces) a job; tests inject deterministic blockers and

@@ -99,9 +99,9 @@ struct JobResult {
   std::string Diagnostic;
   std::uint64_t Schedules = 0;
   std::uint64_t Obligations = 0;
-  /// Certificate-store traffic attributed to this job (registry deltas
-  /// sampled around the run; exact when jobs run serially, approximate
-  /// under concurrent jobs on one daemon).
+  /// Certificate-store traffic of this job: the running thread's store
+  /// tally (cert::threadTraffic) around the run, exact also when jobs run
+  /// concurrently on one daemon.
   std::uint64_t CertHits = 0;
   std::uint64_t CertMisses = 0;
   std::uint64_t CertStores = 0;

@@ -16,8 +16,9 @@ using namespace ccal;
 namespace {
 
 /// Bump when this checker's semantics or payload layout change: stored
-/// certificates from the old format must miss, not lie.
-const char LinkCheckerVersion[] = "link-v2";
+/// certificates from the old format must miss, not lie.  v3 follows the
+/// shared refinement payload, which dropped its corpus field.
+const char LinkCheckerVersion[] = "link-v3";
 
 /// The scheduler event kinds the two relations rewrite, interned once.
 const KindId Cswitch("cswitch"), Yield("yield"), Spawn("spawn");

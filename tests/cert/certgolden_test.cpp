@@ -130,45 +130,51 @@ TEST(CertGoldenTest, EventJsonUsesStringsNotIds) {
   EXPECT_EQ(jsonToString(eventToJson(B)), "[1,\"zz_golden_kind\",[]]");
 }
 
-// Stored-entry pins.  The refine-v1 values were captured from the entries
-// the checker wrote before its three outcome-inclusion skeletons became
-// one engine; a refine-v1 entry must never change bytes without a version
-// bump, or existing stores would serve answers to a different question.
+// Stored-entry pins.  A stored entry must never change bytes without a
+// version bump, or existing stores would serve answers to a different
+// question.  Each pin notes the size and hash its previous version had.
 
 TEST(CertGoldenTest, RefineHoldsEntryBytesArePinned) {
-  // The catalog job ticket.1cpu.2r.
+  // The catalog job ticket.1cpu.2r.  refine-v1 entries: 961 bytes, hash
+  // 0x34e865021a9483ec.
   std::string Bytes = storedEntry("refine_holds", [] {
     EXPECT_TRUE(runObjectHarness(makeTicketLockHarness(1, 2)).Report.Holds);
   });
-  EXPECT_EQ(Bytes.size(), 961u);
-  EXPECT_EQ(bytesHash(Bytes), 0x34e865021a9483ecULL) << Bytes;
+  EXPECT_NE(Bytes.find("\"version\":\"refine-v2\""), std::string::npos)
+      << Bytes;
+  EXPECT_EQ(Bytes.size(), 574u);
+  EXPECT_EQ(bytesHash(Bytes), 0x07f8f3866362a66eULL) << Bytes;
 }
 
 TEST(CertGoldenTest, RefineRefutedEntryBytesArePinned) {
   // The broken release/acquire ticket grab.  A refuted check has
   // incomplete coverage, so the store declines to persist it; pin what the
-  // checker hands the store instead: the certificate and the payload.
+  // checker hands the store instead: the certificate and the payload.  The
+  // refine-v1 payload, corpus included, was 25,389 bytes with hash
+  // 0x08e5efba77d60443; the certificate is unchanged.
   HarnessOutcome Out = certifyTicketLockRa(2, 1, /*BrokenGrab=*/true);
   ASSERT_FALSE(Out.Report.Holds);
   ASSERT_TRUE(Out.Layer.Cert);
   std::string Payload = jsonToString(refinementToPayload(Out.Report));
   std::string Cert = jsonToString(certToJson(*Out.Layer.Cert));
-  EXPECT_EQ(Payload.size(), 25389u);
-  EXPECT_EQ(bytesHash(Payload), 0x08e5efba77d60443ULL) << Payload;
+  EXPECT_EQ(Payload.size(), 614u);
+  EXPECT_EQ(bytesHash(Payload), 0x504b6e26e4846a56ULL) << Payload;
   EXPECT_EQ(Cert.size(), 696u);
   EXPECT_EQ(bytesHash(Cert), 0x0c3afd541d33d21fULL) << Cert;
 }
 
 TEST(CertGoldenTest, LinkEntryBytesArePinned) {
   // Thm 5.1 on LinkingSetup{2, 1}.  link-v1 entries (590 bytes, hash
-  // 0x5a41b382b4e63207) carried no corpus field; link-v2 entries are
-  // encoded by the shared refinement codec, which adds it.
+  // 0x5a41b382b4e63207) carried no corpus field; link-v2 entries (602
+  // bytes, hash 0x3e8b8af496721e90) were encoded by the shared refinement
+  // codec, which added an empty one; link-v3 follows that codec dropping
+  // it again.
   std::string Bytes = storedEntry("link", [] {
     EXPECT_TRUE(
         checkMultithreadedLinking(LinkingSetup{2, 1}).Refinement.Holds);
   });
-  EXPECT_NE(Bytes.find("\"version\":\"link-v2\""), std::string::npos)
+  EXPECT_NE(Bytes.find("\"version\":\"link-v3\""), std::string::npos)
       << Bytes;
-  EXPECT_EQ(Bytes.size(), 602u);
-  EXPECT_EQ(bytesHash(Bytes), 0x3e8b8af496721e90ULL) << Bytes;
+  EXPECT_EQ(Bytes.size(), 590u);
+  EXPECT_EQ(bytesHash(Bytes), 0x4cd8eee5bde86caaULL) << Bytes;
 }

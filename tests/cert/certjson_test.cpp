@@ -13,6 +13,7 @@
 
 #include "cert/CertJson.h"
 
+#include "machine/Soundness.h"
 #include "support/Json.h"
 #include "support/Rng.h"
 #include "tests/common/fuzz_support.h"
@@ -135,14 +136,50 @@ TEST(CertJsonTest, EventAndLogRoundTrip) {
   ASSERT_TRUE(logFromJson(V, Back));
   EXPECT_EQ(L, Back);
 
-  std::vector<Log> Corpus = {L, {}, {Event(3, KindId("x"))}};
-  std::vector<Log> CorpusBack;
-  ASSERT_TRUE(logsFromJson(logsToJson(Corpus), CorpusBack));
-  EXPECT_EQ(Corpus, CorpusBack);
-
   Event E;
   EXPECT_FALSE(eventFromJson(jsonStr("not an event"), E));
   EXPECT_FALSE(eventFromJson(jsonArray({jsonInt(1)}), E));
+}
+
+TEST(CertJsonTest, RefinePayloadRoundTripsAndRejectsNegativeCounters) {
+  ContextualRefinementReport R;
+  R.Holds = false;
+  R.SpecComplete = true;
+  R.ImplComplete = true;
+  R.Coverage = "exhaustive";
+  R.ImplOutcomes = 3;
+  R.SpecOutcomes = 2;
+  R.ObligationsChecked = 1;
+  R.SchedulesExplored = std::uint64_t{1} << 62;
+  R.StatesExplored = 12345;
+  R.Counterexample = "no specification behavior matches \"x\"\n";
+  JsonValue V = refinementToPayload(R);
+  ContextualRefinementReport Back;
+  ASSERT_TRUE(refinementFromPayload(V, Back));
+  EXPECT_EQ(Back.Holds, R.Holds);
+  EXPECT_EQ(Back.SpecComplete, R.SpecComplete);
+  EXPECT_EQ(Back.ImplComplete, R.ImplComplete);
+  EXPECT_EQ(Back.Coverage, R.Coverage);
+  EXPECT_EQ(Back.ImplOutcomes, R.ImplOutcomes);
+  EXPECT_EQ(Back.SpecOutcomes, R.SpecOutcomes);
+  EXPECT_EQ(Back.ObligationsChecked, R.ObligationsChecked);
+  EXPECT_EQ(Back.SchedulesExplored, R.SchedulesExplored);
+  EXPECT_EQ(Back.StatesExplored, R.StatesExplored);
+  EXPECT_EQ(Back.Counterexample, R.Counterexample);
+  EXPECT_EQ(jsonToString(refinementToPayload(Back)), jsonToString(V));
+
+  // A tampered counter must be rejected, not wrapped to 2^64 - 1.
+  JsonValue Negative = V;
+  Negative.Fields["obligations"] = jsonInt(-1);
+  EXPECT_FALSE(refinementFromPayload(Negative, Back));
+
+  JsonValue Missing = V;
+  Missing.Fields.erase("states");
+  EXPECT_FALSE(refinementFromPayload(Missing, Back));
+
+  JsonValue IllTyped = V;
+  IllTyped.Fields["holds"] = jsonStr("true");
+  EXPECT_FALSE(refinementFromPayload(IllTyped, Back));
 }
 
 TEST(CertJsonTest, ImplicationRoundTrip) {

@@ -169,12 +169,17 @@ TEST(TicketLockTest, CompatCheckedOnExploredCorpus) {
   // mapped to the overlay's vocabulary through R1, must satisfy the
   // guarantee-implies-rely implications of L1 for both focus sets.
   TicketLockLayers Layers = makeTicketLockLayers();
-  HarnessOutcome Out = certifyTicketLock(2);
+  ObjectHarness H = makeTicketLockHarness(2);
+  HarnessOutcome Out = runObjectHarness(H);
   ASSERT_TRUE(Out.Report.Holds);
-  ASSERT_FALSE(Out.Report.Corpus.empty());
+  ExploreOptions Opts = H.ImplOpts;
+  Opts.CollectCorpus = true;
+  ExploreResult Impl = exploreMachine(H.implConfig(), Opts);
+  ASSERT_TRUE(Impl.Ok) << Impl.Violation;
+  ASSERT_FALSE(Impl.Corpus.empty());
 
   std::vector<Log> Corpus;
-  for (const Log &L : Out.Report.Corpus)
+  for (const Log &L : Impl.Corpus)
     Corpus.push_back(Layers.R1.apply(L));
 
   calculus::CompatReport Compat =
