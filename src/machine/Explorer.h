@@ -46,6 +46,7 @@
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <condition_variable>
@@ -152,10 +153,13 @@ template <typename MachineT> struct GenericExploreOptions {
   /// changing it invalidates every stored certificate.
   static constexpr size_t MaxCorpus = 2048;
 
-  /// When set, every (deduplicated) terminal outcome is passed to this
+  /// When set, the outcome of every terminal schedule is passed to this
   /// callback *instead of* being stored in ExploreResult::Outcomes —
-  /// essential for large schedule spaces.  Returning a non-empty string
-  /// aborts the exploration with that violation.
+  /// essential for large schedule spaces.  It fires once per terminal
+  /// schedule, so an outcome several schedules reach is passed once for
+  /// each, and calls are serialized.  Returning a non-empty string rejects
+  /// the outcome and aborts the exploration with that violation.
+  /// ExploreResult::DistinctOutcomes/AcceptedOutcomes count what it saw.
   std::function<std::string(const Outcome &)> OnOutcome;
 
   /// Cap on stored outcomes when OnOutcome is not set.
@@ -166,7 +170,8 @@ template <typename MachineT> struct GenericExploreOptions {
   /// single-threaded Explorer; 0 means one worker per hardware thread.
   /// With more than one worker, Invariant must be safe to call
   /// concurrently on distinct machine snapshots (log-replay invariants
-  /// are); OnOutcome calls are serialized by the Explorer itself.
+  /// are); OnOutcome calls are serialized by the Explorer itself, so a
+  /// callback needs no locking of its own.
   unsigned Threads = 1;
 };
 
@@ -197,6 +202,15 @@ struct ExploreResult {
   std::string Violation; ///< first violation with its log
 
   std::vector<Outcome> Outcomes; ///< one per schedule (deduplicated)
+
+  /// OnOutcome runs only: the distinct outcomes passed to the callback and
+  /// the distinct ones it accepted, counted by 128-bit fingerprint
+  /// (OutcomeSet::fingerprint) at the join; a run stopped early counts
+  /// those reached before the stop.  Every outcome is matched before it
+  /// is counted, so a collision can only under-count.
+  std::uint64_t DistinctOutcomes = 0;
+  std::uint64_t AcceptedOutcomes = 0;
+
   std::uint64_t SchedulesExplored = 0;
   std::uint64_t StatesExplored = 0;
   std::uint64_t InvariantChecks = 0;
@@ -257,6 +271,40 @@ public:
         H = hashCombine(H, static_cast<std::uint64_t>(R));
     }
     return H;
+  }
+
+  /// An outcome's 128-bit fingerprint: hash() plus a second hash over the
+  /// same fields built from hashMixAlt64/hashCombineAlt, so the halves
+  /// collide independently (hash compaction, Stern & Dill 1995).  The
+  /// OnOutcome path counts distinct outcomes by it without keeping them.
+  /// The second half walks the log: the log keeps a running value of the
+  /// first half only.
+  struct Fingerprint {
+    std::uint64_t Hash = 0, Alt = 0;
+    friend bool operator==(const Fingerprint &A, const Fingerprint &B) {
+      return A.Hash == B.Hash && A.Alt == B.Alt;
+    }
+    friend bool operator<(const Fingerprint &A, const Fingerprint &B) {
+      return A.Hash != B.Hash ? A.Hash < B.Hash : A.Alt < B.Alt;
+    }
+  };
+  static Fingerprint fingerprint(const Outcome &O) {
+    std::uint64_t H = hashCombineAlt(0, O.FinalLog.size());
+    for (const Event &E : O.FinalLog) {
+      H = hashCombineAlt(H, E.Tid);
+      H = hashCombineAlt(H, E.Kind.strHash());
+      H = hashCombineAlt(H, E.Args.size());
+      for (std::int64_t A : E.Args)
+        H = hashCombineAlt(H, static_cast<std::uint64_t>(A));
+    }
+    H = hashCombineAlt(H, O.Returns.size());
+    for (const auto &[Tid, Rets] : O.Returns) {
+      H = hashCombineAlt(H, Tid);
+      H = hashCombineAlt(H, Rets.size());
+      for (std::int64_t R : Rets)
+        H = hashCombineAlt(H, static_cast<std::uint64_t>(R));
+    }
+    return Fingerprint{hash(O), H};
   }
 
   static bool same(const Outcome &A, const Outcome &B) {
@@ -448,7 +496,9 @@ private:
   /// worker's own Dedup/Outcomes/Corpus, so recording a terminal outcome
   /// takes no lock at all; cross-worker duplicates collapse at the join
   /// (mergeShardResults).  With one worker this is exactly the former
-  /// globally-locked recording, entry for entry.
+  /// globally-locked recording, entry for entry.  The OnOutcome path keeps
+  /// only fingerprints, counted at the join; its Dedup holds just the
+  /// outcomes whose logs entered the corpus.
   struct Shard {
     std::uint64_t States = 0;
     std::uint64_t InvariantChecks = 0;
@@ -466,6 +516,10 @@ private:
     std::vector<Outcome> Outcomes; ///< stored-path results, search order
     std::vector<Log> Corpus;       ///< terminal + sampled logs
     bool StoreTruncated = false;   ///< hit MaxStoredOutcomes locally
+
+    /// OnOutcome path: one fingerprint per terminal schedule, split by
+    /// whether the callback accepted the outcome.
+    std::vector<OutcomeSet::Fingerprint> Accepted, Rejected;
   };
 
   void worker(unsigned Idx) {
@@ -897,31 +951,28 @@ private:
         });
     }
     if (Opts.OnOutcome) {
-      // Callback path: the dedup set must stay global — the callback fires
-      // exactly once per DISTINCT outcome and checkers count those calls —
-      // so it remains serialized under ResMu, which also means callbacks
-      // need no locking of their own.
-      bool DoStop = false;
+      // Callback path: every terminal schedule's outcome goes to the
+      // callback, serialized under ResMu (callers keep plain tallies), and
+      // only its fingerprint stays in the shard; distinct outcomes are
+      // counted at the join.  The corpus still takes each distinct
+      // terminal log once (a copy per schedule would crowd the capped
+      // buffer), so Dedup holds the outcomes whose logs it took and stops
+      // growing once the corpus is full.
+      if (Opts.CollectCorpus && S.Corpus.size() < Opts.MaxCorpus &&
+          S.Dedup.insert(O))
+        S.Corpus.push_back(O.FinalLog);
+      std::string V;
       {
         std::lock_guard<std::mutex> L(ResMu);
-        if (!Dedup.insert(O))
-          return;
-        // The corpus retains only deduplicated outcomes: pushing before
-        // the dedup test (as an earlier version did) stored one copy of a
-        // terminal log PER SCHEDULE reaching it, crowding the capped
-        // buffer with duplicates.
-        if (Opts.CollectCorpus && S.Corpus.size() < Opts.MaxCorpus)
-          S.Corpus.push_back(O.FinalLog);
-        std::string V = Opts.OnOutcome(O);
-        if (!V.empty()) {
-          if (!Violated) {
-            Violated = true;
-            Violation = V + "\n  log: " + logToString(M.log());
-          }
-          DoStop = true;
+        V = Opts.OnOutcome(O);
+        if (!V.empty() && !Violated) {
+          Violated = true;
+          Violation = V + "\n  log: " + logToString(M.log());
         }
       }
-      if (DoStop)
+      (V.empty() ? S.Accepted : S.Rejected)
+          .push_back(OutcomeSet::fingerprint(O));
+      if (!V.empty())
         stopAll();
       return;
     }
@@ -943,9 +994,17 @@ private:
   /// cap; any shard-local truncation fails the run closed.  With one
   /// worker this moves the single shard's vectors unchanged, so
   /// sequential runs are bit-identical to the former global recording.
+  /// The OnOutcome path counts its fingerprints instead.
   void mergeShardResults(ExploreResult &Res) {
     bool Truncated = false;
-    if (!Opts.OnOutcome) {
+    if (Opts.OnOutcome) {
+      std::vector<OutcomeSet::Fingerprint> Accepted =
+          distinctFingerprints(&Shard::Accepted);
+      Res.AcceptedOutcomes = Res.DistinctOutcomes = Accepted.size();
+      for (const auto &F : distinctFingerprints(&Shard::Rejected))
+        if (!std::binary_search(Accepted.begin(), Accepted.end(), F))
+          ++Res.DistinctOutcomes;
+    } else {
       OutcomeSet Merged;
       for (Shard &S : Shards) {
         Truncated |= S.StoreTruncated;
@@ -972,6 +1031,24 @@ private:
                          std::to_string(Opts.MaxStoredOutcomes) +
                          ") exhausted";
     }
+  }
+
+  /// Moves one fingerprint list out of every shard into a single sorted
+  /// vector without duplicates, freeing each shard's list as it goes.
+  std::vector<OutcomeSet::Fingerprint>
+  distinctFingerprints(std::vector<OutcomeSet::Fingerprint> Shard::*List) {
+    size_t N = 0;
+    for (const Shard &S : Shards)
+      N += (S.*List).size();
+    std::vector<OutcomeSet::Fingerprint> All;
+    All.reserve(N);
+    for (Shard &S : Shards) {
+      All.insert(All.end(), (S.*List).begin(), (S.*List).end());
+      std::vector<OutcomeSet::Fingerprint>().swap(S.*List);
+    }
+    std::sort(All.begin(), All.end());
+    All.erase(std::unique(All.begin(), All.end()), All.end());
+    return All;
   }
 
   void violate(const MachineT &M, const std::string &Msg) {
@@ -1089,15 +1166,14 @@ private:
   std::atomic<bool> Stop{false};
   std::atomic<std::uint64_t> Schedules{0};
 
-  // Shared result slots (first violation wins).  Outcome/corpus storage
-  // lives in the per-worker Shards; only the OnOutcome callback path
-  // still deduplicates globally here.
+  // Shared result slots (first violation wins).  Outcomes, fingerprints
+  // and the corpus live in the per-worker Shards; ResMu also serializes
+  // the OnOutcome calls.
   std::mutex ResMu;
   bool Violated = false;  ///< guarded by ResMu
   std::string Violation;  ///< guarded by ResMu
   bool Complete = true;   ///< guarded by ResMu
   std::string Truncation; ///< guarded by ResMu
-  OutcomeSet Dedup;       ///< guarded by ResMu (OnOutcome path only)
 
   std::vector<Shard> Shards;
 };

@@ -165,10 +165,12 @@ ContextualRefinementReport ccal::checkMulticoreLinking(
   // Sanity bonus: the reduction loses nothing — every layer outcome is
   // also a hardware outcome.  The engine counts each distinct hardware
   // outcome once and the identity relation keeps them distinct, so after
-  // the forward inclusion equal counts mean equal sets.  A hardware
-  // fairness bound tighter than the layer machine's can legitimately miss
-  // layer outcomes, so this direction stays opt-in; Thm 3.1 itself is the
-  // forward inclusion.
+  // the forward inclusion equal counts mean equal sets.  The hardware
+  // count is by fingerprint: a collision under-counts it, which fails
+  // this check rather than passing it, while the layer count is exact.
+  // A hardware fairness bound tighter than the layer machine's can
+  // legitimately miss layer outcomes, so this direction stays opt-in;
+  // Thm 3.1 itself is the forward inclusion.
   if (CheckExactness && Report.Holds &&
       Report.ImplOutcomes != Report.SpecOutcomes) {
     Report.Holds = false;

@@ -58,9 +58,9 @@ struct ContextualRefinementReport {
   /// certificate so partial coverage is auditable.
   std::string Coverage;
 
-  std::uint64_t ImplOutcomes = 0;
+  std::uint64_t ImplOutcomes = 0; ///< distinct impl outcomes checked
   std::uint64_t SpecOutcomes = 0;
-  std::uint64_t ObligationsChecked = 0; ///< impl outcomes matched
+  std::uint64_t ObligationsChecked = 0; ///< distinct ones that matched
   std::uint64_t SchedulesExplored = 0;
   std::uint64_t StatesExplored = 0;
   std::string Counterexample;
@@ -119,26 +119,24 @@ void runOutcomeInclusion(ContextualRefinementReport &Report,
     SpecSet.insert(Key(RSpec, O));
 
   // Stream implementation outcomes through the matcher instead of storing
-  // them: large schedule spaces would not fit in memory otherwise.
-  std::uint64_t ImplOutcomes = 0, Obligations = 0;
+  // them: large schedule spaces would not fit in memory otherwise.  The
+  // Explorer counts the distinct outcomes checked and those that matched.
   GenericExploreOptions<ImplM> Stream = ImplOpts;
   Stream.OnOutcome = [&](const Outcome &O) -> std::string {
-    ++ImplOutcomes;
     if (!SpecSet.contains(Key(RImpl, O)))
       return unmatchedOutcome(O.FinalLog, RImpl.apply(O.FinalLog));
-    ++Obligations;
     return "";
   };
   ExploreResult ImplRes = [&] {
     obs::Span ImplSpan("refine.impl_explore", "refine");
     return exploreGeneric(ImplRoot, Stream);
   }();
-  Report.ImplOutcomes = ImplOutcomes;
+  Report.ImplOutcomes = ImplRes.DistinctOutcomes;
   Report.SpecOutcomes = SpecRes.Outcomes.size();
   Report.SchedulesExplored =
       ImplRes.SchedulesExplored + SpecRes.SchedulesExplored;
   Report.StatesExplored = ImplRes.StatesExplored + SpecRes.StatesExplored;
-  Report.ObligationsChecked = Obligations;
+  Report.ObligationsChecked = ImplRes.AcceptedOutcomes;
   if (!sideComplete(Report, /*SpecSide=*/false, ImplRes))
     return;
   Report.Coverage = "exhaustive";
@@ -152,7 +150,10 @@ void runOutcomeInclusion(ContextualRefinementReport &Report,
 /// \p RImpl, equals some specification outcome mapped through \p RSpec,
 /// with equal client returns.  The spec side is explored and stored
 /// first; implementation outcomes are streamed through OnOutcome, once
-/// per distinct outcome.  A violation or truncation on either side fails
+/// per terminal schedule, and matched as they arrive.  ImplOutcomes and
+/// ObligationsChecked are the Explorer's fingerprint counts of the
+/// distinct outcomes checked and of those that matched (a collision can
+/// only under-count them).  A violation or truncation on either side fails
 /// closed: Holds stays false and the report names the cause.
 template <typename ImplM, typename SpecM>
 ContextualRefinementReport

@@ -46,6 +46,21 @@ inline std::uint64_t hashCombine(std::uint64_t Seed, std::uint64_t V) {
   return (Seed ^ hashMix64(V)) * 1099511628211ULL;
 }
 
+/// A second mixer and fold, independent of hashMix64/hashCombine: the
+/// MurmurHash3 64-bit finalizer, and a rotate before the multiply.  A hash
+/// built from these over the same fields as a hashCombine chain collides
+/// independently of it, so the pair acts as one 128-bit fingerprint
+/// (OutcomeSet::fingerprint).
+inline std::uint64_t hashMixAlt64(std::uint64_t X) {
+  X = (X ^ (X >> 33)) * 0xff51afd7ed558ccdULL;
+  X = (X ^ (X >> 33)) * 0xc4ceb9fe1a85ec53ULL;
+  return X ^ (X >> 33);
+}
+inline std::uint64_t hashCombineAlt(std::uint64_t Seed, std::uint64_t V) {
+  return (((Seed << 23) | (Seed >> 41)) ^ hashMixAlt64(V)) *
+         0x9fb21c651e98df25ULL;
+}
+
 /// Order-sensitive structural hash accumulator.  All adders return *this
 /// so field sequences read as one chain:
 ///

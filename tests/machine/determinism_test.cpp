@@ -21,7 +21,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <map>
 #include <set>
 #include <string>
@@ -123,36 +122,5 @@ TEST(DeterminismTest, SequentialRunsAreBitIdentical) {
   for (size_t I = 0; I != A.Outcomes.size(); ++I) {
     EXPECT_EQ(A.Outcomes[I].FinalLog, B.Outcomes[I].FinalLog) << I;
     EXPECT_EQ(A.Outcomes[I].Returns, B.Outcomes[I].Returns) << I;
-  }
-}
-
-TEST(DeterminismTest, OnOutcomeCallbackFiresOncePerDistinctOutcome) {
-  // The callback path keeps the global deduper under ResMu precisely so
-  // this invariant (checkers count calls) survives sharding: the number
-  // of callback invocations equals the number of distinct outcomes, at
-  // every worker count.
-  std::uint64_t Distinct;
-  {
-    ExploreOptions Opts;
-    Opts.FairnessBound = 2;
-    Opts.MaxSteps = 512;
-    ExploreResult Res = exploreMachine(makeSpecConfig(3, 1), Opts);
-    ASSERT_TRUE(Res.Ok) << Res.Violation;
-    Distinct = Res.Outcomes.size();
-    ASSERT_GT(Distinct, 1u);
-  }
-  for (unsigned Threads : {1u, 4u}) {
-    ExploreOptions Opts;
-    Opts.FairnessBound = 2;
-    Opts.MaxSteps = 512;
-    Opts.Threads = Threads;
-    std::atomic<std::uint64_t> Calls{0};
-    Opts.OnOutcome = [&Calls](const Outcome &) -> std::string {
-      Calls.fetch_add(1, std::memory_order_relaxed);
-      return "";
-    };
-    ExploreResult Res = exploreMachine(makeSpecConfig(3, 1), Opts);
-    ASSERT_TRUE(Res.Ok) << Res.Violation;
-    EXPECT_EQ(Calls.load(), Distinct) << Threads;
   }
 }

@@ -175,3 +175,44 @@ TEST(MulticoreLinkTest, SharedLocalMemoryWouldBreakTheTheorem) {
       checkMulticoreLinking(Cfg, /*FairnessBound=*/3);
   EXPECT_FALSE(Rep.Holds);
 }
+
+TEST(MulticoreLinkTest, OnOutcomeFiresPerScheduleAndCountsDistinctOutcomes) {
+  // Many instruction interleavings reach each query-point outcome, so the
+  // hardware machine's schedules outnumber its distinct outcomes: a
+  // callback fired once per distinct outcome is told apart from one fired
+  // once per schedule.  The stored path's deduplicated Outcomes are the
+  // reference for the fingerprint counts, at every worker count.
+  MachineConfigPtr Cfg = makeLinkConfig(2, 1);
+  GenericExploreOptions<HardwareMachine> Opts;
+  Opts.FairnessBound = 2;
+  ExploreResult Stored = exploreGeneric(HardwareMachine(Cfg), Opts);
+  ASSERT_TRUE(Stored.Ok) << Stored.Violation;
+  ASSERT_TRUE(Stored.Complete);
+  ASSERT_GT(Stored.SchedulesExplored, Stored.Outcomes.size());
+  ExploreOptions LayerOpts;
+  LayerOpts.FairnessBound = 1u << 20;
+  for (unsigned Threads : {1u, 2u, 4u}) {
+    GenericExploreOptions<HardwareMachine> Streamed = Opts;
+    Streamed.Threads = Threads;
+    std::uint64_t Calls = 0; // unguarded: the Explorer serializes calls
+    Streamed.OnOutcome = [&Calls](const Outcome &) {
+      ++Calls;
+      return std::string();
+    };
+    ExploreResult Res = exploreGeneric(HardwareMachine(Cfg), Streamed);
+    ASSERT_TRUE(Res.Ok) << Res.Violation;
+    EXPECT_EQ(Res.SchedulesExplored, Stored.SchedulesExplored) << Threads;
+    EXPECT_EQ(Calls, Res.SchedulesExplored) << Threads;
+    EXPECT_EQ(Res.DistinctOutcomes, Stored.Outcomes.size()) << Threads;
+    EXPECT_EQ(Res.AcceptedOutcomes, Stored.Outcomes.size()) << Threads;
+
+    GenericExploreOptions<HardwareMachine> HwOpts = Opts;
+    HwOpts.Threads = Threads;
+    ContextualRefinementReport Rep = checkOutcomeInclusion(
+        HardwareMachine(Cfg), MultiCoreMachine(Cfg), EventMap::identity(),
+        EventMap::identity(), HwOpts, LayerOpts);
+    ASSERT_TRUE(Rep.Holds) << Rep.Counterexample;
+    EXPECT_EQ(Rep.ImplOutcomes, Stored.Outcomes.size()) << Threads;
+    EXPECT_EQ(Rep.ObligationsChecked, Stored.Outcomes.size()) << Threads;
+  }
+}

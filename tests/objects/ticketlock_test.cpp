@@ -102,6 +102,36 @@ TEST(TicketLockTest, BuggyLockIsCaught) {
   EXPECT_NE(Out.Report.Counterexample.find("violat"), std::string::npos);
 }
 
+TEST(TicketLockTest, RefutedReportsCountTheOutcomesReachedBeforeTheStop) {
+  // On a refuted run ImplOutcomes counts the distinct outcomes handed to
+  // the matcher before the exploration stopped, the rejected one
+  // included, and ObligationsChecked the accepted ones; a machine
+  // violation rejects no outcome.  Pinned at 1 worker, where the stop
+  // point is deterministic.
+  HarnessOutcome Unmatched =
+      runObjectHarness(makeTicketLockHarnessRa(2, 1, /*BrokenGrab=*/true));
+  ASSERT_FALSE(Unmatched.Report.Holds);
+  EXPECT_NE(Unmatched.Report.Counterexample.find("no specification behavior"),
+            std::string::npos)
+      << Unmatched.Report.Counterexample;
+  EXPECT_EQ(Unmatched.Report.ImplOutcomes, 46u);
+  EXPECT_EQ(Unmatched.Report.ObligationsChecked, 45u);
+  EXPECT_EQ(Unmatched.Report.SchedulesExplored, 48u);
+
+  // Three spinning CPUs overrun a lowered step bound after 1,079
+  // outcomes (87,479 at the harness's own bound of 512).
+  ObjectHarness H = makeTicketLockHarness(3, 1);
+  H.ImplOpts.MaxSteps = 32;
+  HarnessOutcome StepBound = runObjectHarness(H);
+  ASSERT_FALSE(StepBound.Report.Holds);
+  EXPECT_NE(StepBound.Report.Counterexample.find("step bound exceeded"),
+            std::string::npos)
+      << StepBound.Report.Counterexample;
+  EXPECT_EQ(StepBound.Report.ImplOutcomes, 1079u);
+  EXPECT_EQ(StepBound.Report.ObligationsChecked, 1079u);
+  EXPECT_EQ(StepBound.Report.SchedulesExplored, 1085u);
+}
+
 TEST(TicketLockTest, UnfairnessWouldStarve) {
   // Without the FIFO discipline, a non-ticket "test-and-set-like" lock
   // can acquire out of ticket order; the FIFO whole-log check rejects it.
