@@ -18,7 +18,6 @@
 #include "machine/MemoryModel.h"
 #include "machine/Soundness.h"
 #include "objects/McsLock.h"
-#include "objects/ObjectSpec.h"
 #include "objects/TicketLock.h"
 #include "obs/Metrics.h"
 
@@ -142,43 +141,6 @@ BENCHMARK(fairnessAblation)
 /// lock 3 times, over the *atomic* L1 layer (blocking acq — no spinning,
 /// so the schedule space is finite under any fairness bound; the L0 spin
 /// implementation diverges under consecutive-step fairness with 3+ CPUs).
-/// Fully independent workload for the POR ablation: each CPU bumps its
-/// own counter through its own primitive with honestly disjoint declared
-/// footprints, so the whole schedule space is one Mazurkiewicz trace.
-MachineConfigPtr makeIndependentCountersConfig() {
-  static ClightModule Client = [] {
-    ClightModule M = parseModuleOrDie("c", R"(
-      extern int tick1();
-      extern int tick2();
-      extern int tick3();
-      int t1() { tick1(); tick1(); return 0; }
-      int t2() { tick2(); tick2(); return 0; }
-      int t3() { tick3(); tick3(); return 0; }
-    )");
-    typeCheckOrDie(M);
-    return M;
-  }();
-  static LayerPtr L = []() -> LayerPtr {
-    auto I = makeInterface("Lindep");
-    I->addShared("tick1", makeFetchIncPrim("tick1"),
-                 Footprint::of({"c1"}, {"c1"}));
-    I->addShared("tick2", makeFetchIncPrim("tick2"),
-                 Footprint::of({"c2"}, {"c2"}));
-    I->addShared("tick3", makeFetchIncPrim("tick3"),
-                 Footprint::of({"c3"}, {"c3"}));
-    return I;
-  }();
-  static AsmProgramPtr Prog = compileAndLink("indep.lasm", {&Client});
-  auto Cfg = std::make_shared<MachineConfig>();
-  Cfg->Name = "indep";
-  Cfg->Layer = L;
-  Cfg->Program = Prog;
-  Cfg->Work.emplace(1, std::vector<CpuWorkItem>{{"t1", {}}});
-  Cfg->Work.emplace(2, std::vector<CpuWorkItem>{{"t2", {}}});
-  Cfg->Work.emplace(3, std::vector<CpuWorkItem>{{"t3", {}}});
-  return Cfg;
-}
-
 MachineConfigPtr makeTicketSpecConfig(unsigned Cpus, unsigned Rounds) {
   static TicketLockLayers Layers = makeTicketLockLayers();
   static ClightModule Client = cloneModule(makeTicketClient());
@@ -190,56 +152,6 @@ MachineConfigPtr makeTicketSpecConfig(unsigned Cpus, unsigned Rounds) {
   for (ThreadId C = 1; C <= Cpus; ++C)
     Cfg->Work.emplace(
         C, std::vector<CpuWorkItem>(Rounds, CpuWorkItem{"t_main", {}}));
-  return Cfg;
-}
-
-/// The mixed workload source-set DPOR is FOR: the atomic ticket-lock L1
-/// layer extended with one private counter per CPU (honestly disjoint
-/// footprints), each CPU doing local work before its critical section.
-/// The pure L1 row is schedule-irreducible — every pair of lock events
-/// conflicts, so sleep sets and DPOR both report 1.00x there.  Here the
-/// local ticks commute across CPUs while the lock section stays ordered,
-/// and the reduction (>=2x schedules) comes entirely from the race-driven
-/// backtracking: static sleep sets alone cannot skip a first-sibling.
-MachineConfigPtr makeTicketMixedConfig(unsigned Cpus) {
-  static LayerPtr L = []() -> LayerPtr {
-    // The L1 atomic-lock interface rebuilt fresh (the shared TicketLock
-    // L1 is immutable) plus the per-CPU counters.
-    auto I = makeInterface("L1mixed");
-    addAtomicLock(*I, "acq", "rel");
-    I->addShared("f", makeFetchIncPrim("f"), Footprint::of({"f"}, {"f"}));
-    for (unsigned C = 1; C <= 3; ++C) {
-      // Prim name == counter name == event kind, so the equivalence
-      // checker's log canonicalization sees the same footprint the
-      // runtime DPOR used.
-      std::string V = "tick" + std::to_string(C);
-      I->addShared(V, makeFetchIncPrim(V), Footprint::of({V}, {V}));
-    }
-    return I;
-  }();
-  static ClightModule Client = [] {
-    ClightModule M = parseModuleOrDie("P_mixed", R"(
-      extern void acq();
-      extern void rel();
-      extern int f();
-      extern int tick1();
-      extern int tick2();
-      extern int tick3();
-      int t1() { tick1(); tick1(); acq(); int a = f(); rel(); return a; }
-      int t2() { tick2(); tick2(); acq(); int a = f(); rel(); return a; }
-      int t3() { tick3(); tick3(); acq(); int a = f(); rel(); return a; }
-    )");
-    typeCheckOrDie(M);
-    return M;
-  }();
-  static AsmProgramPtr Prog = compileAndLink("tickmixed.lasm", {&Client});
-  auto Cfg = std::make_shared<MachineConfig>();
-  Cfg->Name = "tickmixed";
-  Cfg->Layer = L;
-  Cfg->Program = Prog;
-  for (ThreadId C = 1; C <= Cpus && C <= 3; ++C)
-    Cfg->Work.emplace(C, std::vector<CpuWorkItem>{
-                             {"t" + std::to_string(C), {}}});
   return Cfg;
 }
 
@@ -294,131 +206,6 @@ void strategySim(benchmark::State &State) {
 }
 BENCHMARK(strategySim)->Name("Simulation/def21_atomic");
 
-/// One row of the POR-off/POR-on ablation, with the obs-registry view of
-/// the same run alongside the report's own numbers (the two must agree —
-/// PorTest asserts it; the bench records both so divergence is visible).
-struct PorAblationRow {
-  std::string Workload;
-  PorEquivalenceReport R;
-  std::uint64_t RegSleepSkips = 0;
-  std::uint64_t RegSteals = 0;
-  std::uint64_t RegBacktracks = 0;
-};
-
-/// Runs checkPorEquivalence (full exploration vs sleep-set reduction,
-/// same trace space, deduplicated-outcome-set equality) on three
-/// workloads spanning the independence spectrum: fully independent
-/// counters (maximal reduction), the concrete Fig. 3 ticket-lock stack
-/// (mixed), and the contended atomic spec layer (little to reduce — the
-/// honest row).
-std::vector<PorAblationRow> runPorAblation() {
-  std::vector<PorAblationRow> Rows;
-  // Sourcing the POR-prune/steal columns from the metrics
-  // registry (rather than copying the report fields) keeps the registry
-  // honest: a publishing bug shows up as a bench-row mismatch.
-  bool WasEnabled = obs::enabled();
-  obs::setEnabled(true);
-  auto RunRow = [&](const std::string &Workload, MachineConfigPtr Cfg,
-                    const ExploreOptions &Opts) {
-    obs::metricsReset();
-    PorAblationRow Row;
-    Row.Workload = Workload;
-    Row.R = checkPorEquivalence(std::move(Cfg), Opts);
-    Row.RegSleepSkips = obs::counterValue("explorer.sleep_skips");
-    Row.RegSteals = obs::counterValue("explorer.steals");
-    Row.RegBacktracks = obs::counterValue("dpor.backtracks");
-    Rows.push_back(std::move(Row));
-  };
-  {
-    ExploreOptions Opts;
-    RunRow("indep-counters, 3 CPUs x 2 disjoint ticks",
-           makeIndependentCountersConfig(), Opts);
-  }
-  {
-    // FairnessBound is linearization-dependent and is cleared by the
-    // differential check; the spinning L0 acq is bounded by the
-    // trace-invariant per-CPU step cap instead.
-    ExploreOptions Opts;
-    Opts.MaxParticipantSteps = 10;
-    Opts.MaxSteps = 256;
-    RunRow("fig3 ticket-lock L0, 2 CPUs, MaxParticipantSteps=10",
-           makeFig3Config(), Opts);
-  }
-  {
-    ExploreOptions Opts;
-    Opts.MaxSteps = 4096;
-    RunRow("ticket spec layer L1, 3 CPUs x 1 round",
-           makeTicketSpecConfig(3, 1), Opts);
-  }
-  {
-    // The headline DPOR row: lock contention plus commuting per-CPU
-    // local work.  Sleep sets alone left this class at 1.00x (a first
-    // sibling is never asleep); the race-driven backtracking collapses
-    // the commuting tick interleavings.
-    ExploreOptions Opts;
-    Opts.MaxSteps = 4096;
-    RunRow("ticket L1 + per-CPU local work, 3 CPUs",
-           makeTicketMixedConfig(3), Opts);
-  }
-  obs::metricsReset();
-  obs::setEnabled(WasEnabled);
-  for (const PorAblationRow &Row : Rows)
-    std::fprintf(stderr,
-                 "por ablation: %-50s full=%llu por=%llu (%.1fx) "
-                 "states=%llu/%llu backtracks=%llu "
-                 "outcomes=%llu/%llu match=%s\n",
-                 Row.Workload.c_str(),
-                 static_cast<unsigned long long>(Row.R.FullSchedules),
-                 static_cast<unsigned long long>(Row.R.PorSchedules),
-                 Row.R.PorSchedules
-                     ? static_cast<double>(Row.R.FullSchedules) /
-                           static_cast<double>(Row.R.PorSchedules)
-                     : 0.0,
-                 static_cast<unsigned long long>(Row.R.FullStates),
-                 static_cast<unsigned long long>(Row.R.PorStates),
-                 static_cast<unsigned long long>(Row.R.Backtracks),
-                 static_cast<unsigned long long>(Row.R.FullOutcomes),
-                 static_cast<unsigned long long>(Row.R.PorOutcomes),
-                 Row.R.Ok && Row.R.Match ? "true" : "false");
-  return Rows;
-}
-
-void emitPorJson(std::FILE *F, const std::vector<PorAblationRow> &Rows) {
-  std::fprintf(F, "  \"por\": [\n");
-  for (size_t I = 0; I != Rows.size(); ++I) {
-    const PorAblationRow &Row = Rows[I];
-    std::fprintf(
-        F,
-        "    {\"workload\": \"%s\", \"schedules_full\": %llu, "
-        "\"schedules_por\": %llu, \"reduction\": %.2f, "
-        "\"states_full\": %llu, \"states_por\": %llu, "
-        "\"backtracks\": %llu, "
-        "\"sleep_skips\": %llu, \"outcomes_full\": %llu, "
-        "\"outcomes_por\": %llu, \"match\": %s, "
-        "\"registry_sleep_skips\": %llu, "
-        "\"registry_steals\": %llu, \"registry_backtracks\": %llu}%s\n",
-        Row.Workload.c_str(),
-        static_cast<unsigned long long>(Row.R.FullSchedules),
-        static_cast<unsigned long long>(Row.R.PorSchedules),
-        Row.R.PorSchedules
-            ? static_cast<double>(Row.R.FullSchedules) /
-                  static_cast<double>(Row.R.PorSchedules)
-            : 0.0,
-        static_cast<unsigned long long>(Row.R.FullStates),
-        static_cast<unsigned long long>(Row.R.PorStates),
-        static_cast<unsigned long long>(Row.R.Backtracks),
-        static_cast<unsigned long long>(Row.R.SleepSkips),
-        static_cast<unsigned long long>(Row.R.FullOutcomes),
-        static_cast<unsigned long long>(Row.R.PorOutcomes),
-        Row.R.Ok && Row.R.Match ? "true" : "false",
-        static_cast<unsigned long long>(Row.RegSleepSkips),
-        static_cast<unsigned long long>(Row.RegSteals),
-        static_cast<unsigned long long>(Row.RegBacktracks),
-        I + 1 != Rows.size() ? "," : "");
-  }
-  std::fprintf(F, "  ]\n");
-}
-
 /// Maximal-branching workload for the release/acquire rows: a torn
 /// relaxed counter two CPUs bump twice each, so every read has a real
 /// reads-from menu over the location's modification order.  The
@@ -452,9 +239,7 @@ MachineConfigPtr makeRelaxedCounterConfig(MemoryModelPtr Model) {
 /// Release/acquire rows: throughput and reads-from branching factor of
 /// the weak backend on the relaxed counter (real stale-read menus) and on
 /// the annotated RA ticket/MCS lock machines; the broken-grab twin rides
-/// along as the refutation row (ok=false IS its datum).  POR reduction
-/// under RaMemory comes from the same differential checker as the SC
-/// ablation, so the reduction is certified equal-outcome, not just fast.
+/// along as the refutation row (ok=false IS its datum).
 void emitRaJson(std::FILE *F) {
   struct RaRow {
     std::string Workload;
@@ -527,33 +312,7 @@ void emitRaJson(std::FILE *F) {
                  static_cast<unsigned long long>(Row.Res.StatesExplored),
                  Branching, Row.Res.Ok ? "true" : "false");
   }
-  std::fprintf(F, "    ],\n");
-
-  PorEquivalenceReport Por =
-      checkPorEquivalence(makeRelaxedCounterConfig(raMemory()),
-                          ExploreOptions());
-  std::fprintf(
-      F,
-      "    \"por\": {\"workload\": \"relaxed counter, 2 CPUs x 2 bumps, "
-      "RaMemory\", \"schedules_full\": %llu, \"schedules_por\": %llu, "
-      "\"reduction\": %.2f, \"outcomes_full\": %llu, \"outcomes_por\": "
-      "%llu, \"match\": %s}\n  },\n",
-      static_cast<unsigned long long>(Por.FullSchedules),
-      static_cast<unsigned long long>(Por.PorSchedules),
-      Por.PorSchedules ? static_cast<double>(Por.FullSchedules) /
-                             static_cast<double>(Por.PorSchedules)
-                       : 0.0,
-      static_cast<unsigned long long>(Por.FullOutcomes),
-      static_cast<unsigned long long>(Por.PorOutcomes),
-      Por.Ok && Por.Match ? "true" : "false");
-  std::fprintf(stderr,
-               "ra por ablation: full=%llu por=%llu (%.1fx) match=%s\n",
-               static_cast<unsigned long long>(Por.FullSchedules),
-               static_cast<unsigned long long>(Por.PorSchedules),
-               Por.PorSchedules ? static_cast<double>(Por.FullSchedules) /
-                                      static_cast<double>(Por.PorSchedules)
-                                : 0.0,
-               Por.Ok && Por.Match ? "true" : "false");
+  std::fprintf(F, "    ]\n  }\n");
 }
 
 /// Cold-vs-warm timing of the certificate store on a full contextual
@@ -674,7 +433,6 @@ void emitScalingJson() {
                       .count();
     if (T == 1)
       Baseline = Secs;
-    std::uint64_t SleepSkips = obs::counterValue("explorer.sleep_skips");
     std::uint64_t Steals = obs::counterValue("explorer.steals");
     std::uint64_t Donations = obs::counterValue("explorer.donations");
     std::uint64_t StealBatches = obs::counterValue("steal.batches");
@@ -689,8 +447,8 @@ void emitScalingJson() {
                  "    {\"threads\": %u, \"seconds\": %.3f, \"schedules\": "
                  "%llu, \"states\": %llu, \"states_per_sec\": %.0f, "
                  "\"snapshot_bytes\": %llu, \"ok\": %s, \"speedup\": %.2f, "
-                 "\"sleep_skips\": %llu, \"steals\": %llu, "
-                 "\"donations\": %llu, \"steal_batches\": %llu}%s\n",
+                 "\"steals\": %llu, \"donations\": %llu, "
+                 "\"steal_batches\": %llu}%s\n",
                  T, Secs,
                  static_cast<unsigned long long>(Res.SchedulesExplored),
                  static_cast<unsigned long long>(Res.StatesExplored),
@@ -699,7 +457,6 @@ void emitScalingJson() {
                  static_cast<unsigned long long>(Deepest.snapshotCopyBytes()),
                  Res.Ok ? "true" : "false",
                  Secs > 0.0 ? Baseline / Secs : 0.0,
-                 static_cast<unsigned long long>(SleepSkips),
                  static_cast<unsigned long long>(Steals),
                  static_cast<unsigned long long>(Donations),
                  static_cast<unsigned long long>(StealBatches),
@@ -717,7 +474,6 @@ void emitScalingJson() {
   std::fprintf(F, "  ],\n");
   emitCertStoreJson(F);
   emitRaJson(F);
-  emitPorJson(F, runPorAblation());
   std::fprintf(F, "}\n");
   std::fclose(F);
 }
@@ -725,20 +481,6 @@ void emitScalingJson() {
 } // namespace
 
 int main(int argc, char **argv) {
-  // Smoke mode for CI: run only the POR-off/POR-on ablation and gate on
-  // the differential soundness check (exit non-zero if any workload's
-  // deduplicated outcome sets diverge).
-  for (int I = 1; I != argc; ++I)
-    if (std::string(argv[I]) == "--por-ablation") {
-      std::vector<PorAblationRow> Rows = runPorAblation();
-      for (const PorAblationRow &Row : Rows)
-        if (!Row.R.Ok || !Row.R.Match) {
-          std::fprintf(stderr, "por ablation FAILED on %s: %s\n",
-                       Row.Workload.c_str(), Row.R.Detail.c_str());
-          return 1;
-        }
-      return 0;
-    }
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv))
     return 1;

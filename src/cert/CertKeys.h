@@ -49,8 +49,11 @@ void keyAddExploreOptions(Hasher &H, const OptsT &O) {
   H.u64(O.FairnessBound)
       .u64(O.MaxSchedules)
       .u64(O.MaxSteps)
-      .b(O.Por)
-      .u64(O.MaxParticipantSteps)
+      // The two slots of the deleted partial-order reduction (its switch
+      // and its per-participant step cap), hashed at the values every
+      // key had, so keys written before the removal still match.
+      .b(false)
+      .u64(0)
       .b(static_cast<bool>(O.Invariant))
       .str(O.InvariantName)
       .b(O.CollectCorpus)

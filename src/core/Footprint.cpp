@@ -1,4 +1,4 @@
-//===- core/Footprint.cpp - Step footprints for independence -----------------===//
+//===- core/Footprint.cpp - Step footprints over shared locations ------------===//
 
 #include "core/Footprint.h"
 
@@ -57,9 +57,13 @@ bool intersects(const std::vector<std::string> &A,
   return false;
 }
 
-} // namespace
-
-bool ccal::footprintsConflict(const Footprint &A, const Footprint &B) {
+/// True when the steps behind \p A and \p B do not commute: either one is
+/// opaque (and the other non-local), or a write of one intersects a read
+/// or write of the other.  Local footprints never conflict.  When either
+/// side is weakOrdered(), two reads of the same location also conflict:
+/// under a weak model a read advances the reader's view front, so
+/// same-location reads do not commute.
+bool footprintsConflict(const Footprint &A, const Footprint &B) {
   if (A.local() || B.local())
     return false;
   if (A.Opaque || B.Opaque)
@@ -67,12 +71,12 @@ bool ccal::footprintsConflict(const Footprint &A, const Footprint &B) {
   if (intersects(A.Writes, B.Writes) || intersects(A.Writes, B.Reads) ||
       intersects(A.Reads, B.Writes))
     return true;
-  // Under a weak model same-location reads advance view fronts and so do
-  // not commute; see the header comment.  Inert for SC footprints.
   if (A.weakOrdered() || B.weakOrdered())
     return intersects(A.Reads, B.Reads);
   return false;
 }
+
+} // namespace
 
 Log ccal::canonicalizeLog(
     const Log &L, const std::function<Footprint(KindId Kind)> &FootOfKind) {

@@ -1,4 +1,4 @@
-//===- core/Footprint.h - Step footprints for independence -----*- C++ -*-===//
+//===- core/Footprint.h - Step footprints over shared locations -*- C++ -*-===//
 //
 // Part of ccal, a C++ reproduction of "Certified Concurrent Abstraction
 // Layers" (PLDI 2018).
@@ -6,31 +6,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Read/write footprints over abstract shared locations, the independence
-/// relation they induce, and canonical (Mazurkiewicz-trace) log forms.
+/// Read/write footprints over abstract shared locations, with the memory
+/// orders of their accesses.
 ///
 /// Every shared primitive's observable behavior is a function of the log;
 /// a footprint names which *parts* of that replayed shared state the
 /// primitive reads and writes, as free-form location strings ("tkt.next",
-/// "lock.acq", ...).  Two steps of different participants are independent
-/// iff their footprints do not conflict; independent steps commute, so the
-/// Explorer's partial-order reduction may explore one interleaving of a
-/// commuting pair on behalf of both.
-///
-/// The declared footprint is a contract with three obligations (checked
-/// dynamically by checkPorEquivalence, never assumed):
-///   1. the events a primitive appends and the value it returns depend on
-///      the log only through its Reads;
-///   2. the replayed locations it changes are covered by its Writes —
-///      including whatever a *blocked* primitive's retry condition reads,
-///      so enabledness of one participant cannot change behind a
-///      supposedly-independent step;
-///   3. any Explorer Invariant's order-sensitivity between two event kinds
-///      is covered by a conflict between their kinds' footprints.
-///
-/// An Opaque footprint ("unknown effects") conflicts with everything and
-/// is the default for undeclared primitives: reduction degrades to full
-/// exploration, which is always sound.
+/// "lock.acq", ...).  Footprints have two readers: RaMemory's reads-from
+/// enumeration, which takes a step's locations and orders to decide which
+/// writes each read may observe (machine/MemoryModel.h), and certificate
+/// keys, which fold every primitive's declared footprint (cert/CertKey.h).
+/// An Opaque footprint ("unknown effects") is the default for undeclared
+/// primitives.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -117,7 +104,7 @@ struct Footprint {
 
   /// True when any annotation differs from the SC defaults — the footprint
   /// opts in to weak-memory treatment (reads-from enumeration under
-  /// RaMemory, ordering-aware conflict detection, order-folding CertKeys).
+  /// RaMemory, order-folding CertKeys).
   bool weakOrdered() const {
     return ReadOrd != MemOrder::SeqCst || WriteOrd != MemOrder::SeqCst ||
            !Atomic || ScFence || FairRead;
@@ -167,37 +154,13 @@ struct Footprint {
   }
 };
 
-/// A participant's step footprint — the unit of the Explorer's sleep sets
-/// and DPOR race detection: "participant \p Tid took (or would take) a
-/// step with footprint \p Foot".
-struct ParticipantFootprint {
-  ThreadId Tid;
-  Footprint Foot;
-};
-
-/// True when the steps behind \p A and \p B do not commute: either one is
-/// opaque (and the other non-local), or a write of one intersects a read
-/// or write of the other.  Local footprints never conflict.
-///
-/// Ordering-aware extension: when either side is weakOrdered(), two reads
-/// of the same location also conflict.  Under a weak model a read is not a
-/// pure observation — it advances the reader's per-location view front and
-/// constrains which stale values remain readable, so two reads of the same
-/// location do not commute as state transformers.  This is deliberately
-/// conservative (it only ever shrinks the reduction, never the soundness),
-/// and it is inert for SC footprints, whose defaults keep weakOrdered()
-/// false and the conflict relation bit-identical to the pre-model code.
-bool footprintsConflict(const Footprint &A, const Footprint &B);
-
 /// Canonical linearization of the Mazurkiewicz trace of \p L: two events
 /// depend on each other iff they share a participant or their kinds'
 /// footprints (per \p FootOfKind) conflict; the canonical form is the
 /// dependence-respecting order that always picks the ready event with the
-/// smallest (Tid, per-Tid index).  Every linearization of the same trace
-/// canonicalizes to the same log, so deduplicating canonical logs
-/// identifies schedules that differ only in the order of independent
-/// steps — what lets POR report "identical outcome sets" with far fewer
-/// schedules even though every schedule's raw log is distinct.
+/// smallest (Tid, per-Tid index).  The Explorer's partial-order reduction
+/// that recorded such logs is gone; this remains because
+/// certbench/Layers.cpp, its only reader, still calls it.
 Log canonicalizeLog(const Log &L,
                     const std::function<Footprint(KindId Kind)> &FootOfKind);
 

@@ -101,10 +101,8 @@ struct Primitive {
   bool ExitsThread = false;
 
   /// Declared read/write footprint over abstract shared locations (see
-  /// core/Footprint.h for the contract), consumed by the Explorer's
-  /// partial-order reduction.  Defaults to opaque — undeclared primitives
-  /// conflict with everything, so POR degrades to full exploration rather
-  /// than trusting a footprint nobody wrote.
+  /// core/Footprint.h), read by RaMemory's reads-from enumeration and
+  /// folded into certificate keys.  Defaults to opaque.
   Footprint Foot = Footprint::opaque();
 
   PrimSemantics Sem;
@@ -147,7 +145,7 @@ public:
   Footprint footprintOf(const std::string &Name) const;
 
   /// Footprint by interned kind id (event kinds coincide with primitive
-  /// names), for the Explorer's POR footprint queries.
+  /// names).
   Footprint footprintOf(KindId Kind) const {
     const Primitive *P = lookup(Kind);
     return P ? P->Foot : Footprint::opaque();

@@ -13,16 +13,12 @@ void ccal::detail::publishExploreMetrics(const ExploreResult &Res) {
   obs::counterAdd("explorer.schedules_explored", Res.SchedulesExplored);
   obs::counterAdd("explorer.states_explored", Res.StatesExplored);
   obs::counterAdd("explorer.invariant_checks", Res.InvariantChecks);
-  obs::counterAdd("explorer.sleep_skips", Res.PorSleepSkips);
   obs::counterAdd("explorer.steals", Res.Steals);
   obs::counterAdd("explorer.donations", Res.Donations);
-  obs::counterAdd("dpor.backtracks", Res.DporBacktracks);
   obs::counterAdd("explorer.readsfrom_branch_points",
                   Res.ReadsFromBranchPoints);
   obs::counterAdd("explorer.readsfrom_variants", Res.ReadsFromVariants);
   obs::counterAdd("steal.batches", Res.StealBatches);
-  if (Res.PorApplied)
-    obs::counterAdd("explorer.por_runs", 1);
   if (!Res.Complete) {
     obs::counterAdd("explorer.truncated_runs", 1);
     obs::traceInstant("explorer.truncation: " + Res.Truncation, "explorer");
@@ -46,12 +42,6 @@ ExploreResult ccal::exploreMachine(MachineConfigPtr Cfg,
                                    const ExploreOptions &Opts) {
   MultiCoreMachine Root(std::move(Cfg));
   return exploreGeneric(Root, Opts);
-}
-
-PorEquivalenceReport ccal::checkPorEquivalence(MachineConfigPtr Cfg,
-                                               ExploreOptions Opts) {
-  MultiCoreMachine Root(std::move(Cfg));
-  return checkPorEquivalence(Root, std::move(Opts));
 }
 
 Outcome ccal::runSchedule(

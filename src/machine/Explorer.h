@@ -22,32 +22,16 @@
 /// copyable and provide ok()/error(), allIdle(), schedulable(), step(),
 /// log(), and returns().
 ///
-/// Machines additionally providing stepFootprint()/eventFootprint() (see
-/// core/Footprint.h) unlock the opt-in partial-order reduction
-/// (GenericExploreOptions::Por): source-set DPOR (Abdulla et al., Optimal
-/// Dynamic Partial Order Reduction) over the footprint-conflict
-/// independence relation.  Instead of statically enumerating every
-/// schedulable child, each node starts with ONE child and grows a
-/// backtrack (source) set on demand: whenever an explored step races with
-/// an earlier event on the DFS path, the reversal is scheduled at the
-/// race's pre-state — unless the source-set check shows an already-
-/// scheduled child covers it.  Godefroid-style sleep sets prune siblings
-/// of already-explored commuting subtrees on top, and outcomes are
-/// recorded with canonical (Mazurkiewicz-trace) logs so the deduplicated
-/// outcome set is identical to full exploration's.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef CCAL_MACHINE_EXPLORER_H
 #define CCAL_MACHINE_EXPLORER_H
 
-#include "core/Footprint.h"
 #include "machine/MultiCore.h"
 #include "obs/Metrics.h"
 #include "obs/Trace.h"
 
 #include <algorithm>
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
@@ -72,8 +56,7 @@ struct Outcome {
 /// inspect the concrete machine.
 template <typename MachineT> struct GenericExploreOptions {
   /// Max consecutive steps of one participant while another is schedulable
-  /// (the paper's "any CPU can be scheduled within m steps").  Ignored
-  /// under Por — see there.
+  /// (the paper's "any CPU can be scheduled within m steps").
   unsigned FairnessBound = 6;
 
   /// Budgets; exceeding MaxSteps along a path is reported as divergence.
@@ -95,42 +78,9 @@ template <typename MachineT> struct GenericExploreOptions {
   /// actionable).
   std::string CancelReason = "cancelled by caller";
 
-  /// Partial-order reduction: source-set DPOR with sleep sets over the
-  /// machine's declared step footprints (see the file comment).  Opt-in,
-  /// and changes the exploration regime in three documented ways:
-  ///
-  ///  - FairnessBound is IGNORED.  The consecutive-steps filter is a
-  ///    property of one linearization, not of its Mazurkiewicz trace: the
-  ///    interleaving POR explores on behalf of a skipped one can contain
-  ///    a longer consecutive run and be pruned even though the skipped
-  ///    interleaving would not be, losing outcomes.  Bound spinning
-  ///    workloads with MaxParticipantSteps instead, which is
-  ///    trace-invariant (a per-participant total is the same in every
-  ///    linearization of a trace).
-  ///  - Work sharing is DISABLED (donations stop; extra workers idle).
-  ///    DPOR's race detection inserts backtrack points into the ANCESTORS
-  ///    of the step being explored, which must therefore still sit on the
-  ///    exploring worker's own stack — a donated subtree would race-walk
-  ///    into frames its donor still owns.  Run POR single-threaded.
-  ///  - Outcome logs are CANONICALIZED (see canonicalizeLog): every
-  ///    shared step appends a participant-tagged event, so raw final logs
-  ///    are in bijection with schedules and POR would otherwise lose
-  ///    outcomes by construction.  Canonical logs identify exactly the
-  ///    schedules POR deduplicates.
-  ///
-  /// On machines without stepFootprint()/eventFootprint() the reduction
-  /// silently degrades to full exploration (ExploreResult::PorApplied
-  /// reports which happened).  Soundness rests on honest footprints;
-  /// checkPorEquivalence verifies it differentially.  Over-approximated
-  /// footprints (up to Footprint::opaque) stay sound and degrade toward
-  /// full exploration.
-  bool Por = false;
-
-  /// Cap on the TOTAL steps any one participant takes along a path; 0 is
-  /// unlimited.  Exceeding it prunes silently, like the fairness bound —
-  /// it is the trace-invariant divergence bound to use with Por (and is
-  /// honored without Por too, so differential runs prune identically).
-  std::uint64_t MaxParticipantSteps = 0;
+  /// The partial-order reduction is gone; this constant remains because
+  /// certbench/Layers.cpp, its only reader, still tests it.
+  static constexpr bool Por = false;
 
   /// Invariant checked after every machine step; a non-empty return is a
   /// violation (used for mutual exclusion, guarantee conditions, ...).
@@ -186,18 +136,6 @@ struct ExploreResult {
 
   /// Which budget truncated the search ("" when Complete).
   std::string Truncation;
-
-  /// True when the partial-order reduction was actually active (Por
-  /// requested and the machine provides footprints); outcome logs are
-  /// then canonical trace forms rather than raw linearizations.
-  bool PorApplied = false;
-
-  std::uint64_t PorSleepSkips = 0; ///< children skipped via sleep sets
-
-  /// Backtrack points DPOR's race detection inserted into ancestor
-  /// frames' source sets (one count per NEW entry; re-detections of an
-  /// already-scheduled reversal are free).
-  std::uint64_t DporBacktracks = 0;
 
   std::string Violation; ///< first violation with its log
 
@@ -342,17 +280,6 @@ private:
 
 namespace detail {
 
-/// Detects machines providing stepFootprint()/eventFootprint(); the Por
-/// option degrades to full exploration without them.
-template <typename M, typename = void>
-struct MachineHasFootprint : std::false_type {};
-template <typename M>
-struct MachineHasFootprint<
-    M, std::void_t<decltype(std::declval<const M &>().stepFootprint(
-                       std::declval<ThreadId>())),
-                   decltype(std::declval<const M &>().eventFootprint(
-                       std::declval<const Event &>()))>> : std::true_type {};
-
 /// Detects machines providing stepVariants()/step(Tid, Variant) — a weak
 /// memory model whose steps have several reads-from choices.  Without
 /// them every step has exactly one variant (classic SC exploration, zero
@@ -391,9 +318,7 @@ public:
   using Options = GenericExploreOptions<MachineT>;
 
   GenericDfs(const Options &Opts, unsigned Workers)
-      : Opts(Opts), Workers(Workers),
-        PorOn(Opts.Por && MachineHasFootprint<MachineT>::value),
-        Shards(Workers) {}
+      : Opts(Opts), Workers(Workers), Shards(Workers) {}
 
   ExploreResult run(const MachineT &Root) {
     ExploreResult Res;
@@ -418,14 +343,11 @@ public:
     Res.Violation = std::move(Violation);
     Res.Complete = Complete;
     Res.Truncation = std::move(Truncation);
-    Res.PorApplied = PorOn;
     Res.SchedulesExplored = Schedules.load();
     std::uint64_t Pulls = 0;
     for (const Shard &S : Shards) {
       Res.StatesExplored += S.States;
       Res.InvariantChecks += S.InvariantChecks;
-      Res.PorSleepSkips += S.PorSkips;
-      Res.DporBacktracks += S.DporBacktracks;
       Res.ReadsFromBranchPoints += S.RfBranchPoints;
       Res.ReadsFromVariants += S.RfVariants;
       Res.Donations += S.Donations;
@@ -444,11 +366,6 @@ public:
   }
 
 private:
-  /// A sleep-set entry: participant Tid's next step (with footprint Foot)
-  /// is already covered — a sibling subtree explored it first and every
-  /// continuation interleaving it later commutes into that subtree.
-  using SleepEntry = ParticipantFootprint;
-
   /// One DFS node: a machine snapshot plus sibling-iteration state.
   struct Frame {
     MachineT M;
@@ -464,28 +381,9 @@ private:
     /// Reads-from choices per Ready entry (weak memory models only; empty
     /// means one variant each).  Every variant of a candidate is explored
     /// before the candidate cursor advances, so the machine-move and
-    /// donation conditions on NextChild/NextBt stay valid unchanged.
+    /// donation conditions on NextChild stay valid unchanged.
     std::vector<unsigned> ReadyVars;
     unsigned NextVariant = 0; ///< variant cursor within Ready[NextChild]
-    unsigned BtVariant = 0;   ///< variant cursor within Backtrack[NextBt]
-
-    // POR state (filled only when the reduction is on).
-    Footprint StepFoot;               ///< footprint of the step INTO this node
-    std::vector<SleepEntry> Sleep;    ///< asleep at this node
-    std::vector<SleepEntry> DoneSibs; ///< children already pushed here
-    std::vector<Footprint> ReadyFoot; ///< footprint per Ready entry
-
-    /// DPOR source set: indices into Ready, seeded with one child at
-    /// expansion and grown by race detection in the subtree below (so it
-    /// can grow while this frame is NOT on top of the stack — which is
-    /// why iteration is by cursor, not by a precomputed child list, and
-    /// why the machine-move last-child optimization is off under POR).
-    std::vector<size_t> Backtrack;
-    size_t NextBt = 0;
-
-    /// Total steps per participant along the path to this node (kept only
-    /// when MaxParticipantSteps bounds paths).
-    std::map<ThreadId, std::uint64_t> StepTally;
 
     Frame(MachineT M, ThreadId LastId, unsigned Consec, std::uint64_t Depth)
         : M(std::move(M)), LastId(LastId), Consec(Consec), Depth(Depth) {}
@@ -503,8 +401,6 @@ private:
     std::uint64_t States = 0;
     std::uint64_t InvariantChecks = 0;
     std::uint64_t MaxLogLen = 0;
-    std::uint64_t PorSkips = 0;
-    std::uint64_t DporBacktracks = 0;
     std::uint64_t RfBranchPoints = 0;  ///< candidates with >1 reads-from
     std::uint64_t RfVariants = 0;      ///< menu entries over those
     std::uint64_t Pulls = 0;           ///< frames taken from the injector
@@ -537,11 +433,8 @@ private:
       // Donations are gated on an EMPTY injector (the atomic mirror): a
       // hungry count alone made donors push one frame per loop iteration
       // faster than thieves could drain them — the single-frame churn
-      // behind the old sub-1.0 multi-thread speedups.  Off under POR
-      // (see GenericExploreOptions::Por: backtrack insertion needs the
-      // full ancestor chain on one stack).
-      if (Workers > 1 && !PorOn &&
-          Hungry.load(std::memory_order_relaxed) > 0 &&
+      // behind the old sub-1.0 multi-thread speedups.
+      if (Workers > 1 && Hungry.load(std::memory_order_relaxed) > 0 &&
           InjectorSize.load(std::memory_order_relaxed) == 0)
         donate(Stack, S);
       Frame &Top = Stack.back();
@@ -551,121 +444,33 @@ private:
           continue;
         }
       }
-      size_t ChildIdx;
-      unsigned Variant = 0;
-      if (PorOn) {
-        // DPOR: iterate the backtrack (source) set by cursor — race
-        // detection below this frame appends to it while it is buried.
-        // Entries found asleep when their turn comes are covered by an
-        // explored sibling subtree: prune, like the static sleep-set
-        // skip.  Every reads-from variant of a candidate is consumed
-        // before the cursor advances (asleep is decided once per
-        // candidate, at variant 0 — sleeping covers the whole menu, since
-        // independent steps preserve variant menus).
-        bool Have = false;
-        while (Top.NextBt < Top.Backtrack.size()) {
-          size_t Cand = Top.Backtrack[Top.NextBt];
-          if (Top.BtVariant == 0 && asleep(Top, Top.Ready[Cand])) {
-            ++S.PorSkips;
-            ++Top.NextBt;
-            continue;
-          }
-          ChildIdx = Cand;
-          Variant = Top.BtVariant;
-          if (++Top.BtVariant >= variantsOf(Top, Cand)) {
-            ++Top.NextBt;
-            Top.BtVariant = 0;
-          }
-          Have = true;
-          break;
-        }
-        if (!Have) {
-          Stack.pop_back();
-          continue;
-        }
-      } else {
-        if (Top.NextChild >= Top.Ready.size()) {
-          Stack.pop_back();
-          continue;
-        }
-        ChildIdx = Top.NextChild;
-        // Fairness: one participant may not run more than FairnessBound
-        // consecutive steps while someone else is waiting.  Skipped under
-        // Por — the filter is linearization-dependent, which breaks the
-        // coverage argument (see GenericExploreOptions::Por).  Decided
-        // once per candidate, at variant 0.
-        if (Top.NextVariant == 0 && Top.Ready.size() > 1 &&
-            Top.Ready[ChildIdx] == Top.LastId &&
-            Top.Consec >= Opts.FairnessBound) {
-          ++Top.NextChild;
-          continue;
-        }
-        Variant = Top.NextVariant;
-        if (++Top.NextVariant >= variantsOf(Top, ChildIdx)) {
-          ++Top.NextChild;
-          Top.NextVariant = 0;
-        }
-      }
-      ThreadId C = Top.Ready[ChildIdx];
-      // Trace-invariant divergence bound: a per-participant total is the
-      // same in every linearization, so this prunes whole traces and is
-      // safe alongside the reduction — PROVIDED the reduction reacts.
-      // DPOR's coverage argument assumes every scheduled child subtree is
-      // fully explored so the races inside it surface; a child pruned by
-      // the cap surfaces nothing, and the reversals it would have
-      // demanded die with it (concretely: a spinning acquirer dead-ends
-      // at the cap and no race ever schedules the lock holder).  Like
-      // the blocked-participant case, collapse the frame to all enabled
-      // alternatives; their subtrees re-detect whatever the pruned one
-      // hid.
-      if (Opts.MaxParticipantSteps != 0 &&
-          tallyOf(Top, C) >= Opts.MaxParticipantSteps) {
-        // Skip the candidate's remaining variants too — the cap prunes
-        // the participant, not one reads-from choice.
-        if (PorOn) {
-          for (size_t R = 0; R != Top.Ready.size(); ++R)
-            addBacktrack(Top, R, S);
-          if (Top.BtVariant != 0) {
-            ++Top.NextBt;
-            Top.BtVariant = 0;
-          }
-        } else if (Top.NextVariant != 0) {
-          ++Top.NextChild;
-          Top.NextVariant = 0;
-        }
+      if (Top.NextChild >= Top.Ready.size()) {
+        Stack.pop_back();
         continue;
       }
+      const size_t ChildIdx = Top.NextChild;
+      // Fairness: one participant may not run more than FairnessBound
+      // consecutive steps while someone else is waiting.  Decided once per
+      // candidate, at variant 0.
+      if (Top.NextVariant == 0 && Top.Ready.size() > 1 &&
+          Top.Ready[ChildIdx] == Top.LastId &&
+          Top.Consec >= Opts.FairnessBound) {
+        ++Top.NextChild;
+        continue;
+      }
+      const unsigned Variant = Top.NextVariant;
+      if (++Top.NextVariant >= variantsOf(Top, ChildIdx)) {
+        ++Top.NextChild;
+        Top.NextVariant = 0;
+      }
+      ThreadId C = Top.Ready[ChildIdx];
       // The final child may take the parent's machine by move: NextChild
       // is already past the end, so the frame can only be popped from here
       // on (donate() skips child-less frames) and its machine is dead
-      // weight.  Saves one full machine copy per interior node.  Not
-      // under POR: race detection can schedule NEW children on a frame
-      // whose cursor looked exhausted, and the machine must survive for
-      // them.
-      const bool LastChild = !PorOn && Top.NextChild >= Top.Ready.size();
+      // weight.  Saves one full machine copy per interior node.
+      const bool LastChild = Top.NextChild >= Top.Ready.size();
       Frame Child(LastChild ? MachineT(std::move(Top.M)) : MachineT(Top.M),
                   C, C == Top.LastId ? Top.Consec + 1 : 1, Top.Depth + 1);
-      if (PorOn) {
-        const Footprint &CF = Top.ReadyFoot[ChildIdx];
-        Child.StepFoot = CF;
-        childSleep(Top, C, CF, Child.Sleep);
-        // Added at push (not pop): coverage only needs this subtree to be
-        // explored *eventually*, and an abort that leaves it unexplored
-        // also reports Complete=false, so nothing unsound is claimed.
-        // Once per candidate: the footprint — and hence the sleep and
-        // race structure — is shared by all its reads-from variants.
-        if (Variant == 0) {
-          Top.DoneSibs.push_back(SleepEntry{C, CF});
-          // Source-set DPOR race detection: schedule the reversal of
-          // every race this step closes with an event already on the
-          // path.
-          dporRaces(Stack, C, CF, S);
-        }
-      }
-      if (Opts.MaxParticipantSteps != 0) {
-        Child.StepTally = Top.StepTally;
-        ++Child.StepTally[C];
-      }
       if (!stepOn(Child.M, C, Variant)) {
         violate(Child.M, Child.M.error());
         continue;
@@ -714,13 +519,6 @@ private:
       }
     }
     F.Ready = F.M.schedulable();
-    if constexpr (MachineHasFootprint<MachineT>::value) {
-      if (PorOn) {
-        F.ReadyFoot.reserve(F.Ready.size());
-        for (ThreadId C : F.Ready)
-          F.ReadyFoot.push_back(F.M.stepFootprint(C));
-      }
-    }
     if constexpr (MachineHasVariants<MachineT>::value) {
       // One menu query per candidate per node; a budget overflow shows up
       // as a count above the machine's cap and the step itself faults
@@ -748,167 +546,8 @@ private:
       violate(F.M, "step bound exceeded (divergence under fair schedules?)");
       return false;
     }
-    if (PorOn) {
-      // Seed the source set with the first non-sleeping child; every
-      // other child waits until race detection proves its order can
-      // matter.  All children asleep means the whole node is covered by
-      // explored sibling subtrees.
-      size_t Seed = 0;
-      while (Seed != F.Ready.size() && asleep(F, F.Ready[Seed]))
-        ++Seed;
-      if (Seed == F.Ready.size()) {
-        S.PorSkips += F.Ready.size();
-        return false;
-      }
-      F.Backtrack.push_back(Seed);
-    }
     F.Expanded = true;
     return true;
-  }
-
-  /// Source-set DPOR race detection for a step of participant \p P with
-  /// footprint \p PF taken from Stack.back(): walk the executed path
-  /// deepest-first and treat every event e of ANOTHER participant whose
-  /// footprint conflicts as a race candidate.  This over-approximates the true races (the hb-adjacent
-  /// pairs): a candidate with an intervening dependence chain to the new
-  /// step is not reversible, but processing it merely schedules an extra
-  /// child, never loses one.  The walk must NOT stop at the deepest
-  /// candidate — two events in different threads can both race the same
-  /// new step (neither happens-before the other), and stopping early
-  /// silently drops the shallower reversal.
-  ///
-  /// At candidates whose pre-state has P schedulable, raceInsert applies
-  /// the source-set rule.  Where P is NOT schedulable (it was blocked,
-  /// e.g. on a lock the suffix releases), reversing needs some other
-  /// participant first; conservatively schedule every alternative.
-  void dporRaces(std::vector<Frame> &Stack, ThreadId P, const Footprint &PF,
-                 Shard &S) {
-    if (PF.local())
-      return;
-    for (size_t I = Stack.size(); I-- > 1;) {
-      const Frame &Ev = Stack[I];
-      if (Ev.LastId == P || !footprintsConflict(Ev.StepFoot, PF))
-        continue;
-      Frame &Pre = Stack[I - 1];
-      size_t PIdx = readyIndex(Pre, P);
-      if (PIdx == SIZE_MAX) {
-        for (size_t R = 0; R != Pre.Ready.size(); ++R)
-          addBacktrack(Pre, R, S);
-        continue;
-      }
-      raceInsert(Stack, I, P, PF, PIdx, S);
-    }
-  }
-
-  /// The source-set insertion rule (Abdulla et al.) for the race between
-  /// the event e entering Stack[EvIdx] and the new step (P, PF).  With
-  /// E' = pre(E, e) and v = notdep(e, E)·(P, PF), the reversal is covered
-  /// iff some already-scheduled child of E' is an initial of v — a thread
-  /// whose first step in v has no dependent predecessor within v can run
-  /// first in SOME linearization of the reversal's trace, so exploring it
-  /// explores that trace.  When uncovered, an INITIAL of v must be
-  /// scheduled; inserting P itself is wrong when P is not an initial
-  /// (its first v-step has a dependent predecessor): the P-first subtree
-  /// then lies in a different trace class, and sleep sets — sound only on
-  /// top of genuine source sets — may prune the reversal everywhere else.
-  /// P is preferred when it qualifies; otherwise v's first step's thread
-  /// (trivially an initial) is used.  Initials are computed from the
-  /// concrete suffix and under-approximated when in doubt, which costs
-  /// insertions, never soundness.
-  void raceInsert(std::vector<Frame> &Stack, size_t EvIdx, ThreadId P,
-                  const Footprint &PF, size_t PIdx, Shard &S) {
-    Frame &Pre = Stack[EvIdx - 1];
-    const Frame &Ev = Stack[EvIdx];
-    // Mark which suffix steps (strictly after e) transitively
-    // happen-after e: same participant as e or conflicting with e, or
-    // dependent on an earlier marked step.
-    const size_t N = Stack.size() - (EvIdx + 1);
-    std::vector<char> AfterE(N, 0);
-    for (size_t J = 0; J != N; ++J) {
-      const Frame &FJ = Stack[EvIdx + 1 + J];
-      if (FJ.LastId == Ev.LastId ||
-          footprintsConflict(FJ.StepFoot, Ev.StepFoot)) {
-        AfterE[J] = 1;
-        continue;
-      }
-      for (size_t K = 0; K != J; ++K) {
-        const Frame &FK = Stack[EvIdx + 1 + K];
-        if (AfterE[K] && (FK.LastId == FJ.LastId ||
-                          footprintsConflict(FK.StepFoot, FJ.StepFoot))) {
-          AfterE[J] = 1;
-          break;
-        }
-      }
-    }
-    // v = notdep(e, E) · (P, PF).
-    std::vector<SleepEntry> W;
-    for (size_t J = 0; J != N; ++J)
-      if (!AfterE[J]) {
-        const Frame &FJ = Stack[EvIdx + 1 + J];
-        W.push_back(SleepEntry{FJ.LastId, FJ.StepFoot});
-      }
-    W.push_back(SleepEntry{P, PF});
-    // Covered: some scheduled child of E' is an initial of v.
-    for (size_t BIdx : Pre.Backtrack)
-      if (initialOf(W, Pre.Ready[BIdx]))
-        return;
-    // Uncovered: schedule an initial — P when it qualifies, else the
-    // thread of v's first step (enabled at E' by commutation with e when
-    // footprints are honest; fall back to P if the machine disagrees).
-    if (initialOf(W, P)) {
-      addBacktrack(Pre, PIdx, S);
-      return;
-    }
-    size_t QIdx = readyIndex(Pre, W.front().Tid);
-    addBacktrack(Pre, QIdx != SIZE_MAX ? QIdx : PIdx, S);
-  }
-
-  /// True when \p Q's first step in \p W exists and has no dependent
-  /// (footprint-conflicting) predecessor within W — i.e. Q ∈ I(W).
-  static bool initialOf(const std::vector<SleepEntry> &W, ThreadId Q) {
-    size_t First = W.size();
-    for (size_t J = 0; J != W.size(); ++J)
-      if (W[J].Tid == Q) {
-        First = J;
-        break;
-      }
-    if (First == W.size())
-      return false; // Q takes no step in v: not an initial
-    for (size_t K = 0; K != First; ++K)
-      if (footprintsConflict(W[K].Foot, W[First].Foot))
-        return false;
-    return true;
-  }
-
-  size_t readyIndex(const Frame &F, ThreadId C) const {
-    for (size_t I = 0; I != F.Ready.size(); ++I)
-      if (F.Ready[I] == C)
-        return I;
-    return SIZE_MAX;
-  }
-
-  /// Adds Ready index \p Idx to F's backtrack set unless present (the set
-  /// keeps consumed entries precisely so this membership test also covers
-  /// "already explored").
-  void addBacktrack(Frame &F, size_t Idx, Shard &S) {
-    for (size_t Have : F.Backtrack)
-      if (Have == Idx)
-        return;
-    F.Backtrack.push_back(Idx);
-    ++S.DporBacktracks;
-  }
-
-  /// True when participant \p C's next step is asleep at \p F.
-  bool asleep(const Frame &F, ThreadId C) const {
-    for (const SleepEntry &E : F.Sleep)
-      if (E.Tid == C)
-        return true;
-    return false;
-  }
-
-  std::uint64_t tallyOf(const Frame &F, ThreadId C) const {
-    auto It = F.StepTally.find(C);
-    return It == F.StepTally.end() ? 0 : It->second;
   }
 
   /// Reads-from choices of Ready entry \p Idx (1 without a weak model).
@@ -925,31 +564,10 @@ private:
       return M.step(C);
   }
 
-  /// Sleep set of the child reached by stepping \p C with footprint \p CF:
-  /// the parent's sleeping entries plus its already-pushed siblings, minus
-  /// C itself (it just ran) and minus everything whose footprint conflicts
-  /// with CF (the covering interleaving no longer commutes past C's step).
-  void childSleep(const Frame &F, ThreadId C, const Footprint &CF,
-                  std::vector<SleepEntry> &Out) const {
-    for (const std::vector<SleepEntry> *Src : {&F.Sleep, &F.DoneSibs})
-      for (const SleepEntry &E : *Src)
-        if (E.Tid != C && !footprintsConflict(E.Foot, CF))
-          Out.push_back(E);
-  }
-
   void recordOutcome(const MachineT &M, Shard &S) {
     Outcome O;
     O.FinalLog = M.log();
     O.Returns = M.returns();
-    if constexpr (MachineHasFootprint<MachineT>::value) {
-      // Under POR raw final logs are in bijection with schedules, so the
-      // reduction must deduplicate canonical trace forms instead (see
-      // GenericExploreOptions::Por).
-      if (PorOn)
-        O.FinalLog = canonicalizeLog(O.FinalLog, [&M](KindId Kind) {
-          return M.eventFootprint(Event(0, Kind));
-        });
-    }
     if (Opts.OnOutcome) {
       // Callback path: every terminal schedule's outcome goes to the
       // callback, serialized under ResMu (callers keep plain tallies), and
@@ -1110,7 +728,7 @@ private:
   /// a donor re-enter the injector lock on nearly every expansion while
   /// any worker was hungry; batching plus the caller's injector-empty
   /// gate bounds donation traffic by steals actually taken.  True when
-  /// anything was donated.  Never called under POR (see worker()).
+  /// anything was donated.
   bool donate(std::vector<Frame> &Stack, Shard &S) {
     std::vector<Frame> Moved;
     for (Frame &F : Stack) {
@@ -1124,7 +742,6 @@ private:
       Rest.ReadyVars = F.ReadyVars;
       Rest.NextVariant = F.NextVariant;
       Rest.Expanded = true;
-      Rest.StepTally = F.StepTally;
       F.NextChild = F.Ready.size();
       F.NextVariant = 0;
       Moved.push_back(std::move(Rest));
@@ -1148,10 +765,6 @@ private:
 
   const Options &Opts;
   const unsigned Workers;
-
-  /// The reduction is actually on: requested AND the machine declares
-  /// footprints.
-  const bool PorOn;
 
   // Work sharing.
   std::mutex QMu;
@@ -1204,122 +817,12 @@ ExploreResult exploreGeneric(const MachineT &Root,
   return Res;
 }
 
-/// Result of a differential POR-vs-full run (checkPorEquivalence).
-struct PorEquivalenceReport {
-  bool Ok = false;    ///< both explorations ran to completion, no violation
-  bool Match = false; ///< the deduplicated canonical outcome sets agree
-  std::string Detail; ///< failure reason / first diverging outcome
-  std::uint64_t FullSchedules = 0;
-  std::uint64_t PorSchedules = 0;
-  std::uint64_t FullStates = 0;
-  std::uint64_t PorStates = 0;
-  std::uint64_t FullOutcomes = 0; ///< size of the canonicalized full set
-  std::uint64_t PorOutcomes = 0;
-  std::uint64_t SleepSkips = 0;
-  std::uint64_t Backtracks = 0; ///< DPOR backtrack insertions (reduced run)
-};
-
-/// Differential soundness check for the partial-order reduction: explores
-/// \p Root twice from the same options — once in full (Por off, fairness
-/// off, so both runs range over the same trace space) and once reduced —
-/// and compares the deduplicated outcome sets after canonicalizing the
-/// full run's logs the same way the reduced run does.  A mismatch means a
-/// machine's declared footprints under-report a dependence (or a reduction
-/// bug); Match=false with the first diverging outcome in Detail.
-///
-/// Bound divergent workloads with Opts.MaxParticipantSteps/MaxSteps, not
-/// FairnessBound (which this check clears on both sides).
-template <typename MachineT>
-PorEquivalenceReport
-checkPorEquivalence(const MachineT &Root,
-                    GenericExploreOptions<MachineT> Opts) {
-  PorEquivalenceReport R;
-  // Same trace space on both sides: the consecutive-run fairness filter is
-  // linearization-dependent (POR ignores it), so the full run must not
-  // apply it either; divergence is bounded by the trace-invariant knobs.
-  Opts.FairnessBound = ~0u;
-  Opts.OnOutcome = nullptr;
-  Opts.CollectCorpus = false;
-
-  GenericExploreOptions<MachineT> FullOpts = Opts;
-  FullOpts.Por = false;
-  ExploreResult Full = exploreGeneric(Root, FullOpts);
-  R.FullSchedules = Full.SchedulesExplored;
-  R.FullStates = Full.StatesExplored;
-  if (!Full.Ok) {
-    R.Detail = "full exploration violated: " + Full.Violation;
-    return R;
-  }
-  if (!Full.Complete) {
-    R.Detail = "full exploration truncated: " + Full.Truncation;
-    return R;
-  }
-
-  GenericExploreOptions<MachineT> PorOpts = Opts;
-  PorOpts.Por = true;
-  ExploreResult Por = exploreGeneric(Root, PorOpts);
-  R.PorSchedules = Por.SchedulesExplored;
-  R.PorStates = Por.StatesExplored;
-  R.SleepSkips = Por.PorSleepSkips;
-  R.Backtracks = Por.DporBacktracks;
-  if (!Por.Ok) {
-    R.Detail = "reduced exploration violated: " + Por.Violation;
-    return R;
-  }
-  if (!Por.Complete) {
-    R.Detail = "reduced exploration truncated: " + Por.Truncation;
-    return R;
-  }
-  R.Ok = true;
-
-  OutcomeSet PorSet;
-  for (const Outcome &O : Por.Outcomes)
-    PorSet.insert(O);
-  R.PorOutcomes = PorSet.size();
-
-  // Canonicalize the full run's raw linearization logs exactly the way the
-  // reduced run recorded its outcomes, then compare both directions.
-  R.Match = true;
-  OutcomeSet FullSet;
-  for (Outcome O : Full.Outcomes) {
-    if constexpr (detail::MachineHasFootprint<MachineT>::value) {
-      if (Por.PorApplied)
-        O.FinalLog = canonicalizeLog(O.FinalLog, [&Root](KindId Kind) {
-          return Root.eventFootprint(Event(0, Kind));
-        });
-    }
-    if (!FullSet.insert(O))
-      continue; // several linearizations of one trace
-    if (R.Match && !PorSet.contains(O)) {
-      R.Match = false;
-      R.Detail = "outcome reachable in full exploration is missing under "
-                 "POR (under-reported footprint?)\n  canonical log: " +
-                 logToString(O.FinalLog);
-    }
-  }
-  R.FullOutcomes = FullSet.size();
-  if (R.Match)
-    for (const Outcome &O : Por.Outcomes)
-      if (!FullSet.contains(O)) {
-        R.Match = false;
-        R.Detail = "outcome recorded under POR does not occur in full "
-                   "exploration\n  canonical log: " +
-                   logToString(O.FinalLog);
-        break;
-      }
-  return R;
-}
-
 /// Options alias for the multicore machine (the common case).
 using ExploreOptions = GenericExploreOptions<MultiCoreMachine>;
 
 /// Explores every schedule of the multicore machine described by \p Cfg.
 ExploreResult exploreMachine(MachineConfigPtr Cfg,
                              const ExploreOptions &Opts);
-
-/// checkPorEquivalence on the multicore machine described by \p Cfg.
-PorEquivalenceReport checkPorEquivalence(MachineConfigPtr Cfg,
-                                         ExploreOptions Opts);
 
 /// Runs a single schedule chosen by \p Pick (given the schedulable set and
 /// the log, return the CPU to step); used to replay specific interleavings

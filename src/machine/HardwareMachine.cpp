@@ -124,22 +124,6 @@ bool HardwareMachine::step(ThreadId Id) {
   return true;
 }
 
-Footprint HardwareMachine::stepFootprint(ThreadId Id) const {
-  auto It = Cpus.find(Id);
-  if (It == Cpus.end() || !It->second.AtPrim)
-    return Footprint(); // one instruction: CPU-local only
-  const Primitive *P = Cfg->Layer->lookup(It->second.Machine.primKind());
-  if (!P)
-    return Footprint::opaque();
-  if (!P->Shared)
-    return Footprint(); // private primitives touch only local memory
-  return P->Foot;
-}
-
-Footprint HardwareMachine::eventFootprint(const Event &E) const {
-  return Cfg->Layer->footprintOf(E.Kind);
-}
-
 std::map<ThreadId, std::vector<std::int64_t>>
 HardwareMachine::returns() const {
   std::map<ThreadId, std::vector<std::int64_t>> Out;

@@ -17,9 +17,8 @@
 /// checkMulticoreLinking discharges it executably with the
 /// outcome-inclusion engine (machine/Soundness.h): it explores *every*
 /// instruction-granularity schedule and checks its outcomes against the
-/// query-point machine's — the partial-order-reduction fact that local
-/// instructions only touch CPU-private state, so their interleavings
-/// cannot be observed.
+/// query-point machine's: local instructions only touch CPU-private
+/// state, so their interleavings cannot be observed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,18 +49,6 @@ public:
 
   const Log &log() const { return GlobalLog; }
   std::map<ThreadId, std::vector<std::int64_t>> returns() const;
-
-  /// Declared footprint of CPU \p C's next hardware cycle.  A single
-  /// instruction and a private primitive touch only CPU-local state, so
-  /// they get the local (empty) footprint and commute with every other
-  /// CPU's step — the structural fact behind Thm 3.1's reduction.  A
-  /// pending shared primitive contributes its layer-declared footprint
-  /// (opaque when undeclared).
-  Footprint stepFootprint(ThreadId C) const;
-
-  /// Footprint of a logged event's kind, from the layer declaration (see
-  /// MultiCoreMachine::eventFootprint).
-  Footprint eventFootprint(const Event &E) const;
 
 private:
   struct Cpu {

@@ -128,7 +128,7 @@ public:
   virtual const char *name() const = 0;
 
   /// True when the model admits non-SC behaviors (enables RaState
-  /// snapshotting, reads-from enumeration, ordering-aware conflicts).
+  /// snapshotting and reads-from enumeration).
   virtual bool weak() const = 0;
 
   /// Number of distinct reads-from choices participant \p Tid has for a

@@ -137,10 +137,6 @@ Footprint MultiCoreMachine::stepFootprint(ThreadId C) const {
   return Cfg->Layer->footprintOf(pendingPrimKind(C));
 }
 
-Footprint MultiCoreMachine::eventFootprint(const Event &E) const {
-  return Cfg->Layer->footprintOf(E.Kind);
-}
-
 const MemoryModel &MultiCoreMachine::model() const {
   return Cfg->Model ? *Cfg->Model : *scMemory();
 }

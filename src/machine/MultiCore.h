@@ -110,23 +110,8 @@ public:
   /// Returns a reference into interned storage — no allocation per query.
   const std::string &pendingPrim(ThreadId C) const;
 
-  /// Interned form of pendingPrim (the POR hot path queries this).
+  /// Interned form of pendingPrim.
   KindId pendingPrimKind(ThreadId C) const;
-
-  /// Declared footprint of CPU \p C's next step — the pending shared
-  /// primitive's footprint (the subsequent local slice touches only
-  /// CPU-private state, so the primitive's declaration covers the whole
-  /// step).  Opaque when the primitive declares none, which makes the
-  /// Explorer's partial-order reduction treat the step as conflicting
-  /// with everything.
-  Footprint stepFootprint(ThreadId C) const;
-
-  /// Footprint governing how a logged event commutes, for canonical trace
-  /// forms: event kinds coincide with primitive names on this machine, so
-  /// this is the emitting primitive's declared footprint (opaque for
-  /// unknown kinds).  Depends only on the immutable config, never on the
-  /// machine state.
-  Footprint eventFootprint(const Event &E) const;
 
   /// Total shared-primitive steps executed so far.
   std::uint64_t stepsTaken() const { return StepsTaken; }
@@ -154,6 +139,11 @@ private:
   /// the next shared call or workload completion.
   bool advance(Cpu &C, ThreadId Id);
   void fault(ThreadId Id, const std::string &Msg);
+
+  /// Declared footprint of CPU \p C's next step — the pending shared
+  /// primitive's footprint, whose locations and orders drive the weak
+  /// model's reads-from enumeration.
+  Footprint stepFootprint(ThreadId C) const;
 
   /// The configured model, defaulting to SC when the config has none.
   const MemoryModel &model() const;

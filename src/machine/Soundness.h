@@ -90,20 +90,9 @@ void runOutcomeInclusion(ContextualRefinementReport &Report,
                          const EventMap &RImpl, const EventMap &RSpec,
                          const GenericExploreOptions<ImplM> &ImplOpts,
                          const GenericExploreOptions<SpecM> &SpecOpts) {
-  // Under the partial-order reduction a side's outcome logs are canonical
-  // trace forms, so both sides' mapped logs are canonicalized over the
-  // SPEC machine's footprints (both are spec-level logs after R).  With
-  // honest spec footprints, logs with equal canonical forms are
-  // observationally equivalent, so this never accepts an outcome full
-  // comparison would reject.
-  const bool Canon = ImplOpts.Por || SpecOpts.Por;
-  auto Key = [&](const EventMap &R, const Outcome &O) {
+  auto Key = [](const EventMap &R, const Outcome &O) {
     Outcome K;
     K.FinalLog = R.apply(O.FinalLog);
-    if (Canon)
-      K.FinalLog = canonicalizeLog(K.FinalLog, [&SpecRoot](KindId Kind) {
-        return SpecRoot.eventFootprint(Event(0, Kind));
-      });
     K.Returns = O.Returns;
     return K;
   };

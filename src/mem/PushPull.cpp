@@ -66,10 +66,9 @@ void PushPullModel::installPrims(LayerInterface &L) const {
   std::map<std::int64_t, Location> Locs = Locations;
 
   // Both primitives read and write the shared-memory cells (pull takes
-  // ownership and materializes contents, push publishes and releases), so
-  // they all conflict under the Explorer's partial-order reduction — one
-  // coarse location for the whole model, which is exact for the common
-  // single-cell case.
+  // ownership and materializes contents, push publishes and releases):
+  // one coarse location for the whole model, which is exact for the
+  // common single-cell case.
   Footprint MemFoot = Footprint::of({"pp_mem"}, {"pp_mem"});
 
   // Fig. 8, sigma_pull: append c.pull(b), replay, deliver the contents.

@@ -49,11 +49,7 @@ using AtomicSemantics = std::function<AtomicOutcome(
 
 /// Installs an atomic method into interface \p L: a shared primitive
 /// emitting the single event `tid.Name(args)`.  \p Foot declares the
-/// method's footprint for the Explorer's partial-order reduction (see
-/// core/Footprint.h for the contract it must honor — in particular, the
-/// Reads must cover everything the semantics replays from the log,
-/// including its blocking condition); the default opaque footprint is
-/// always sound.
+/// method's footprint (see core/Footprint.h); the default is opaque.
 void addAtomicMethod(LayerInterface &L, const std::string &Name,
                      AtomicSemantics Sem,
                      Footprint Foot = Footprint::opaque());

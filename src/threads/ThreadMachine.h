@@ -111,22 +111,6 @@ public:
 
   const std::vector<std::int64_t> &cpuMemory(ThreadId Cpu) const;
 
-  /// Step footprint for the Explorer's partial-order reduction: opaque
-  /// for every thread in v1.  Any threaded step may interact with the
-  /// scheduler replay through settle() — the machine itself appends
-  /// `texit`/`resched` events and re-dispatches threads as a side effect
-  /// of the step — so no layer-declared primitive footprint covers a
-  /// step's full log effect here.  Opaque footprints make POR explore the
-  /// complete schedule space (sound, no reduction); refining this needs
-  /// footprints on the scheduling replay itself and is future work.
-  Footprint stepFootprint(ThreadId) const { return Footprint::opaque(); }
-
-  /// Event footprint matching stepFootprint: opaque, so canonical trace
-  /// forms degenerate to the identity on this machine.
-  Footprint eventFootprint(const Event &) const {
-    return Footprint::opaque();
-  }
-
 private:
   struct Thr {
     Vm Machine;

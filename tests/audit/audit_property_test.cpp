@@ -1,14 +1,14 @@
 //===- tests/audit/audit_property_test.cpp - Auditor property tests ----------===//
 //
-// Randomized end-to-end properties of the trace auditor, in the mold of
-// machine/por_property_test.cpp: a generator emits histories that are
-// linearizable BY CONSTRUCTION (built in linearization order, with each
-// operation's recorded interval containing its linearization time), the
-// auditor must PASS every one (positive control), and two targeted
-// corruptions — one mutated return value, and one return-value swap
-// between two operations the timestamps strictly order — must each flip
-// the verdict to FAIL (negative controls: a checker that cannot refute a
-// planted bug is as useless as one that refutes correct histories).
+// Randomized end-to-end properties of the trace auditor: a generator
+// emits histories that are linearizable BY CONSTRUCTION (built in
+// linearization order, with each operation's recorded interval containing
+// its linearization time), the auditor must PASS every one (positive
+// control), and two targeted corruptions — one mutated return value, and
+// one return-value swap between two operations the timestamps strictly
+// order — must each flip the verdict to FAIL (negative controls: a
+// checker that cannot refute a planted bug is as useless as one that
+// refutes correct histories).
 //
 // Failures dump the full trace JSON via tests/common/fuzz_support.h
 // (kinds audit_pass / audit_fail, body = the trace file format), replay

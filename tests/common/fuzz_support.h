@@ -8,7 +8,7 @@
 /// \file
 /// Shared machinery for the randomized suites: when a fuzz or property
 /// test fails it dumps the failing seed and a self-contained reproduction
-/// (the generated ClightX program, or the generated machine workload) to a
+/// (the generated ClightX program, or the generated trace) to a
 /// file in the test working directory; `--ccal-fuzz-replay=<file>` (parsed
 /// by tests/common/test_main.cpp) feeds such a file back through the same
 /// checker; and the checked-in corpus under tests/corpus/ replays past

@@ -1,6 +1,6 @@
 //===- tests/common/test_main.cpp - gtest main with fuzz replay --------------===//
 //
-// The randomized suites (compcertx fuzz, machine POR property tests) link
+// The randomized suites (compcertx fuzz, audit property tests) link
 // this main instead of gtest_main so failing inputs dumped by
 // tests/common/fuzz_support.h can be fed back in:
 //

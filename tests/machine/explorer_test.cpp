@@ -7,6 +7,7 @@
 #include "lang/TypeCheck.h"
 #include "machine/CpuLocal.h"
 #include "machine/Soundness.h"
+#include "obs/Metrics.h"
 
 #include <gtest/gtest.h>
 
@@ -103,6 +104,16 @@ TEST(ExplorerTest, ScheduleBudgetMarksIncomplete) {
   EXPECT_FALSE(Res.Complete);
 }
 
+TEST(PorTest, ExplorerTruncationNamesTheBudget) {
+  ExploreOptions Opts;
+  Opts.MaxSchedules = 1;
+  ExploreResult Res = exploreMachine(makeTickConfig(2, 1), Opts);
+  ASSERT_TRUE(Res.Ok);
+  EXPECT_FALSE(Res.Complete);
+  EXPECT_NE(Res.Truncation.find("MaxSchedules"), std::string::npos)
+      << Res.Truncation;
+}
+
 TEST(ExplorerTest, CorpusCollected) {
   ExploreOptions Opts;
   Opts.CollectCorpus = true;
@@ -145,6 +156,52 @@ TEST(SoundnessTest, SmallerWorkloadDoesNotRefineLarger) {
       ExploreOptions(), ExploreOptions());
   EXPECT_FALSE(Rep.Holds);
   EXPECT_FALSE(Rep.Counterexample.empty());
+}
+
+TEST(SoundnessTest, MaxSchedulesOneIsNotValid) {
+  // A single-schedule budget covers a prefix of the space; the check must
+  // fail closed, name the truncating budget, and the certificate must not
+  // come out Valid.
+  MachineConfigPtr Cfg = makeTickConfig(2, 1);
+  ExploreOptions ImplOpts;
+  ImplOpts.MaxSchedules = 1;
+  ContextualRefinementReport Rep = checkContextualRefinement(
+      Cfg, makeTickConfig(2, 1), EventMap::identity(), ImplOpts,
+      ExploreOptions());
+  EXPECT_FALSE(Rep.Holds);
+  EXPECT_TRUE(Rep.SpecComplete);
+  EXPECT_FALSE(Rep.ImplComplete);
+  EXPECT_NE(Rep.Counterexample.find("MaxSchedules"), std::string::npos)
+      << Rep.Counterexample;
+
+  CertPtr C = makeMachineCertificate("Soundness", "L", "P", "L",
+                                     EventMap::identity().name(), Rep);
+  EXPECT_FALSE(C->Valid);
+  EXPECT_FALSE(C->CoverageComplete);
+  EXPECT_NE(C->Coverage.find("MaxSchedules"), std::string::npos)
+      << C->Coverage;
+  // The partial coverage is visible in the rendered derivation tree.
+  EXPECT_NE(C->tree().find("PARTIAL-COVERAGE"), std::string::npos);
+}
+
+TEST(SoundnessTest, SpecOutcomeCapProducesDiagnosticNotFalseCounterexample) {
+  // A capped spec outcome set used to surface as a bogus "impl outcome
+  // not admitted" counterexample; it must instead be an explicit
+  // truncation diagnostic naming MaxStoredOutcomes.
+  ExploreOptions SpecOpts;
+  SpecOpts.MaxStoredOutcomes = 1;
+  ContextualRefinementReport Rep = checkContextualRefinement(
+      makeTickConfig(2, 1), makeTickConfig(2, 1), EventMap::identity(),
+      ExploreOptions(), SpecOpts);
+  EXPECT_FALSE(Rep.Holds);
+  EXPECT_FALSE(Rep.SpecComplete);
+  EXPECT_NE(Rep.Counterexample.find("MaxStoredOutcomes"), std::string::npos)
+      << Rep.Counterexample;
+  EXPECT_NE(Rep.Counterexample.find("raise"), std::string::npos)
+      << Rep.Counterexample;
+  // Not a false refinement counterexample:
+  EXPECT_EQ(Rep.Counterexample.find("not admitted"), std::string::npos)
+      << Rep.Counterexample;
 }
 
 TEST(SoundnessTest, CertificateCarriesEvidence) {
@@ -246,4 +303,31 @@ TEST(ExplorerTest, ParallelInvariantViolationReported) {
   EXPECT_FALSE(Res.Ok);
   EXPECT_NE(Res.Violation.find("too many ticks"), std::string::npos);
   EXPECT_NE(Res.Violation.find("log:"), std::string::npos);
+}
+
+TEST(ExplorerTest, RegistryCountersMatchExploreResult) {
+  // The obs registry's view of a run must agree exactly with the
+  // ExploreResult it was published from, work-sharing counters included.
+  bool WasEnabled = obs::enabled();
+  obs::setEnabled(true);
+  obs::metricsReset();
+
+  ExploreOptions Opts;
+  Opts.Threads = 2;
+  Opts.Invariant = [](const MultiCoreMachine &) { return std::string(); };
+  ExploreResult Res = exploreMachine(makeTickConfig(3, 2), Opts);
+
+  EXPECT_TRUE(Res.Ok) << Res.Violation;
+  EXPECT_GT(Res.InvariantChecks, 0u);
+  EXPECT_EQ(obs::counterValue("explorer.schedules_explored"),
+            Res.SchedulesExplored);
+  EXPECT_EQ(obs::counterValue("explorer.states_explored"),
+            Res.StatesExplored);
+  EXPECT_EQ(obs::counterValue("explorer.invariant_checks"),
+            Res.InvariantChecks);
+  EXPECT_EQ(obs::counterValue("explorer.donations"), Res.Donations);
+  EXPECT_EQ(obs::counterValue("explorer.steals"), Res.Steals);
+
+  obs::metricsReset();
+  obs::setEnabled(WasEnabled);
 }

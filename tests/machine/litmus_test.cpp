@@ -274,28 +274,3 @@ TEST(LitmusIriwTest, SeqCstLoadsRestoreAgreement) {
                  raMemory());
   EXPECT_FALSE(Out.count(1010));
 }
-
-// --- POR differential under RaMemory ------------------------------------
-
-TEST(LitmusPorTest, PorEquivalentOnRelaxedMp) {
-  // The ordering-aware conflict relation (same-location read/read pairs
-  // conflict once a footprint is weakly ordered) must keep DPOR exact
-  // under reads-from enumeration: POR and full exploration agree on the
-  // canonical outcome set of the relaxed MP machine.
-  static ClightModule M;
-  M = parseModuleOrDie("litmus_por", MpSource);
-  typeCheckOrDie(M);
-  auto Cfg = std::make_shared<MachineConfig>();
-  Cfg->Name = "litmus_por";
-  Cfg->Layer = makeXyLayer(MemOrder::Relaxed, MemOrder::Relaxed,
-                           MemOrder::Relaxed, MemOrder::Relaxed);
-  Cfg->Program = compileAndLink("litmus_por.lasm", {&M});
-  Cfg->Model = raMemory();
-  Cfg->Work.emplace(1, std::vector<CpuWorkItem>{{"w_main", {}}});
-  Cfg->Work.emplace(2, std::vector<CpuWorkItem>{{"r_main", {}}});
-  ExploreOptions Opts;
-  Opts.MaxParticipantSteps = 64;
-  PorEquivalenceReport Rep = checkPorEquivalence(Cfg, Opts);
-  ASSERT_TRUE(Rep.Ok) << Rep.Detail;
-  EXPECT_TRUE(Rep.Match) << Rep.Detail;
-}
