@@ -51,15 +51,14 @@ ClightModule makeFooModule() {
 
 /// The atomic interface L2: foo happens in one shot; its return value is
 /// replayed from the log (the k-th foo returns 11k: both counters were k).
+/// Every fold counts events per kind, so foo reads k from the call's fold.
 LayerPtr makeL2() {
   auto L2 = makeInterface("L2");
-  addAtomicMethod(*L2, "foo",
-                  [](ThreadId, const std::vector<std::int64_t> &,
-                     const Log &Prefix) -> AtomicOutcome {
-                    std::int64_t K = static_cast<std::int64_t>(
-                        logCountKind(Prefix, KindId("foo")));
-                    return AtomicOutcome::ok(K * 10 + K);
-                  });
+  const KindId Foo("foo");
+  addAtomicMethod(*L2, "foo", [Foo](const PrimCall &Call) -> AtomicOutcome {
+    std::int64_t K = static_cast<std::int64_t>(Call.Fold->count(Foo));
+    return AtomicOutcome::ok(K * 10 + K);
+  });
   return L2;
 }
 

@@ -70,5 +70,6 @@ LayerInterface::merge(std::string Name, const LayerInterface &A,
   }
   // Fig. 9 Hcomp requires both layers to share rely/guarantee; keep A's.
   Out->rg() = A.rg();
+  Out->Fold = SharedFold::product(A.Fold, B.Fold);
   return Out;
 }

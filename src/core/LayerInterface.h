@@ -12,13 +12,17 @@
 /// maintain).
 ///
 /// A primitive's semantics is a (partial) function of the calling thread,
-/// the arguments, the current global log, and the caller's CPU-local memory
-/// — the paper's `Prim in State -> List Val -> State -> Val -> Prop`,
-/// deterministic here.  Shared primitives append events and may read/write
-/// the local copy of shared memory (the push/pull model delivers shared
-/// effects this way, Fig. 8); private primitives touch only local memory.
-/// A primitive returning std::nullopt is *stuck*: the executable analogue
-/// of undefined behaviour such as a data race, which verification must show
+/// the arguments, the shared state, and the caller's CPU-local memory —
+/// the paper's `Prim in State -> List Val -> State -> Val -> Prop`,
+/// deterministic here.  The shared state is the replay of the global log
+/// (§2); the interface declares that replay as its SharedFold
+/// (core/Replay.h), and the machine keeps the fold's value as it appends
+/// events, so a primitive reads it from PrimCall::Fold without scanning
+/// the log.  Shared primitives append events and may read/write the local
+/// copy of shared memory (the push/pull model delivers shared effects this
+/// way, Fig. 8); private primitives touch only local memory.  A primitive
+/// returning std::nullopt is *stuck*: the executable analogue of undefined
+/// behaviour such as a data race, which verification must show
 /// unreachable.
 ///
 //===----------------------------------------------------------------------===//
@@ -29,6 +33,7 @@
 #include "core/Footprint.h"
 #include "core/Log.h"
 #include "core/RelyGuarantee.h"
+#include "core/Replay.h"
 
 #include <cstdint>
 #include <functional>
@@ -49,8 +54,16 @@ struct PrimCall {
   /// Evaluated arguments.
   std::vector<std::int64_t> Args;
 
-  /// The global log *before* this call.
+  /// The global log *before* this call.  Primitives read the shared
+  /// state from Fold; the layers that still replay the log themselves
+  /// (the §5 scheduler, queuing-lock and condition-variable primitives,
+  /// push/pull, the shared queue's enQ/deQ) read it here.
   const Log *L = nullptr;
+
+  /// The interface's fold over L: what the primitive sees of the shared
+  /// state.  A machine passes the value it keeps; under a weak memory
+  /// model a stale read gets the fold of its visible log instead.
+  const FoldValue *Fold = nullptr;
 
   /// The caller's CPU-local memory (LAsm globals), or nullptr when invoked
   /// outside a machine (e.g. by the strategy simulation checker).
@@ -73,7 +86,8 @@ struct PrimResult {
   /// specification, e.g. `acq` while the lock is held).  The machine keeps
   /// the caller parked; the call will be retried when the log has grown.
   /// Unlike std::nullopt (stuck = a safety violation), Blocked is a normal
-  /// spec-level state.
+  /// spec-level state.  Only a primitive marked Primitive::MayBlock may
+  /// return it.
   bool Blocked = false;
 
   static PrimResult blocked() {
@@ -94,6 +108,11 @@ struct Primitive {
   /// Shared primitives are query/interleaving points (the `|>` marks in
   /// Fig. 10/11); private primitives are silent.
   bool Shared = true;
+
+  /// True when the semantics may return PrimResult::Blocked.  Machines
+  /// dry-run only such primitives to decide whether a parked caller is
+  /// schedulable; an unmarked primitive that blocks faults its machine.
+  bool MayBlock = false;
 
   /// True for scheduling primitives after which the calling thread never
   /// resumes (the multithreaded machine marks it exited): `texit` and the
@@ -162,8 +181,22 @@ public:
   RelyGuarantee &rg() { return RG; }
   const RelyGuarantee &rg() const { return RG; }
 
-  /// The `(+)` of Fig. 9 (Hcomp): union of primitive collections.  Name
-  /// clashes must agree by construction and are rejected.
+  /// Declares \p Part as part of the interface's shared-state fold — the
+  /// replay its primitives (and the invariants checked over its machines)
+  /// read through FoldValue.
+  template <typename State> void declareFold(const FoldPart<State> &Part) {
+    Fold.declare(Part);
+  }
+
+  /// Declares every part of \p F, for interfaces rebuilt from another
+  /// interface's primitives.
+  void declareFold(const SharedFold &F) { Fold = SharedFold::product(Fold, F); }
+
+  const SharedFold &fold() const { return Fold; }
+
+  /// The `(+)` of Fig. 9 (Hcomp): union of primitive collections, over
+  /// the product of the two folds.  Name clashes must agree by
+  /// construction and are rejected.
   static std::shared_ptr<LayerInterface>
   merge(std::string Name, const LayerInterface &A, const LayerInterface &B);
 
@@ -175,6 +208,7 @@ private:
   /// leave these aliasing the source, so copies are disabled.
   std::unordered_map<std::uint32_t, const Primitive *> ByKind;
   RelyGuarantee RG;
+  SharedFold Fold;
 };
 
 using LayerPtr = std::shared_ptr<const LayerInterface>;

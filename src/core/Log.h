@@ -8,8 +8,11 @@
 /// \file
 /// The global log `l` (§2, §3.1): the list of observable events recording
 /// all shared operations, interleaved in chronological order.  All shared
-/// abstract state is reconstructed from the log by replay functions
-/// (core/Replay.h), so the log *is* the shared state of a layer machine.
+/// abstract state is a replay of the log (core/Replay.h), so the log *is*
+/// the shared state of a layer machine.  Machines keep that replay as a
+/// fold value advanced on every append, so primitives and invariants read
+/// the state without rescanning the log; the log itself remains the
+/// output — outcomes, counterexamples, refinement through R.
 ///
 /// Representation: a copy-on-write, append-only chunked sequence.  Sealed
 /// chunks of ChunkCap events are immutable and shared between snapshots

@@ -1,0 +1,69 @@
+//===- core/Replay.cpp - Shared-state folds --------------------------------===//
+
+#include "core/Replay.h"
+
+#include <algorithm>
+
+using namespace ccal;
+
+void FoldValue::advance(const Event &E) {
+  auto It = std::find_if(Counts.begin(), Counts.end(),
+                         [&E](const KindCount &C) { return C.Kind == E.Kind; });
+  if (It != Counts.end())
+    ++It->N;
+  else
+    Counts.insert(std::upper_bound(Counts.begin(), Counts.end(), E.Kind.id(),
+                                   [](std::uint32_t Id, const KindCount &C) {
+                                     return Id < C.Kind.id();
+                                   }),
+                  KindCount{E.Kind, 1});
+  for (Slot &S : Parts)
+    S.Part->step(S.State, E);
+}
+
+bool FoldValue::operator==(const FoldValue &O) const {
+  if (Counts != O.Counts || Parts.size() != O.Parts.size())
+    return false;
+  for (size_t I = 0, N = Parts.size(); I != N; ++I)
+    if (Parts[I].Part != O.Parts[I].Part ||
+        !Parts[I].Part->equal(Parts[I].State, O.Parts[I].State))
+      return false;
+  return true;
+}
+
+void SharedFold::add(std::shared_ptr<const detail::FoldPartBase> P) {
+  for (const auto &Q : Parts)
+    if (Q == P)
+      return;
+  Parts.push_back(std::move(P));
+}
+
+SharedFold SharedFold::product(const SharedFold &A, const SharedFold &B) {
+  SharedFold Out = A;
+  for (const auto &P : B.Parts)
+    Out.add(P);
+  return Out;
+}
+
+FoldValue SharedFold::initial() const {
+  FoldValue V;
+  V.Parts.reserve(Parts.size());
+  for (const auto &P : Parts)
+    V.Parts.push_back({P.get(), P->initial()});
+  return V;
+}
+
+FoldValue SharedFold::replay(const Log &L) const {
+  FoldValue V = initial();
+  for (const Event &E : L)
+    V.advance(E);
+  return V;
+}
+
+void ccal::appendFolded(Log &L, FoldValue &V,
+                        const std::vector<Event> &Events) {
+  for (const Event &E : Events) {
+    V.advance(E);
+    L.push_back(E);
+  }
+}

@@ -9,7 +9,7 @@ PrimSemantics ccal::makeFetchIncPrim(std::string Kind) {
   KindId Id(Kind);
   return [Id](const PrimCall &Call) -> std::optional<PrimResult> {
     PrimResult Res;
-    Res.Ret = static_cast<std::int64_t>(logCountKind(*Call.L, Id));
+    Res.Ret = static_cast<std::int64_t>(Call.Fold->count(Id));
     Res.Events.push_back(Event(Call.Tid, Id, Call.Args));
     return Res;
   };
@@ -21,7 +21,7 @@ PrimSemantics ccal::makeReadCounterPrim(std::string Kind,
   return [Id, CountedId](const PrimCall &Call)
              -> std::optional<PrimResult> {
     PrimResult Res;
-    Res.Ret = static_cast<std::int64_t>(logCountKind(*Call.L, CountedId));
+    Res.Ret = static_cast<std::int64_t>(Call.Fold->count(CountedId));
     Res.Events.push_back(Event(Call.Tid, Id, Call.Args));
     return Res;
   };

@@ -11,7 +11,9 @@
 /// atomic x86 instructions whose return values are reconstructed from the
 /// log by replay functions ("this seemingly inefficient way of treating
 /// shared atomic objects is actually great for compositional
-/// specification", §7).
+/// specification", §7).  The counter replays need no declaration: every
+/// fold counts events per kind, so these primitives read the count from
+/// PrimCall::Fold in O(1).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -119,9 +119,9 @@ template <typename MachineT> struct GenericExploreOptions {
   /// exact sequential DFS and produces bit-identical results to the
   /// single-threaded Explorer; 0 means one worker per hardware thread.
   /// With more than one worker, Invariant must be safe to call
-  /// concurrently on distinct machine snapshots (log-replay invariants
-  /// are); OnOutcome calls are serialized by the Explorer itself, so a
-  /// callback needs no locking of its own.
+  /// concurrently on distinct machine snapshots (invariants that only
+  /// read the snapshot's fold or log are); OnOutcome calls are serialized
+  /// by the Explorer itself, so a callback needs no locking of its own.
   unsigned Threads = 1;
 };
 

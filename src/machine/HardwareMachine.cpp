@@ -14,6 +14,7 @@ HardwareMachine::HardwareMachine(MachineConfigPtr CfgIn)
   CCAL_CHECK(!Cfg->Model || !Cfg->Model->weak(),
              "the hardware machine is SC-only; run weak-memory "
              "verification on the query-point MultiCoreMachine");
+  Fold = Cfg->Layer->fold().initial();
   std::vector<std::int64_t> Image = Cfg->Program->initialGlobals();
   for (const auto &[Id, Items] : Cfg->Work) {
     auto [It, Inserted] = Cpus.emplace(Id, Cpu(Cfg->Program, Image));
@@ -41,11 +42,12 @@ std::vector<ThreadId> HardwareMachine::schedulable() const {
       continue;
     if (C.AtPrim) {
       const Primitive *P = Cfg->Layer->lookup(C.Machine.primKind());
-      if (P && P->Shared) {
+      if (P && P->Shared && P->MayBlock) {
         PrimCall Call;
         Call.Tid = Id;
         Call.Args = C.Machine.primArgs();
         Call.L = &GlobalLog;
+        Call.Fold = &Fold;
         Call.LocalMem = &C.Globals;
         std::optional<PrimResult> Res = P->Sem(Call);
         if (Res && Res->Blocked)
@@ -83,16 +85,23 @@ bool HardwareMachine::step(ThreadId Id) {
     Call.Tid = Id;
     Call.Args = C.Machine.primArgs();
     Call.L = &GlobalLog;
+    Call.Fold = &Fold;
     Call.LocalMem = &C.Globals;
     std::optional<PrimResult> Res = P->Sem(Call);
     if (!Res) {
       fault(Id, "primitive '" + P->Name + "' got stuck");
       return false;
     }
+    if (Res->Blocked && !(P->Shared && P->MayBlock)) {
+      fault(Id, "primitive '" + P->Name +
+                    "' blocked but is not a shared primitive marked "
+                    "MayBlock, so the machine never dry-runs it");
+      return false;
+    }
     CCAL_CHECK(!Res->Blocked, "step: blocked CPUs are not schedulable");
     CCAL_CHECK(P->Shared || Res->Events.empty(),
                "private primitives must not emit events");
-    logAppendAll(GlobalLog, Res->Events);
+    appendFolded(GlobalLog, Fold, Res->Events);
     for (auto [Addr, V] : Res->LocalWrites) {
       CCAL_CHECK(Addr >= 0 && static_cast<size_t>(Addr) < C.Globals.size(),
                  "primitive local write out of range");

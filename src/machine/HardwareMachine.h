@@ -48,6 +48,10 @@ public:
   bool step(ThreadId C);
 
   const Log &log() const { return GlobalLog; }
+
+  /// The layer's fold over log() (see MultiCoreMachine::fold).
+  const FoldValue &fold() const { return Fold; }
+
   std::map<ThreadId, std::vector<std::int64_t>> returns() const;
 
 private:
@@ -69,6 +73,7 @@ private:
   MachineConfigPtr Cfg;
   std::map<ThreadId, Cpu> Cpus;
   Log GlobalLog;
+  FoldValue Fold;
   std::string Err;
 };
 

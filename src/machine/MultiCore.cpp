@@ -11,6 +11,7 @@ MultiCoreMachine::MultiCoreMachine(MachineConfigPtr CfgIn)
     : Cfg(std::move(CfgIn)) {
   CCAL_CHECK(Cfg && Cfg->Layer && Cfg->Program && Cfg->Program->Linked,
              "machine config needs a layer and a linked program");
+  Fold = Cfg->Layer->fold().initial();
   std::vector<std::int64_t> Image = Cfg->Program->initialGlobals();
   for (const auto &[Id, Items] : Cfg->Work) {
     (void)Items;
@@ -72,6 +73,7 @@ bool MultiCoreMachine::advance(Cpu &C, ThreadId Id) {
     Call.Tid = Id;
     Call.Args = C.Machine.primArgs();
     Call.L = &GlobalLog;
+    Call.Fold = &Fold;
     Call.LocalMem = &C.Globals;
     std::optional<PrimResult> Res = P->Sem(Call);
     if (!Res) {
@@ -104,14 +106,16 @@ std::vector<ThreadId> MultiCoreMachine::schedulable() const {
       continue;
     // A CPU whose pending primitive is currently Blocked (an atomic
     // blocking spec such as acq on a held lock) is not schedulable until
-    // the log grows; primitives are deterministic in the log, so this
-    // dry run is exact.
+    // the log grows; primitives are deterministic in the shared state, so
+    // this dry run is exact.  Only primitives built as blocking ones can
+    // block, so only those are dry-run.
     const Primitive *P = Cfg->Layer->lookup(C.Machine.primKind());
-    if (P && P->Shared) {
+    if (P && P->Shared && P->MayBlock) {
       PrimCall Call;
       Call.Tid = Id;
       Call.Args = C.Machine.primArgs();
       Call.L = &GlobalLog;
+      Call.Fold = &Fold;
       Call.LocalMem = &C.Globals;
       std::optional<PrimResult> Res = P->Sem(Call);
       if (Res && Res->Blocked)
@@ -168,6 +172,7 @@ bool MultiCoreMachine::step(ThreadId Id, unsigned Variant) {
   const bool Weak = weakModel();
   const Footprint Foot = Weak ? stepFootprint(Id) : Footprint();
   std::optional<Log> Visible;
+  std::optional<FoldValue> VisibleFold;
   if (Weak) {
     // Fail closed when the reads-from enumeration would be truncated:
     // a capped menu silently hides behaviors the model allows.
@@ -181,6 +186,10 @@ bool MultiCoreMachine::step(ThreadId Id, unsigned Variant) {
     }
     CCAL_CHECK(Variant < Count, "step: reads-from variant out of range");
     Visible = model().visibleLog(Ra, GlobalLog, Id, Foot, Variant);
+    // A stale read sees the shared state of its visible log, folded from
+    // scratch; the kept fold covers the full log only.
+    if (Visible)
+      VisibleFold = Cfg->Layer->fold().replay(*Visible);
   } else {
     CCAL_CHECK(Variant == 0, "step: sc model has a single variant");
   }
@@ -189,6 +198,7 @@ bool MultiCoreMachine::step(ThreadId Id, unsigned Variant) {
   Call.Tid = Id;
   Call.Args = C.Machine.primArgs();
   Call.L = Visible ? &*Visible : &GlobalLog;
+  Call.Fold = VisibleFold ? &*VisibleFold : &Fold;
   Call.LocalMem = &C.Globals;
   std::optional<PrimResult> Res = P->Sem(Call);
   if (!Res) {
@@ -197,13 +207,19 @@ bool MultiCoreMachine::step(ThreadId Id, unsigned Variant) {
                   logToString(GlobalLog));
     return false;
   }
-  // Blocked is checked against the FULL log by schedulable(); a
+  if (Res->Blocked && !P->MayBlock) {
+    fault(Id, "shared primitive '" + P->Name +
+                  "' blocked but is not marked MayBlock, so the machine "
+                  "never dry-runs it");
+    return false;
+  }
+  // Blocked is checked against the FULL log's fold by schedulable(); a
   // weak-ordered primitive must never block (its visible log may differ
   // from the full log, which would make enabledness unsound), and the
   // blocking primitives (atomic lock specs) keep their SeqCst defaults.
   CCAL_CHECK(!Res->Blocked, "step: blocked CPUs are not schedulable");
   const std::size_t FirstNew = GlobalLog.size();
-  logAppendAll(GlobalLog, Res->Events);
+  appendFolded(GlobalLog, Fold, Res->Events);
   if (Weak)
     model().commit(Ra, GlobalLog, FirstNew, Id, Foot, Variant,
                    [this](KindId K) { return Cfg->Layer->footprintOf(K); });

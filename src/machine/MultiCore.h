@@ -8,9 +8,9 @@
 /// \file
 /// The multicore machine `Mx86` (§3.1): per-CPU private state (an LAsm VM
 /// plus CPU-local memory), shared state represented by the global event
-/// log, and two kinds of transitions — program transitions (instructions,
-/// private primitive calls, shared primitive calls) and hardware
-/// scheduling.
+/// log together with the layer's fold over it (core/Replay.h), and two
+/// kinds of transitions — program transitions (instructions, private
+/// primitive calls, shared primitive calls) and hardware scheduling.
 ///
 /// Instructions and private primitives are silent; shared primitives are
 /// the only interleaving points, so the machine runs each CPU's local code
@@ -100,6 +100,10 @@ public:
 
   const Log &log() const { return GlobalLog; }
 
+  /// The layer's fold over log(), advanced by every appended event: the
+  /// shared state primitives and invariants read.
+  const FoldValue &fold() const { return Fold; }
+
   /// Per-CPU return values of completed work items, in order.
   std::map<ThreadId, std::vector<std::int64_t>> returns() const;
 
@@ -152,6 +156,7 @@ private:
   MachineConfigPtr Cfg;
   std::map<ThreadId, Cpu> Cpus;
   Log GlobalLog;
+  FoldValue Fold;
   /// Weak-memory state (view fronts, modification orders).  Stays empty
   /// under an SC model, so SC snapshots are bit-identical to the
   /// pre-model machine.

@@ -73,11 +73,21 @@ Replayer<McsState> ccal::makeMcsReplayer() {
   return R;
 }
 
+namespace {
+
+/// The MCS part of L0_mcs's fold, shared by every MCS layer.
+const FoldPart<McsState> &mcsFold() {
+  static const FoldPart<McsState> Part(makeMcsReplayer());
+  return Part;
+}
+
+} // namespace
+
 McsLockLayers ccal::makeMcsLockLayers() {
   McsLockLayers Out;
-  Replayer<McsState> R = makeMcsReplayer();
 
   auto L0 = makeInterface("L0_mcs");
+  L0->declareFold(mcsFold());
   // The MCS queue (tail/busy/next/holder) is one intertwined structure, so
   // every mutating primitive gets the coarse read+write footprint over the
   // single location "mcs"; only the two pure reads (get_busy/get_next)
@@ -89,8 +99,8 @@ McsLockLayers ccal::makeMcsLockLayers() {
   L0->addShared("mcs_init", makeEventPrim("mcs_init"), McsRw);
   // mcs_swap_tail: atomically tail <- self, returns the previous tail.
   L0->addShared("mcs_swap_tail",
-                [R](const PrimCall &Call) -> std::optional<PrimResult> {
-                  std::optional<McsState> S = R.replay(*Call.L);
+                [](const PrimCall &Call) -> std::optional<PrimResult> {
+                  const McsState *S = mcsFold().in(*Call.Fold);
                   if (!S)
                     return std::nullopt;
                   PrimResult Res;
@@ -101,8 +111,8 @@ McsLockLayers ccal::makeMcsLockLayers() {
                 McsRw);
   L0->addShared("mcs_set_next", makeEventPrim("mcs_set_next"), McsRw);
   L0->addShared("mcs_get_busy",
-                [R](const PrimCall &Call) -> std::optional<PrimResult> {
-                  std::optional<McsState> S = R.replay(*Call.L);
+                [](const PrimCall &Call) -> std::optional<PrimResult> {
+                  const McsState *S = mcsFold().in(*Call.Fold);
                   if (!S)
                     return std::nullopt;
                   PrimResult Res;
@@ -113,8 +123,8 @@ McsLockLayers ccal::makeMcsLockLayers() {
                 },
                 McsRd);
   L0->addShared("mcs_get_next",
-                [R](const PrimCall &Call) -> std::optional<PrimResult> {
-                  std::optional<McsState> S = R.replay(*Call.L);
+                [](const PrimCall &Call) -> std::optional<PrimResult> {
+                  const McsState *S = mcsFold().in(*Call.Fold);
                   if (!S)
                     return std::nullopt;
                   PrimResult Res;
@@ -127,8 +137,8 @@ McsLockLayers ccal::makeMcsLockLayers() {
   // mcs_cas_tail: CAS(tail, self, nil); the success bit is recorded in the
   // event so the relation can treat a successful CAS as the release commit.
   L0->addShared("mcs_cas_tail",
-                [R](const PrimCall &Call) -> std::optional<PrimResult> {
-                  std::optional<McsState> S = R.replay(*Call.L);
+                [](const PrimCall &Call) -> std::optional<PrimResult> {
+                  const McsState *S = mcsFold().in(*Call.Fold);
                   if (!S)
                     return std::nullopt;
                   bool Success =
@@ -228,24 +238,25 @@ McsLockLayers ccal::makeMcsLockLayersRa() {
   };
 
   auto L0 = makeInterface("L0ra_mcs");
+  L0->declareFold(Out.L0->fold());
   for (const std::string &N : Out.L0->primNames()) {
-    const Primitive *P = Out.L0->lookup(N);
-    Footprint F;
+    Primitive P = *Out.L0->lookup(N);
     if (N == "f" || N == "g")
-      F = PlainCounter(N.c_str());
+      P.Foot = PlainCounter(N.c_str());
     else if (N == "mcs_get_busy" || N == "mcs_get_next")
-      F = McsSpin; // the two spin loops: memory-fair acquire loads
+      P.Foot = McsSpin; // the two spin loops: memory-fair acquire loads
     else
-      F = McsRw;
-    L0->addShared(N, P->Sem, F);
+      P.Foot = McsRw;
+    L0->addPrim(std::move(P));
   }
   Out.L0 = L0;
   return Out;
 }
 
 std::string ccal::mcsMutexInvariant(const MultiCoreMachine &M) {
-  static const Replayer<McsState> R = makeMcsReplayer();
-  if (!R.wellFormed(M.log()))
+  if (!mcsFold().declaredIn(M.fold()))
+    return "the machine's layer declares no MCS fold";
+  if (!mcsFold().in(M.fold()))
     return "mcs replay stuck: mutual exclusion or handoff protocol violated";
   return "";
 }

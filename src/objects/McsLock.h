@@ -35,10 +35,12 @@ struct McsState {
   std::map<ThreadId, std::int64_t> Busy; ///< spin flag per CPU (1 = wait)
   std::map<ThreadId, std::int64_t> Next; ///< successor per CPU (-1 = none)
   std::optional<ThreadId> Holder;
+  bool operator==(const McsState &) const = default;
 };
 
 /// Replays the MCS state; stuck on protocol violations (CAS success
-/// without being tail, hold while held, ...).
+/// without being tail, hold while held, ...).  This is the MCS part of
+/// L0_mcs's fold, which its primitives and mcsMutexInvariant read.
 Replayer<McsState> makeMcsReplayer();
 
 /// All MCS layer pieces; the overlay L1 and relation target the same
@@ -47,7 +49,8 @@ using McsLockLayers = LockLayers;
 
 McsLockLayers makeMcsLockLayers();
 
-/// Mutual-exclusion invariant over the implementation machine.
+/// Mutual-exclusion invariant over the implementation machine, read from
+/// the MCS part of the machine's fold.
 std::string mcsMutexInvariant(const MultiCoreMachine &M);
 
 /// Builds (without running) the harness certifyMcsLock runs — see

@@ -7,9 +7,12 @@ using namespace ccal;
 void ccal::addAtomicMethod(LayerInterface &L, const std::string &Name,
                            AtomicSemantics Sem, Footprint Foot) {
   KindId Id(Name); // interned once; event construction is an integer copy
-  L.addShared(Name, [Id, Sem](const PrimCall &Call)
-                  -> std::optional<PrimResult> {
-    AtomicOutcome O = Sem(Call.Tid, Call.Args, *Call.L);
+  Primitive P;
+  P.Name = Name;
+  P.MayBlock = true;
+  P.Foot = std::move(Foot);
+  P.Sem = [Id, Sem](const PrimCall &Call) -> std::optional<PrimResult> {
+    AtomicOutcome O = Sem(Call);
     switch (O.K) {
     case AtomicOutcome::Kind::Stuck:
       return std::nullopt;
@@ -23,7 +26,8 @@ void ccal::addAtomicMethod(LayerInterface &L, const std::string &Name,
     }
     }
     return std::nullopt;
-  }, std::move(Foot));
+  };
+  L.addPrim(std::move(P));
 }
 
 Replayer<AbstractLockState>
@@ -53,34 +57,33 @@ ccal::makeAbstractLockReplayer(std::string AcqKind, std::string RelKind) {
 
 void ccal::addAtomicLock(LayerInterface &L, const std::string &AcqKind,
                          const std::string &RelKind) {
-  Replayer<AbstractLockState> R = makeAbstractLockReplayer(AcqKind, RelKind);
+  FoldPart<AbstractLockState> Lock(makeAbstractLockReplayer(AcqKind, RelKind));
+  L.declareFold(Lock);
 
-  // Both methods replay the holder and mutate it with their event:
+  // Both methods read the holder and mutate it with their event:
   // read+write of one abstract location per lock.
   Footprint LockFoot =
       Footprint::of({"lock." + AcqKind}, {"lock." + AcqKind});
 
   addAtomicMethod(L, AcqKind,
-                  [R](ThreadId Tid, const std::vector<std::int64_t> &,
-                      const Log &Prefix) -> AtomicOutcome {
-                    std::optional<AbstractLockState> S = R.replay(Prefix);
+                  [Lock](const PrimCall &Call) -> AtomicOutcome {
+                    const AbstractLockState *S = Lock.in(*Call.Fold);
                     if (!S)
                       return AtomicOutcome::stuck();
                     if (S->Holder.has_value()) {
                       // Re-acquiring while holding is a protocol violation;
                       // waiting for another holder is a normal Blocked.
-                      return *S->Holder == Tid ? AtomicOutcome::stuck()
-                                               : AtomicOutcome::blocked();
+                      return *S->Holder == Call.Tid ? AtomicOutcome::stuck()
+                                                    : AtomicOutcome::blocked();
                     }
                     return AtomicOutcome::ok(0);
                   },
                   LockFoot);
 
   addAtomicMethod(L, RelKind,
-                  [R](ThreadId Tid, const std::vector<std::int64_t> &,
-                      const Log &Prefix) -> AtomicOutcome {
-                    std::optional<AbstractLockState> S = R.replay(Prefix);
-                    if (!S || !S->Holder || *S->Holder != Tid)
+                  [Lock](const PrimCall &Call) -> AtomicOutcome {
+                    const AbstractLockState *S = Lock.in(*Call.Fold);
+                    if (!S || !S->Holder || *S->Holder != Call.Tid)
                       return AtomicOutcome::stuck();
                     return AtomicOutcome::ok(0);
                   },

@@ -7,11 +7,11 @@
 ///
 /// \file
 /// Builders for *atomic* overlay interfaces: each method call appends
-/// exactly one event and computes its return value by replaying the log —
-/// the shape of every high-level strategy in the paper (§2: "each
-/// invocation produces exactly one event in the log").  Methods may also be
-/// blocking (acq on a held lock) or refuse a call outright (rel by a
-/// non-holder: a protocol violation that makes the spec machine stuck).
+/// exactly one event and computes its return value from the replayed
+/// shared state — the shape of every high-level strategy in the paper (§2:
+/// "each invocation produces exactly one event in the log").  Methods may
+/// also be blocking (acq on a held lock) or refuse a call outright (rel by
+/// a non-holder: a protocol violation that makes the spec machine stuck).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,15 +41,16 @@ struct AtomicOutcome {
   static AtomicOutcome stuck() { return {Kind::Stuck, 0}; }
 };
 
-/// Semantics of one atomic method: \p Prefix is the log *before* the call;
-/// the event `Tid.Name(Args)` is appended by the machine iff the outcome is
-/// Ok.
-using AtomicSemantics = std::function<AtomicOutcome(
-    ThreadId Tid, const std::vector<std::int64_t> &Args, const Log &Prefix)>;
+/// Semantics of one atomic method: \p Call carries the caller, the
+/// arguments and the shared state *before* the call (its fold, and the
+/// log for specs that still replay it); the event `Tid.Name(Args)` is
+/// appended by the machine iff the outcome is Ok.
+using AtomicSemantics = std::function<AtomicOutcome(const PrimCall &Call)>;
 
 /// Installs an atomic method into interface \p L: a shared primitive
-/// emitting the single event `tid.Name(args)`.  \p Foot declares the
-/// method's footprint (see core/Footprint.h); the default is opaque.
+/// emitting the single event `tid.Name(args)`, marked MayBlock since its
+/// semantics may block.  \p Foot declares the method's footprint (see
+/// core/Footprint.h); the default is opaque.
 void addAtomicMethod(LayerInterface &L, const std::string &Name,
                      AtomicSemantics Sem,
                      Footprint Foot = Footprint::opaque());
@@ -60,6 +61,7 @@ void addAtomicMethod(LayerInterface &L, const std::string &Name,
 struct AbstractLockState {
   std::optional<ThreadId> Holder;
   std::uint64_t Acquisitions = 0;
+  bool operator==(const AbstractLockState &) const = default;
 };
 
 /// Replayer over atomic lock events; stuck when acq happens while held or
@@ -67,11 +69,12 @@ struct AbstractLockState {
 Replayer<AbstractLockState> makeAbstractLockReplayer(std::string AcqKind,
                                                      std::string RelKind);
 
-/// Installs blocking atomic `acq`/`rel` methods over the abstract lock
-/// replayer into \p L.  Both methods read and write the single abstract
-/// location `lock.<AcqKind>` (acq's blocking condition reads the holder,
-/// its event writes it; rel likewise), so two operations on the same lock
-/// never commute while operations on distinct locks always do.
+/// Installs blocking atomic `acq`/`rel` methods into \p L and declares
+/// the abstract lock replayer as a part of L's fold; both methods read the
+/// holder from it.  Both read and write the single abstract location
+/// `lock.<AcqKind>` (acq's blocking condition reads the holder, its event
+/// writes it; rel likewise), so two operations on the same lock never
+/// commute while operations on distinct locks always do.
 void addAtomicLock(LayerInterface &L, const std::string &AcqKind,
                    const std::string &RelKind);
 

@@ -140,9 +140,8 @@ SharedQueueSetup ccal::makeSharedQueueSetup(unsigned Producers,
   Replayer<AbstractSharedQueue> QR = makeSharedQueueReplayer();
   auto Over = makeInterface("Lq");
   addAtomicMethod(*Over, "deQ",
-                  [QR](ThreadId, const std::vector<std::int64_t> &,
-                       const Log &Prefix) -> AtomicOutcome {
-                    std::optional<AbstractSharedQueue> S = QR.replay(Prefix);
+                  [QR](const PrimCall &Call) -> AtomicOutcome {
+                    std::optional<AbstractSharedQueue> S = QR.replay(*Call.L);
                     if (!S)
                       return AtomicOutcome::stuck();
                     return AtomicOutcome::ok(
@@ -150,11 +149,10 @@ SharedQueueSetup ccal::makeSharedQueueSetup(unsigned Producers,
                   },
                   Footprint::of({"sq"}, {"sq"}));
   addAtomicMethod(*Over, "enQ",
-                  [QR](ThreadId, const std::vector<std::int64_t> &Args,
-                       const Log &Prefix) -> AtomicOutcome {
-                    if (Args.size() != 1)
+                  [QR](const PrimCall &Call) -> AtomicOutcome {
+                    if (Call.Args.size() != 1)
                       return AtomicOutcome::stuck();
-                    if (!QR.replay(Prefix))
+                    if (!QR.replay(*Call.L))
                       return AtomicOutcome::stuck();
                     return AtomicOutcome::ok(0);
                   },

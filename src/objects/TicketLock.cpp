@@ -18,18 +18,35 @@ const KindId FaiT("FAI_t"), GetN("get_n"), IncN("inc_n"), Hold("hold"),
 } // namespace
 
 Replayer<TicketState> ccal::makeTicketReplayer() {
-  // Folds mutual exclusion (hold requires free, inc_n requires holder) and
-  // the ticket counters; FIFO acquisition order is the separate whole-log
-  // property checkTicketFifo.
+  // Folds mutual exclusion (hold requires free, inc_n requires holder),
+  // the ticket counters, and FIFO acquisition order: the k-th hold must
+  // belong to the CPU that fetched the k-th ticket.  The first hold out of
+  // order is recorded rather than stuck, so mutual exclusion keeps being
+  // checked after it.
   auto Step = [](TicketState &S, const Event &E) {
     if (E.Kind == FaiT) {
       ++S.NextTicket;
+      if (S.FifoViolation.empty())
+        S.Unserved.push_back(E.Tid);
       return true;
     }
     if (E.Kind == Hold) {
       if (S.Holder.has_value())
         return false; // mutual exclusion violated
       S.Holder = E.Tid;
+      if (!S.FifoViolation.empty())
+        return true;
+      // Holds and releases alternate, so NowServing holds have been
+      // served: this hold takes ticket NowServing.
+      if (S.Unserved.empty())
+        S.FifoViolation = "hold without a fetched ticket";
+      else if (S.Unserved.front() != E.Tid)
+        S.FifoViolation = strFormat("FIFO violated: ticket %lld belongs to "
+                                    "CPU %u but CPU %u acquired",
+                                    static_cast<long long>(S.NowServing),
+                                    S.Unserved.front(), E.Tid);
+      else
+        S.Unserved.erase(S.Unserved.begin());
       return true;
     }
     if (E.Kind == IncN) {
@@ -45,25 +62,28 @@ Replayer<TicketState> ccal::makeTicketReplayer() {
   return R;
 }
 
+namespace {
+
+/// The ticket part of L0's fold, shared by every ticket layer.
+const FoldPart<TicketState> &ticketFold() {
+  static const FoldPart<TicketState> Part(makeTicketReplayer());
+  return Part;
+}
+
+/// The invariant's verdict on a ticket state (nullptr: the replay is
+/// stuck).
+std::string ticketVerdict(const TicketState *S) {
+  if (!S)
+    return "ticket replay stuck: mutual exclusion or release protocol "
+           "violated";
+  return S->FifoViolation;
+}
+
+} // namespace
+
 std::string ccal::checkTicketFifo(const Log &L) {
-  std::vector<ThreadId> TicketOrder; // tid that fetched the k-th ticket
-  size_t NextServed = 0;
-  for (const Event &E : L) {
-    if (E.Kind == FaiT) {
-      TicketOrder.push_back(E.Tid);
-      continue;
-    }
-    if (E.Kind != Hold)
-      continue;
-    if (NextServed >= TicketOrder.size())
-      return "hold without a fetched ticket";
-    if (TicketOrder[NextServed] != E.Tid)
-      return strFormat("FIFO violated: ticket %zu belongs to CPU %u but "
-                       "CPU %u acquired",
-                       NextServed, TicketOrder[NextServed], E.Tid);
-    ++NextServed;
-  }
-  return "";
+  std::optional<TicketState> S = ticketFold().replayer().replay(L);
+  return ticketVerdict(S ? &*S : nullptr);
 }
 
 TicketLockLayers ccal::makeTicketLockLayers() {
@@ -73,8 +93,11 @@ TicketLockLayers ccal::makeTicketLockLayers() {
   // Footprints over the abstract ticket-lock state: FAI_t owns the ticket
   // counter; get_n reads the now-serving counter that inc_n bumps; hold
   // additionally reads the ticket counter because the FIFO invariant
-  // (checkTicketFifo) is sensitive to the FAI_t/hold order.
+  // (checkTicketFifo) is sensitive to the FAI_t/hold order.  The
+  // primitives read only per-kind counts; L0's fold declares the ticket
+  // replay for the invariant (ticketMutexInvariant).
   auto L0 = makeInterface("L0");
+  L0->declareFold(ticketFold());
   L0->addShared("FAI_t", makeFetchIncPrim("FAI_t"),
                 Footprint::of({"tkt.next"}, {"tkt.next"}));
   L0->addShared("get_n", makeReadCounterPrim("get_n", "inc_n"),
@@ -85,8 +108,8 @@ TicketLockLayers ccal::makeTicketLockLayers() {
   L0->addShared("hold", makeEventPrim("hold"),
                 Footprint::of({"tkt.next", "tkt.holder"}, {"tkt.holder"}));
   // Pass-through critical-section work: f and g return how many times each
-  // has run before (a log-replayed counter), so client return values are
-  // schedule-sensitive and the refinement compares them meaningfully.
+  // has run before (a per-kind count of the fold), so client return values
+  // are schedule-sensitive and the refinement compares them meaningfully.
   L0->addShared("f", makeFetchIncPrim("f"), Footprint::of({"f"}, {"f"}));
   L0->addShared("g", makeFetchIncPrim("g"), Footprint::of({"g"}, {"g"}));
   Out.L0 = L0;
@@ -150,6 +173,7 @@ TicketLockLayers ccal::makeTicketLockLayersRa(bool BrokenGrab) {
   // lock (RtTicketLock.h): Next.fetch_add(acq_rel), NowServing spin
   // load(acquire), NowServing.fetch_add(acq_rel).
   auto L0 = makeInterface(BrokenGrab ? "L0ra_broken" : "L0ra");
+  L0->declareFold(Out.L0->fold());
   Footprint Grab = Footprint::of({"tkt.next"}, {"tkt.next"})
                        .withOrders(MemOrder::AcqRel, MemOrder::AcqRel);
   if (BrokenGrab)
@@ -214,11 +238,9 @@ ClightModule ccal::makeTicketClient() {
 }
 
 std::string ccal::ticketMutexInvariant(const MultiCoreMachine &M) {
-  static const Replayer<TicketState> R = makeTicketReplayer();
-  if (!R.wellFormed(M.log()))
-    return "ticket replay stuck: mutual exclusion or release protocol "
-           "violated";
-  return checkTicketFifo(M.log());
+  if (!ticketFold().declaredIn(M.fold()))
+    return "the machine's layer declares no ticket fold";
+  return ticketVerdict(ticketFold().in(M.fold()));
 }
 
 StarvationReport

@@ -31,19 +31,28 @@
 namespace ccal {
 
 /// The concrete ticket state (next ticket t, now-serving n) replayed from
-/// L0 events — the paper's Rticket.
+/// L0 events — the paper's Rticket — plus the queue of fetched but
+/// unserved tickets that the FIFO handout check reads.
 struct TicketState {
   std::int64_t NextTicket = 0; ///< #FAI_t events
   std::int64_t NowServing = 0; ///< #inc_n events
   std::optional<ThreadId> Holder; ///< from hold/inc_n pairing
+  /// The CPU of each fetched, not yet served ticket, oldest first.
+  std::vector<ThreadId> Unserved;
+  /// The first hold out of ticket order; "" while the handout is FIFO.
+  std::string FifoViolation;
+  bool operator==(const TicketState &) const = default;
 };
 
 /// Replays the ticket state; stuck when hold/inc_n violate the protocol.
+/// This is the ticket part of L0's fold.
 Replayer<TicketState> makeTicketReplayer();
 
 /// Checks the starvation-freedom *order* property of the ticket lock: the
 /// k-th acquisition (hold event) must belong to the CPU that fetched the
-/// k-th ticket (FIFO handout); returns "" when it holds.
+/// k-th ticket (FIFO handout); returns "" when it holds.  The ticket
+/// replay run over \p L, so a log that violates mutual exclusion reports
+/// that instead.
 std::string checkTicketFifo(const Log &L);
 
 /// The pieces of a certified lock layer: the underlay L0, the ClightX
@@ -67,8 +76,9 @@ TicketLockLayers makeTicketLockLayers();
 /// example and tests.
 ClightModule makeTicketClient();
 
-/// Mutual-exclusion invariant over the implementation machine, expressed
-/// on the replayed ticket state; returns "" when it holds.
+/// Mutual-exclusion and FIFO-handout invariant over the implementation
+/// machine, read from the ticket part of the machine's fold; returns ""
+/// when it holds.
 std::string ticketMutexInvariant(const MultiCoreMachine &M);
 
 /// The harness every lock certification runs: each of \p NumCpus CPUs

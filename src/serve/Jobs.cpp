@@ -64,13 +64,13 @@ Registry &registry() {
     Add("ticket.1cpu.2r", "ticket lock, 1 CPU x 2 rounds (fast)",
         [] { return makeTicketLockHarness(1, 2); });
     Add("ticket.2cpu.2r",
-        "ticket lock, 2 CPUs x 2 rounds (heavy: ~3.5M schedules, ~40 s "
+        "ticket lock, 2 CPUs x 2 rounds (heavy: ~3.5M schedules, ~30 s "
         "cold on one worker — submit with a timeout unless you mean it)",
         [] { return makeTicketLockHarness(2, 2); });
     // 3 CPUs of spinning exceed the harness's 512-step budget, so this
-    // job truthfully reports TRUNCATED after several seconds of
-    // exploration — kept in the catalog as the natural stress/timeout
-    // subject (the serve tests cancel it mid-flight).
+    // job truthfully reports TRUNCATED after about a second of
+    // exploration on one worker — kept in the catalog as the natural
+    // fail-closed subject: a budget stop never rounds up to Holds.
     Add("ticket.3cpu",
         "ticket lock, 3 CPUs x 1 round (exceeds the step budget: "
         "truncates, never Holds)",

@@ -15,6 +15,7 @@ ThreadedMachine::ThreadedMachine(ThreadedConfigPtr CfgIn)
   CCAL_CHECK(!Cfg->Model || !Cfg->Model->weak(),
              "the multithreaded machine is SC-only; run weak-memory "
              "verification on the MultiCoreMachine lock layers");
+  Fold = Cfg->Layer->fold().initial();
   std::vector<std::int64_t> Image = Cfg->Program->initialGlobals();
   for (const ThreadSpec &TS : Cfg->Threads) {
     auto [It, Inserted] = Threads.emplace(TS.Tid, Thr(Cfg->Program));
@@ -84,7 +85,7 @@ bool ThreadedMachine::settle() {
         for (auto &[Tid, T] : Threads) {
           if (T.Cpu != Cpu || T.Exited || View->Sleeping.count(Tid))
             continue;
-          logAppend(GlobalLog, Event(Tid, ReschedEventKind));
+          emit({Event(Tid, ReschedEventKind)});
           Changed = true;
           break;
         }
@@ -114,7 +115,7 @@ bool ThreadedMachine::runThread(ThreadId Tid, Thr &T) {
     if (!T.Active) {
       if (T.NextWork >= Items->size()) {
         T.Exited = true;
-        logAppend(GlobalLog, Event(Tid, ThreadExitEventKind));
+        emit({Event(Tid, ThreadExitEventKind)});
         return true;
       }
       const CpuWorkItem &Item = (*Items)[T.NextWork];
@@ -147,6 +148,7 @@ bool ThreadedMachine::runThread(ThreadId Tid, Thr &T) {
     Call.Tid = Tid;
     Call.Args = T.Machine.primArgs();
     Call.L = &GlobalLog;
+    Call.Fold = &Fold;
     Call.LocalMem = &Globals;
     std::optional<PrimResult> Res = P->Sem(Call);
     if (!Res) {
@@ -184,11 +186,12 @@ std::vector<ThreadId> ThreadedMachine::schedulable() const {
       continue;
     const Thr &T = It->second;
     const Primitive *P = Cfg->Layer->lookup(T.Machine.primKind());
-    if (P && P->Shared) {
+    if (P && P->Shared && P->MayBlock) {
       PrimCall Call;
       Call.Tid = It->first;
       Call.Args = T.Machine.primArgs();
       Call.L = &GlobalLog;
+      Call.Fold = &Fold;
       Call.LocalMem = &CpuMem.at(Cpu);
       std::optional<PrimResult> Res = P->Sem(Call);
       if (Res && Res->Blocked)
@@ -215,6 +218,7 @@ bool ThreadedMachine::step(ThreadId Tid) {
   Call.Tid = Tid;
   Call.Args = T.Machine.primArgs();
   Call.L = &GlobalLog;
+  Call.Fold = &Fold;
   Call.LocalMem = &Globals;
   std::optional<PrimResult> Res = P->Sem(Call);
   if (!Res) {
@@ -222,8 +226,14 @@ bool ThreadedMachine::step(ThreadId Tid) {
                    "' got stuck; log: " + logToString(GlobalLog));
     return false;
   }
+  if (Res->Blocked && !P->MayBlock) {
+    fault(Tid, "shared primitive '" + P->Name +
+                   "' blocked but is not marked MayBlock, so the machine "
+                   "never dry-runs it");
+    return false;
+  }
   CCAL_CHECK(!Res->Blocked, "step: blocked threads are not schedulable");
-  logAppendAll(GlobalLog, Res->Events);
+  emit(Res->Events);
   for (auto [Addr, V] : Res->LocalWrites) {
     CCAL_CHECK(Addr >= 0 && static_cast<size_t>(Addr) < Globals.size(),
                "primitive local write out of range");

@@ -106,6 +106,9 @@ public:
 
   const Log &log() const { return GlobalLog; }
 
+  /// The layer's fold over log() (see MultiCoreMachine::fold).
+  const FoldValue &fold() const { return Fold; }
+
   /// Per-thread return values of completed work items.
   std::map<ThreadId, std::vector<std::int64_t>> returns() const;
 
@@ -130,12 +133,17 @@ private:
   bool settle();
   bool runThread(ThreadId Tid, Thr &T);
   void fault(ThreadId Tid, const std::string &Msg);
+  /// Appends \p Events to the log and the fold: the machine's only append.
+  void emit(const std::vector<Event> &Events) {
+    appendFolded(GlobalLog, Fold, Events);
+  }
   std::optional<std::int64_t> currentOf(ThreadId Cpu) const;
 
   ThreadedConfigPtr Cfg;
   std::map<ThreadId, Thr> Threads;
   std::map<ThreadId, std::vector<std::int64_t>> CpuMem;
   Log GlobalLog;
+  FoldValue Fold;
   std::string Err;
 };
 

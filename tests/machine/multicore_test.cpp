@@ -154,15 +154,20 @@ TEST(MultiCoreTest, BlockedPrimIsNotSchedulable) {
     return M;
   }();
   auto L = makeInterface("Lgate");
-  // gate blocks until some event exists in the log.
-  L->addShared("gate", [](const PrimCall &Call) -> std::optional<PrimResult> {
+  // gate blocks until some event exists in the log; it is built as a
+  // blocking primitive, so schedulable() dry-runs it.
+  Primitive Gate;
+  Gate.Name = "gate";
+  Gate.MayBlock = true;
+  Gate.Sem = [](const PrimCall &Call) -> std::optional<PrimResult> {
     if (Call.L->empty())
       return PrimResult::blocked();
     PrimResult Res;
     Res.Ret = 1;
     Res.Events.push_back(Event(Call.Tid, KindId("gate")));
     return Res;
-  });
+  };
+  L->addPrim(Gate);
   L->addShared("tick", makeFetchIncPrim("tick"));
   auto Cfg = std::make_shared<MachineConfig>();
   Cfg->Name = "gate";
@@ -173,4 +178,32 @@ TEST(MultiCoreTest, BlockedPrimIsNotSchedulable) {
   ASSERT_TRUE(M.ok());
   EXPECT_TRUE(M.schedulable().empty()); // blocked, not schedulable
   EXPECT_FALSE(M.allIdle());            // ... but not done: a deadlock state
+}
+
+TEST(MultiCoreTest, UnmarkedBlockingPrimFaultsAtStep) {
+  static ClightModule Client = [] {
+    ClightModule M = parseModuleOrDie("c", R"(
+      extern int gate();
+      int t_main() { return gate(); }
+    )");
+    typeCheckOrDie(M);
+    return M;
+  }();
+  // A primitive that blocks without the MayBlock mark is never dry-run,
+  // so its caller looks schedulable; stepping it faults the machine.
+  auto L = makeInterface("Lgate_unmarked");
+  L->addShared("gate", [](const PrimCall &) -> std::optional<PrimResult> {
+    return PrimResult::blocked();
+  });
+  auto Cfg = std::make_shared<MachineConfig>();
+  Cfg->Name = "gate_unmarked";
+  Cfg->Layer = L;
+  Cfg->Program = compileAndLink("gate.lasm", {&Client});
+  Cfg->Work.emplace(1, std::vector<CpuWorkItem>{{"t_main", {}}});
+  MultiCoreMachine M(Cfg);
+  ASSERT_TRUE(M.ok());
+  EXPECT_EQ(M.schedulable(), std::vector<ThreadId>{1});
+  EXPECT_FALSE(M.step(1));
+  EXPECT_NE(M.error().find("not marked MayBlock"), std::string::npos)
+      << M.error();
 }

@@ -127,4 +127,12 @@ TEST(McsLockTest, BuggyReleaseIsCaught) {
   H.SpecOpts.MaxSteps = 200;
   HarnessOutcome Out = runObjectHarness(H);
   EXPECT_FALSE(Out.Report.Holds);
+  // Pinned at 1 worker (the default), where the stop point is
+  // deterministic: the first violating state and the diagnostic there.
+  EXPECT_EQ(Out.Report.Counterexample.substr(
+                0, Out.Report.Counterexample.find('\n')),
+            "implementation machine violation: step bound exceeded "
+            "(divergence under fair schedules?)");
+  EXPECT_EQ(Out.Report.SchedulesExplored, 2u);
+  EXPECT_EQ(Out.Report.StatesExplored, 218u);
 }

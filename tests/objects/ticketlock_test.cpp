@@ -62,9 +62,11 @@ TEST(TicketLockTest, CertifiesTwoRoundsSingleCpu) {
   ASSERT_TRUE(Out.Report.Holds) << Out.Report.Counterexample;
 }
 
-TEST(TicketLockTest, BuggyLockIsCaught) {
-  // A lock that skips the spin loop (acquires immediately) violates
-  // mutual exclusion and the checker must find it.
+namespace {
+
+/// A lock that skips the spin loop (acquires immediately) over the real
+/// L0, checked against the real L1 with the ticket invariant.
+ObjectHarness makeSpinlessTicketHarness() {
   TicketLockLayers Layers = makeTicketLockLayers();
   static ClightModule Broken;
   Broken = parseModuleOrDie("M1_broken", R"(
@@ -96,10 +98,38 @@ TEST(TicketLockTest, BuggyLockIsCaught) {
   H.ImplOpts.Invariant = ticketMutexInvariant;
   H.SpecOpts.FairnessBound = 1u << 20;
   H.SpecOpts.MaxSteps = 256;
+  return H;
+}
 
-  HarnessOutcome Out = runObjectHarness(H);
+} // namespace
+
+TEST(TicketLockTest, BuggyLockIsCaught) {
+  // The spin-less lock violates mutual exclusion and the checker must
+  // find it.  Pinned at 1 worker (the default), where the stop point is
+  // deterministic: the first violating state and the diagnostic there.
+  HarnessOutcome Out = runObjectHarness(makeSpinlessTicketHarness());
   EXPECT_FALSE(Out.Report.Holds);
-  EXPECT_NE(Out.Report.Counterexample.find("violat"), std::string::npos);
+  EXPECT_EQ(Out.Report.Counterexample.substr(
+                0, Out.Report.Counterexample.find('\n')),
+            "implementation machine violation: invariant violated: ticket "
+            "replay stuck: mutual exclusion or release protocol violated");
+  EXPECT_EQ(Out.Report.SchedulesExplored, 2u);
+  EXPECT_EQ(Out.Report.StatesExplored, 24u);
+}
+
+TEST(TicketLockTest, FifoViolationThroughTheMachine) {
+  // CPU 1 fetches ticket 0, CPU 2 ticket 1, and CPU 2 — not spinning —
+  // acquires first: mutual exclusion holds, FIFO handout does not.
+  ObjectHarness H = makeSpinlessTicketHarness();
+  MultiCoreMachine M(H.implConfig());
+  ASSERT_EQ(M.pendingPrim(1), "FAI_t");
+  ASSERT_TRUE(M.step(1)) << M.error();
+  ASSERT_EQ(M.pendingPrim(2), "FAI_t");
+  ASSERT_TRUE(M.step(2)) << M.error();
+  ASSERT_EQ(M.pendingPrim(2), "hold");
+  ASSERT_TRUE(M.step(2)) << M.error();
+  EXPECT_EQ(ticketMutexInvariant(M),
+            "FIFO violated: ticket 0 belongs to CPU 1 but CPU 2 acquired");
 }
 
 TEST(TicketLockTest, RefutedReportsCountTheOutcomesReachedBeforeTheStop) {

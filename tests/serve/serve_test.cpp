@@ -466,17 +466,15 @@ TEST_F(ServeTest, TimeoutCancelsIntoTruncationAndStoresNoCertificate) {
   auto D = startDaemon(/*Workers=*/1);
   ASSERT_NE(D, nullptr);
 
-  // ticket.3cpu explores for seconds uncancelled; a 150ms timeout must
-  // cancel it mid-exploration.  The diagnostic distinguishes a real
-  // cancel ("job timeout") from the job's natural step-budget truncation
-  // ("step bound exceeded"), so a broken cancel path fails this test
-  // rather than flaking it.
+  // ticket.2cpu.2r explores for tens of seconds uncancelled; a 150ms
+  // timeout must cancel it mid-exploration.  Uncancelled, the job Holds,
+  // so a broken cancel path fails this test rather than flaking it.
   CertClient C = connected();
   VerifyResponse R;
   std::string Err;
   VerifyOptions VO;
   VO.TimeoutMs = 150;
-  ASSERT_TRUE(C.verify({"ticket.3cpu"}, VO, R, Err)) << Err;
+  ASSERT_TRUE(C.verify({"ticket.2cpu.2r"}, VO, R, Err)) << Err;
   ASSERT_TRUE(R.Ok) << R.Error;
   ASSERT_EQ(R.Results.size(), 1u);
   const JobResult &J = R.Results[0];
