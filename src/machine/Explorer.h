@@ -110,6 +110,15 @@ template <typename MachineT> struct GenericExploreOptions {
   /// each, and calls are serialized.  Returning a non-empty string rejects
   /// the outcome and aborts the exploration with that violation.
   /// ExploreResult::DistinctOutcomes/AcceptedOutcomes count what it saw.
+  ///
+  /// With more than one worker, each worker hands its outcomes over in
+  /// batches of 32, one lock acquisition per batch, so a rejection stops
+  /// the search only once its batch is handed over: the rejecting worker
+  /// may reach up to 31 more terminal schedules first, and the other
+  /// workers keep exploring meanwhile.  Every schedule reached is still
+  /// passed to the callback and counted, and any rejection still fails
+  /// the run.  With one worker each outcome is handed over as it is
+  /// reached.
   std::function<std::string(const Outcome &)> OnOutcome;
 
   /// Cap on stored outcomes when OnOutcome is not set.
@@ -121,7 +130,8 @@ template <typename MachineT> struct GenericExploreOptions {
   /// With more than one worker, Invariant must be safe to call
   /// concurrently on distinct machine snapshots (invariants that only
   /// read the snapshot's fold or log are); OnOutcome calls are serialized
-  /// by the Explorer itself, so a callback needs no locking of its own.
+  /// by the Explorer itself, so a callback needs no locking of its own,
+  /// and arrive in per-worker batches (see OnOutcome).
   unsigned Threads = 1;
 };
 
@@ -144,8 +154,9 @@ struct ExploreResult {
   /// OnOutcome runs only: the distinct outcomes passed to the callback and
   /// the distinct ones it accepted, counted by 128-bit fingerprint
   /// (OutcomeSet::fingerprint) at the join; a run stopped early counts
-  /// those reached before the stop.  Every outcome is matched before it
-  /// is counted, so a collision can only under-count.
+  /// every outcome reached, including those a worker still held in its
+  /// batch when the stop came.  Every outcome is matched before it is
+  /// counted, so a collision can only under-count.
   std::uint64_t DistinctOutcomes = 0;
   std::uint64_t AcceptedOutcomes = 0;
 
@@ -318,7 +329,9 @@ public:
   using Options = GenericExploreOptions<MachineT>;
 
   GenericDfs(const Options &Opts, unsigned Workers)
-      : Opts(Opts), Workers(Workers), Shards(Workers) {}
+      : Opts(Opts), Workers(Workers),
+        OutcomeBatch(Workers > 1 ? MultiWorkerOutcomeBatch : 1),
+        Shards(Workers) {}
 
   ExploreResult run(const MachineT &Root) {
     ExploreResult Res;
@@ -385,8 +398,12 @@ private:
     std::vector<unsigned> ReadyVars;
     unsigned NextVariant = 0; ///< variant cursor within Ready[NextChild]
 
-    Frame(MachineT M, ThreadId LastId, unsigned Consec, std::uint64_t Depth)
-        : M(std::move(M)), LastId(LastId), Consec(Consec), Depth(Depth) {}
+    /// Copies or moves \p Src straight into M, so a frame built in its
+    /// stack slot costs one machine copy or move.
+    template <typename SrcT>
+    Frame(SrcT &&Src, ThreadId LastId, unsigned Consec, std::uint64_t Depth)
+        : M(std::forward<SrcT>(Src)), LastId(LastId), Consec(Consec),
+          Depth(Depth) {}
   };
 
   /// Per-worker counters AND result buffers, merged after the join (no
@@ -394,9 +411,11 @@ private:
   /// worker's own Dedup/Outcomes/Corpus, so recording a terminal outcome
   /// takes no lock at all; cross-worker duplicates collapse at the join
   /// (mergeShardResults).  With one worker this is exactly the former
-  /// globally-locked recording, entry for entry.  The OnOutcome path keeps
-  /// only fingerprints, counted at the join; its Dedup holds just the
-  /// outcomes whose logs entered the corpus.
+  /// globally-locked recording, entry for entry.  The OnOutcome path
+  /// buffers up to OutcomeBatch outcomes in Pending, hands them to the
+  /// callback together (flushOutcomes) and then keeps only fingerprints,
+  /// counted at the join; its Dedup holds just the outcomes whose logs
+  /// entered the corpus.
   struct Shard {
     std::uint64_t States = 0;
     std::uint64_t InvariantChecks = 0;
@@ -413,8 +432,10 @@ private:
     std::vector<Log> Corpus;       ///< terminal + sampled logs
     bool StoreTruncated = false;   ///< hit MaxStoredOutcomes locally
 
-    /// OnOutcome path: one fingerprint per terminal schedule, split by
-    /// whether the callback accepted the outcome.
+    /// OnOutcome path: outcomes reached but not yet handed over, and one
+    /// fingerprint per handed-over terminal schedule, split by whether
+    /// the callback accepted the outcome.
+    std::vector<Outcome> Pending;
     std::vector<OutcomeSet::Fingerprint> Accepted, Rejected;
   };
 
@@ -425,6 +446,9 @@ private:
       if (Stop.load(std::memory_order_relaxed))
         Stack.clear();
       if (Stack.empty()) {
+        // The one flush point besides a full batch: an idle, stopped,
+        // cancelled, truncated or finished worker holds no outcomes.
+        flushOutcomes(S);
         if (!pullWork(Stack))
           return;
         ++S.Pulls;
@@ -463,21 +487,28 @@ private:
         ++Top.NextChild;
         Top.NextVariant = 0;
       }
-      ThreadId C = Top.Ready[ChildIdx];
-      // The final child may take the parent's machine by move: NextChild
-      // is already past the end, so the frame can only be popped from here
-      // on (donate() skips child-less frames) and its machine is dead
-      // weight.  Saves one full machine copy per interior node.
-      const bool LastChild = Top.NextChild >= Top.Ready.size();
-      Frame Child(LastChild ? MachineT(std::move(Top.M)) : MachineT(Top.M),
-                  C, C == Top.LastId ? Top.Consec + 1 : 1, Top.Depth + 1);
+      const ThreadId C = Top.Ready[ChildIdx];
+      const unsigned Consec = C == Top.LastId ? Top.Consec + 1 : 1;
+      const std::uint64_t Depth = Top.Depth;
+      // The child is built in its stack slot.  The final child takes the
+      // parent's machine by move: NextChild is already past the end, so
+      // the frame can only be popped from here on (donate() skips
+      // child-less frames) and its machine is dead weight.  emplace_back
+      // builds the new element before it relocates the old ones, so Top.M
+      // may be its source, but Top dangles after a reallocation and is
+      // not read past this point.
+      if (Top.NextChild >= Top.Ready.size())
+        Stack.emplace_back(std::move(Top.M), C, Consec, Depth + 1);
+      else
+        Stack.emplace_back(Top.M, C, Consec, Depth + 1);
+      Frame &Child = Stack.back();
       if (!stepOn(Child.M, C, Variant)) {
         violate(Child.M, Child.M.error());
+        Stack.pop_back();
         continue;
       }
-      if (Opts.CollectCorpus && (Top.Depth & 3) == 0)
+      if (Opts.CollectCorpus && (Depth & 3) == 0)
         pushCorpus(Child.M.log(), S);
-      Stack.push_back(std::move(Child));
       S.MaxStack = std::max(S.MaxStack,
                             static_cast<std::uint64_t>(Stack.size()));
     }
@@ -569,29 +600,18 @@ private:
     O.FinalLog = M.log();
     O.Returns = M.returns();
     if (Opts.OnOutcome) {
-      // Callback path: every terminal schedule's outcome goes to the
-      // callback, serialized under ResMu (callers keep plain tallies), and
-      // only its fingerprint stays in the shard; distinct outcomes are
-      // counted at the join.  The corpus still takes each distinct
-      // terminal log once (a copy per schedule would crowd the capped
-      // buffer), so Dedup holds the outcomes whose logs it took and stops
-      // growing once the corpus is full.
+      // Callback path: every terminal schedule's outcome goes into the
+      // worker's batch, which is handed to the callback once full (or
+      // when the worker's stack runs empty).  The corpus still takes each
+      // distinct terminal log once (a copy per schedule would crowd the
+      // capped buffer), so Dedup holds the outcomes whose logs it took
+      // and stops growing once the corpus is full.
       if (Opts.CollectCorpus && S.Corpus.size() < Opts.MaxCorpus &&
           S.Dedup.insert(O))
         S.Corpus.push_back(O.FinalLog);
-      std::string V;
-      {
-        std::lock_guard<std::mutex> L(ResMu);
-        V = Opts.OnOutcome(O);
-        if (!V.empty() && !Violated) {
-          Violated = true;
-          Violation = V + "\n  log: " + logToString(M.log());
-        }
-      }
-      (V.empty() ? S.Accepted : S.Rejected)
-          .push_back(OutcomeSet::fingerprint(O));
-      if (!V.empty())
-        stopAll();
+      S.Pending.push_back(std::move(O));
+      if (S.Pending.size() >= OutcomeBatch)
+        flushOutcomes(S);
       return;
     }
     // Stored path: everything is worker-local, so recording an outcome
@@ -604,6 +624,36 @@ private:
       S.Outcomes.push_back(std::move(O));
     else
       S.StoreTruncated = true; // reported as truncation at the join
+  }
+
+  /// Hands the worker's pending outcomes to OnOutcome in order, in one
+  /// ResMu acquisition (callers keep plain tallies, so calls stay
+  /// serialized); the first rejection is recorded with its outcome's log.
+  /// Only fingerprints stay in the shard, filed after the lock is
+  /// released; distinct outcomes are counted at the join.
+  void flushOutcomes(Shard &S) {
+    if (S.Pending.empty())
+      return;
+    std::uint64_t Rejects = 0; // bit I: the callback rejected Pending[I]
+    {
+      std::lock_guard<std::mutex> L(ResMu);
+      for (size_t I = 0; I != S.Pending.size(); ++I) {
+        std::string V = Opts.OnOutcome(S.Pending[I]);
+        if (V.empty())
+          continue;
+        Rejects |= std::uint64_t(1) << I;
+        if (!Violated) {
+          Violated = true;
+          Violation = V + "\n  log: " + logToString(S.Pending[I].FinalLog);
+        }
+      }
+    }
+    for (size_t I = 0; I != S.Pending.size(); ++I)
+      ((Rejects >> I & 1) ? S.Rejected : S.Accepted)
+          .push_back(OutcomeSet::fingerprint(S.Pending[I]));
+    S.Pending.clear();
+    if (Rejects)
+      stopAll();
   }
 
   /// Joins the per-worker result shards after the workers exit, in worker
@@ -763,8 +813,16 @@ private:
   /// Frames moved per donation (see donate()).
   static constexpr size_t StealBatch = 8;
 
+  /// Outcomes a worker hands to OnOutcome per ResMu acquisition when
+  /// several workers share the lock; one worker hands each over at once,
+  /// which keeps sequential runs bit-identical.
+  static constexpr size_t MultiWorkerOutcomeBatch = 32;
+  static_assert(MultiWorkerOutcomeBatch <= 64,
+                "flushOutcomes keeps one verdict bit per pending outcome");
+
   const Options &Opts;
   const unsigned Workers;
+  const size_t OutcomeBatch;
 
   // Work sharing.
   std::mutex QMu;
@@ -781,7 +839,7 @@ private:
 
   // Shared result slots (first violation wins).  Outcomes, fingerprints
   // and the corpus live in the per-worker Shards; ResMu also serializes
-  // the OnOutcome calls.
+  // the OnOutcome calls, taken once per batch (flushOutcomes).
   std::mutex ResMu;
   bool Violated = false;  ///< guarded by ResMu
   std::string Violation;  ///< guarded by ResMu

@@ -66,6 +66,7 @@ bool MultiCoreMachine::advance(Cpu &C, ThreadId Id) {
     }
     if (P->Shared) {
       C.Phase = CpuPhase::AtShared;
+      C.Parked = P;
       return true;
     }
     // Private primitive: silent, executed immediately.
@@ -101,6 +102,7 @@ bool MultiCoreMachine::allIdle() const {
 
 std::vector<ThreadId> MultiCoreMachine::schedulable() const {
   std::vector<ThreadId> Out;
+  Out.reserve(Cpus.size());
   for (const auto &[Id, C] : Cpus) {
     if (C.Phase != CpuPhase::AtShared)
       continue;
@@ -109,8 +111,8 @@ std::vector<ThreadId> MultiCoreMachine::schedulable() const {
     // the log grows; primitives are deterministic in the shared state, so
     // this dry run is exact.  Only primitives built as blocking ones can
     // block, so only those are dry-run.
-    const Primitive *P = Cfg->Layer->lookup(C.Machine.primKind());
-    if (P && P->Shared && P->MayBlock) {
+    const Primitive *P = C.Parked;
+    if (P->MayBlock) {
       PrimCall Call;
       Call.Tid = Id;
       Call.Args = C.Machine.primArgs();
@@ -166,7 +168,7 @@ bool MultiCoreMachine::step(ThreadId Id, unsigned Variant) {
   CCAL_CHECK(C.Phase == CpuPhase::AtShared,
              "step: CPU is not parked at a shared primitive");
 
-  const Primitive *P = Cfg->Layer->lookup(C.Machine.primKind());
+  const Primitive *P = C.Parked;
   CCAL_CHECK(P && P->Shared, "parked primitive must be shared");
 
   const bool Weak = weakModel();

@@ -133,6 +133,10 @@ private:
     size_t NextWork = 0;
     bool Active = false; ///< a work item is running in the VM
     CpuPhase Phase = CpuPhase::Idle;
+    /// The shared primitive the CPU is parked at, resolved once by
+    /// advance(); read only while Phase is AtShared.  It points into the
+    /// layer's node-based primitive map, which lives as long as Cfg.
+    const Primitive *Parked = nullptr;
     std::vector<std::int64_t> Returns;
 
     Cpu(AsmProgramPtr P, std::vector<std::int64_t> G)

@@ -59,23 +59,24 @@ Registry &registry() {
     // the suite exercises.  Both refine the same atomic L1, so a stack
     // mixing them shares overlapping obligations — that overlap is what
     // the daemon's shared store monetizes.
-    Add("ticket.2cpu", "ticket lock, 2 CPUs x 1 round (~50ms cold)",
+    Add("ticket.2cpu", "ticket lock, 2 CPUs x 1 round (~3ms cold)",
         [] { return makeTicketLockHarness(2, 1); });
     Add("ticket.1cpu.2r", "ticket lock, 1 CPU x 2 rounds (fast)",
         [] { return makeTicketLockHarness(1, 2); });
     Add("ticket.2cpu.2r",
-        "ticket lock, 2 CPUs x 2 rounds (heavy: ~3.5M schedules, ~30 s "
+        "ticket lock, 2 CPUs x 2 rounds (heavy: ~3.5M schedules, ~20 s "
         "cold on one worker — submit with a timeout unless you mean it)",
         [] { return makeTicketLockHarness(2, 2); });
-    // 3 CPUs of spinning exceed the harness's 512-step budget, so this
-    // job truthfully reports TRUNCATED after about a second of
-    // exploration on one worker — kept in the catalog as the natural
-    // fail-closed subject: a budget stop never rounds up to Holds.
+    // 3 CPUs of spinning exceed the harness's 512-step budget, so after
+    // about a second of exploration on one worker (87,485 schedules) this
+    // job truthfully fails with a step-bound violation, Complete=false —
+    // kept in the catalog as the natural fail-closed subject: a budget
+    // stop never rounds up to Holds.
     Add("ticket.3cpu",
         "ticket lock, 3 CPUs x 1 round (exceeds the step budget: "
-        "truncates, never Holds)",
+        "fails closed, never Holds)",
         [] { return makeTicketLockHarness(3, 1); });
-    Add("mcs.2cpu", "MCS lock, 2 CPUs x 1 round (~90ms cold)",
+    Add("mcs.2cpu", "MCS lock, 2 CPUs x 1 round (~8ms cold)",
         [] { return makeMcsLockHarness(2, 1); });
     // Release/acquire re-verification of the same locks: the annotated
     // implementation machine runs under RaMemory (stale reads enumerated),

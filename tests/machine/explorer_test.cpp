@@ -305,6 +305,54 @@ TEST(ExplorerTest, ParallelInvariantViolationReported) {
   EXPECT_NE(Res.Violation.find("log:"), std::string::npos);
 }
 
+namespace {
+
+/// Explores \p Cfg at \p Threads workers with an OnOutcome that rejects
+/// one outcome, chosen from a stored sequential run.  Workers hand their
+/// outcomes over in batches, so the run must still fail with exactly that
+/// outcome's log, and every terminal schedule reached must be passed to
+/// the callback once.
+void expectChosenRejectionFails(const MachineConfigPtr &Cfg,
+                                unsigned Threads) {
+  ExploreResult All = exploreMachine(Cfg, ExploreOptions());
+  ASSERT_TRUE(All.Ok) << All.Violation;
+  ASSERT_FALSE(All.Outcomes.empty());
+  const Outcome Chosen = All.Outcomes[All.Outcomes.size() / 2];
+  ExploreOptions Opts;
+  Opts.Threads = Threads;
+  std::uint64_t Calls = 0; // unguarded: the Explorer serializes calls
+  Opts.OnOutcome = [&Calls, &Chosen](const Outcome &O) -> std::string {
+    ++Calls;
+    return OutcomeSet::same(O, Chosen) ? "chosen outcome rejected" : "";
+  };
+  ExploreResult Res = exploreMachine(Cfg, Opts);
+  EXPECT_FALSE(Res.Ok);
+  EXPECT_EQ(Res.Violation, "chosen outcome rejected\n  log: " +
+                               logToString(Chosen.FinalLog));
+  EXPECT_EQ(Calls, Res.SchedulesExplored);
+  EXPECT_LE(Res.SchedulesExplored, All.SchedulesExplored);
+  EXPECT_EQ(Res.AcceptedOutcomes + 1, Res.DistinctOutcomes);
+}
+
+} // namespace
+
+TEST(ExplorerTest, ParallelRejectedOutcomeFailsWithItsLog) {
+  // 1,680 schedules: several full batches per worker.
+  for (unsigned Threads : {2u, 4u}) {
+    SCOPED_TRACE(Threads);
+    expectChosenRejectionFails(makeTickConfig(3, 3), Threads);
+  }
+}
+
+TEST(ExplorerTest, RejectionInAPartialBatchStillFailsTheRun) {
+  // 6 schedules, fewer than one batch per worker: the rejection is handed
+  // over only when its worker's stack runs empty.
+  for (unsigned Threads : {2u, 4u}) {
+    SCOPED_TRACE(Threads);
+    expectChosenRejectionFails(makeTickConfig(2, 2), Threads);
+  }
+}
+
 TEST(ExplorerTest, RegistryCountersMatchExploreResult) {
   // The obs registry's view of a run must agree exactly with the
   // ExploreResult it was published from, work-sharing counters included.
