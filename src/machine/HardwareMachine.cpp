@@ -17,9 +17,9 @@ HardwareMachine::HardwareMachine(MachineConfigPtr CfgIn)
   Fold = Cfg->Layer->fold().initial();
   std::vector<std::int64_t> Image = Cfg->Program->initialGlobals();
   for (const auto &[Id, Items] : Cfg->Work) {
-    auto [It, Inserted] = Cpus.emplace(Id, Cpu(Cfg->Program, Image));
+    auto [It, Inserted] =
+        Cpus.emplace(Id, Cpu{Core(Cfg->Program, Id, Items), Image});
     CCAL_CHECK(Inserted, "duplicate CPU id");
-    It->second.Done = Items.empty();
   }
 }
 
@@ -30,32 +30,17 @@ void HardwareMachine::fault(ThreadId Id, const std::string &Msg) {
 
 bool HardwareMachine::allIdle() const {
   for (const auto &[Id, C] : Cpus)
-    if (!C.Done)
+    if (!C.Exec.finished())
       return false;
   return true;
 }
 
 std::vector<ThreadId> HardwareMachine::schedulable() const {
   std::vector<ThreadId> Out;
-  for (const auto &[Id, C] : Cpus) {
-    if (C.Done)
-      continue;
-    if (C.AtPrim) {
-      const Primitive *P = Cfg->Layer->lookup(C.Machine.primKind());
-      if (P && P->Shared && P->MayBlock) {
-        PrimCall Call;
-        Call.Tid = Id;
-        Call.Args = C.Machine.primArgs();
-        Call.L = &GlobalLog;
-        Call.Fold = &Fold;
-        Call.LocalMem = &C.Globals;
-        std::optional<PrimResult> Res = P->Sem(Call);
-        if (Res && Res->Blocked)
-          continue;
-      }
-    }
-    Out.push_back(Id);
-  }
+  for (const auto &[Id, C] : Cpus)
+    if (!C.Exec.finished() &&
+        !(C.Exec.pending() && C.Exec.blocked(GlobalLog, Fold, C.Globals)))
+      Out.push_back(Id);
   return Out;
 }
 
@@ -65,79 +50,22 @@ bool HardwareMachine::step(ThreadId Id) {
   auto It = Cpus.find(Id);
   CCAL_CHECK(It != Cpus.end(), "step: unknown CPU");
   Cpu &C = It->second;
-  CCAL_CHECK(!C.Done, "step: CPU has no work left");
-
-  const std::vector<CpuWorkItem> &Items = Cfg->Work.at(Id);
-  if (!C.Active) {
-    const CpuWorkItem &Item = Items[C.NextWork];
-    C.Machine.start(Item.Fn, Item.Args);
-    C.Active = true;
-  }
-
-  if (C.AtPrim) {
-    const Primitive *P = Cfg->Layer->lookup(C.Machine.primKind());
-    if (!P) {
-      fault(Id, "call to primitive '" + C.Machine.primName() +
-                    "' not provided by layer " + Cfg->Layer->name());
-      return false;
-    }
-    PrimCall Call;
-    Call.Tid = Id;
-    Call.Args = C.Machine.primArgs();
-    Call.L = &GlobalLog;
-    Call.Fold = &Fold;
-    Call.LocalMem = &C.Globals;
-    std::optional<PrimResult> Res = P->Sem(Call);
-    if (!Res) {
-      fault(Id, "primitive '" + P->Name + "' got stuck");
-      return false;
-    }
-    if (Res->Blocked && !(P->Shared && P->MayBlock)) {
-      fault(Id, "primitive '" + P->Name +
-                    "' blocked but is not a shared primitive marked "
-                    "MayBlock, so the machine never dry-runs it");
-      return false;
-    }
-    CCAL_CHECK(!Res->Blocked, "step: blocked CPUs are not schedulable");
-    CCAL_CHECK(P->Shared || Res->Events.empty(),
-               "private primitives must not emit events");
-    appendFolded(GlobalLog, Fold, Res->Events);
-    for (auto [Addr, V] : Res->LocalWrites) {
-      CCAL_CHECK(Addr >= 0 && static_cast<size_t>(Addr) < C.Globals.size(),
-                 "primitive local write out of range");
-      C.Globals[static_cast<size_t>(Addr)] = V;
-    }
-    C.Machine.resumePrim(Res->Ret);
-    C.AtPrim = false;
+  CCAL_CHECK(!C.Exec.finished(), "step: CPU has no work left");
+  // One hardware cycle: the call the VM paused at, or one instruction.
+  std::string Why;
+  if (C.Exec.pending() ? C.Exec.call(GlobalLog, Fold, GlobalLog, Fold,
+                                     C.Globals, Why)
+                       : C.Exec.runInstruction(*Cfg->Layer, C.Globals, Why))
     return true;
-  }
-
-  // One hardware cycle: a single instruction.
-  bool Exhausted = false;
-  Vm::Status St = C.Machine.runBounded(C.Globals, 1, Exhausted);
-  if (Exhausted)
-    return true; // instruction executed; still running
-  if (St == Vm::Status::Error) {
-    fault(Id, C.Machine.error());
-    return false;
-  }
-  if (St == Vm::Status::AtPrim) {
-    C.AtPrim = true; // the primitive itself runs on this CPU's next cycle
-    return true;
-  }
-  CCAL_CHECK(St == Vm::Status::Done, "unexpected VM status");
-  C.Returns.push_back(C.Machine.result());
-  C.Active = false;
-  if (++C.NextWork >= Items.size())
-    C.Done = true;
-  return true;
+  fault(Id, Why);
+  return false;
 }
 
 std::map<ThreadId, std::vector<std::int64_t>>
 HardwareMachine::returns() const {
   std::map<ThreadId, std::vector<std::int64_t>> Out;
   for (const auto &[Id, C] : Cpus)
-    Out.emplace(Id, C.Returns);
+    Out.emplace(Id, C.Exec.returns());
   return Out;
 }
 

@@ -20,6 +20,10 @@
 /// query-point machine's: local instructions only touch CPU-private
 /// state, so their interleavings cannot be observed.
 ///
+/// Both machines run the same program transitions (machine/Core.h); this
+/// one differs only in its cycle: a single instruction, or the call the
+/// CPU's VM paused at.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CCAL_MACHINE_HARDWAREMACHINE_H
@@ -56,16 +60,8 @@ public:
 
 private:
   struct Cpu {
-    Vm Machine;
+    Core Exec;
     std::vector<std::int64_t> Globals;
-    size_t NextWork = 0;
-    bool Active = false;
-    bool AtPrim = false; ///< parked at a primitive (private or shared)
-    bool Done = false;
-    std::vector<std::int64_t> Returns;
-
-    Cpu(AsmProgramPtr P, std::vector<std::int64_t> G)
-        : Machine(std::move(P)), Globals(std::move(G)) {}
   };
 
   void fault(ThreadId Id, const std::string &Msg);

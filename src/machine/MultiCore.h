@@ -18,7 +18,10 @@
 /// it there.  A step() then executes one parked CPU's shared primitive,
 /// appends its events, and advances that CPU to its next query point.
 /// Hardware scheduling = the choice of which parked CPU steps; the
-/// Explorer enumerates those choices.
+/// Explorer enumerates those choices.  The program transitions are
+/// machine/Core.h's, shared with the hardware and multithreaded machines;
+/// this machine adds each CPU's phase and, under a weak memory model, the
+/// view a shared call reads.
 ///
 /// The whole machine state is copyable, enabling snapshot-based DFS.
 ///
@@ -27,8 +30,7 @@
 #ifndef CCAL_MACHINE_MULTICORE_H
 #define CCAL_MACHINE_MULTICORE_H
 
-#include "core/LayerInterface.h"
-#include "lasm/Vm.h"
+#include "machine/Core.h"
 #include "machine/MemoryModel.h"
 
 #include <map>
@@ -37,12 +39,6 @@
 #include <vector>
 
 namespace ccal {
-
-/// One client call a CPU performs, in order.
-struct CpuWorkItem {
-  std::string Fn;
-  std::vector<std::int64_t> Args;
-};
 
 /// Immutable description of a machine run: the underlay interface, the
 /// linked program every CPU executes, and each CPU's client workload.
@@ -107,51 +103,22 @@ public:
   /// Per-CPU return values of completed work items, in order.
   std::map<ThreadId, std::vector<std::int64_t>> returns() const;
 
-  /// CPU \p C's local memory image.
-  const std::vector<std::int64_t> &cpuMemory(ThreadId C) const;
-
   /// Name of the shared primitive CPU \p C is parked at ("" when none).
-  /// Returns a reference into interned storage — no allocation per query.
+  /// The reference lives as long as the config: no allocation per query.
   const std::string &pendingPrim(ThreadId C) const;
 
-  /// Interned form of pendingPrim.
-  KindId pendingPrimKind(ThreadId C) const;
-
-  /// Total shared-primitive steps executed so far.
-  std::uint64_t stepsTaken() const { return StepsTaken; }
-
 private:
-  enum class CpuPhase {
-    Idle,     ///< workload finished
-    AtShared, ///< parked at a shared primitive
-    Faulted,
-  };
-
   struct Cpu {
-    Vm Machine;
+    Core Exec;
     std::vector<std::int64_t> Globals;
-    size_t NextWork = 0;
-    bool Active = false; ///< a work item is running in the VM
-    CpuPhase Phase = CpuPhase::Idle;
-    /// The shared primitive the CPU is parked at, resolved once by
-    /// advance(); read only while Phase is AtShared.  It points into the
-    /// layer's node-based primitive map, which lives as long as Cfg.
-    const Primitive *Parked = nullptr;
-    std::vector<std::int64_t> Returns;
-
-    Cpu(AsmProgramPtr P, std::vector<std::int64_t> G)
-        : Machine(std::move(P)), Globals(std::move(G)) {}
+    /// Where the CPU's last local run stopped; step() needs AtShared.
+    Core::Stop Phase = Core::Stop::Idle;
   };
 
   /// Runs CPU \p Id's local code (instructions + private primitives) until
   /// the next shared call or workload completion.
   bool advance(Cpu &C, ThreadId Id);
   void fault(ThreadId Id, const std::string &Msg);
-
-  /// Declared footprint of CPU \p C's next step — the pending shared
-  /// primitive's footprint, whose locations and orders drive the weak
-  /// model's reads-from enumeration.
-  Footprint stepFootprint(ThreadId C) const;
 
   /// The configured model, defaulting to SC when the config has none.
   const MemoryModel &model() const;
@@ -166,7 +133,6 @@ private:
   /// pre-model machine.
   RaState Ra;
   std::string Err;
-  std::uint64_t StepsTaken = 0;
 };
 
 } // namespace ccal

@@ -18,10 +18,9 @@ ThreadedMachine::ThreadedMachine(ThreadedConfigPtr CfgIn)
   Fold = Cfg->Layer->fold().initial();
   std::vector<std::int64_t> Image = Cfg->Program->initialGlobals();
   for (const ThreadSpec &TS : Cfg->Threads) {
-    auto [It, Inserted] = Threads.emplace(TS.Tid, Thr(Cfg->Program));
+    auto [It, Inserted] = Threads.emplace(
+        TS.Tid, Thr{Core(Cfg->Program, TS.Tid, TS.Items), TS.Cpu});
     CCAL_CHECK(Inserted, "duplicate thread id");
-    It->second.Cpu = TS.Cpu;
-    It->second.NeedsRun = true;
     if (!CpuMem.count(TS.Cpu))
       CpuMem.emplace(TS.Cpu, Image);
   }
@@ -98,72 +97,19 @@ bool ThreadedMachine::settle() {
 }
 
 bool ThreadedMachine::runThread(ThreadId Tid, Thr &T) {
-  std::vector<std::int64_t> &Globals = CpuMem.at(T.Cpu);
-  const std::vector<CpuWorkItem> *Items = nullptr;
-  for (const ThreadSpec &TS : Cfg->Threads)
-    if (TS.Tid == Tid)
-      Items = &TS.Items;
-  CCAL_CHECK(Items, "thread spec must exist");
-
   T.NeedsRun = false;
-  std::uint64_t PrivateCalls = 0;
-  while (true) {
-    if (++PrivateCalls > Cfg->SliceBudget) {
-      fault(Tid, "local slice diverged (private-primitive loop?)");
-      return false;
-    }
-    if (!T.Active) {
-      if (T.NextWork >= Items->size()) {
-        T.Exited = true;
-        emit({Event(Tid, ThreadExitEventKind)});
-        return true;
-      }
-      const CpuWorkItem &Item = (*Items)[T.NextWork];
-      T.Machine.start(Item.Fn, Item.Args);
-      T.Active = true;
-    }
-    Vm::Status St = T.Machine.run(Globals, Cfg->SliceBudget);
-    if (St == Vm::Status::Done) {
-      T.Returns.push_back(T.Machine.result());
-      T.Active = false;
-      ++T.NextWork;
-      continue;
-    }
-    if (St == Vm::Status::Error) {
-      fault(Tid, T.Machine.error());
-      return false;
-    }
-    CCAL_CHECK(St == Vm::Status::AtPrim, "unexpected VM status");
-    const Primitive *P = Cfg->Layer->lookup(T.Machine.primKind());
-    if (!P) {
-      fault(Tid, "call to primitive '" + T.Machine.primName() +
-                     "' not provided by layer " + Cfg->Layer->name());
-      return false;
-    }
-    if (P->Shared) {
-      T.Parked = true;
-      return true;
-    }
-    PrimCall Call;
-    Call.Tid = Tid;
-    Call.Args = T.Machine.primArgs();
-    Call.L = &GlobalLog;
-    Call.Fold = &Fold;
-    Call.LocalMem = &Globals;
-    std::optional<PrimResult> Res = P->Sem(Call);
-    if (!Res) {
-      fault(Tid, "private primitive '" + P->Name + "' got stuck");
-      return false;
-    }
-    CCAL_CHECK(Res->Events.empty(),
-               "private primitives must not emit events");
-    for (auto [Addr, V] : Res->LocalWrites) {
-      CCAL_CHECK(Addr >= 0 && static_cast<size_t>(Addr) < Globals.size(),
-                 "primitive local write out of range");
-      Globals[static_cast<size_t>(Addr)] = V;
-    }
-    T.Machine.resumePrim(Res->Ret);
+  std::string Why;
+  const Core::Stop Stopped = T.Exec.runLocal(
+      *Cfg->Layer, Cfg->SliceBudget, GlobalLog, Fold, CpuMem.at(T.Cpu), Why);
+  if (Stopped == Core::Stop::Faulted) {
+    fault(Tid, Why);
+    return false;
   }
+  if (Stopped == Core::Stop::Idle) {
+    T.Exited = true;
+    emit({Event(Tid, ThreadExitEventKind)});
+  }
+  return true;
 }
 
 bool ThreadedMachine::allIdle() const {
@@ -182,22 +128,9 @@ std::vector<ThreadId> ThreadedMachine::schedulable() const {
     if (Cur < 0)
       continue;
     auto It = Threads.find(static_cast<ThreadId>(Cur));
-    if (It == Threads.end() || !It->second.Parked || It->second.Exited)
-      continue;
-    const Thr &T = It->second;
-    const Primitive *P = Cfg->Layer->lookup(T.Machine.primKind());
-    if (P && P->Shared && P->MayBlock) {
-      PrimCall Call;
-      Call.Tid = It->first;
-      Call.Args = T.Machine.primArgs();
-      Call.L = &GlobalLog;
-      Call.Fold = &Fold;
-      Call.LocalMem = &CpuMem.at(Cpu);
-      std::optional<PrimResult> Res = P->Sem(Call);
-      if (Res && Res->Blocked)
-        continue;
-    }
-    Out.push_back(It->first);
+    if (It != Threads.end() && It->second.Exec.pending() &&
+        !It->second.Exec.blocked(GlobalLog, Fold, CpuMem.at(Cpu)))
+      Out.push_back(It->first);
   }
   return Out;
 }
@@ -208,49 +141,22 @@ bool ThreadedMachine::step(ThreadId Tid) {
   auto It = Threads.find(Tid);
   CCAL_CHECK(It != Threads.end(), "step: unknown thread");
   Thr &T = It->second;
-  CCAL_CHECK(T.Parked, "step: thread is not parked at a shared primitive");
-
-  const Primitive *P = Cfg->Layer->lookup(T.Machine.primKind());
-  CCAL_CHECK(P && P->Shared, "parked primitive must be shared");
-
-  std::vector<std::int64_t> &Globals = CpuMem.at(T.Cpu);
-  PrimCall Call;
-  Call.Tid = Tid;
-  Call.Args = T.Machine.primArgs();
-  Call.L = &GlobalLog;
-  Call.Fold = &Fold;
-  Call.LocalMem = &Globals;
-  std::optional<PrimResult> Res = P->Sem(Call);
-  if (!Res) {
-    fault(Tid, "shared primitive '" + P->Name +
-                   "' got stuck; log: " + logToString(GlobalLog));
+  CCAL_CHECK(T.Exec.pending(),
+             "step: thread is not parked at a shared primitive");
+  const bool Exits = T.Exec.pending()->ExitsThread;
+  std::string Why;
+  if (!T.Exec.call(GlobalLog, Fold, GlobalLog, Fold, CpuMem.at(T.Cpu),
+                   Why)) {
+    fault(Tid, Why);
     return false;
   }
-  if (Res->Blocked && !P->MayBlock) {
-    fault(Tid, "shared primitive '" + P->Name +
-                   "' blocked but is not marked MayBlock, so the machine "
-                   "never dry-runs it");
-    return false;
-  }
-  CCAL_CHECK(!Res->Blocked, "step: blocked threads are not schedulable");
-  emit(Res->Events);
-  for (auto [Addr, V] : Res->LocalWrites) {
-    CCAL_CHECK(Addr >= 0 && static_cast<size_t>(Addr) < Globals.size(),
-               "primitive local write out of range");
-    Globals[static_cast<size_t>(Addr)] = V;
-  }
-  if (P->ExitsThread) {
-    // The thread never resumes (cswitch-out without return, §5.1); its VM
-    // state is abandoned exactly like a kernel context that is never
-    // loaded again.
-    T.Parked = false;
-    T.Active = false;
+  // A thread whose primitive exits it never runs again (cswitch-out
+  // without return, §5.1): its VM state is abandoned exactly like a kernel
+  // context that is never loaded again.
+  if (Exits)
     T.Exited = true;
-    return settle();
-  }
-  T.Machine.resumePrim(Res->Ret);
-  T.Parked = false;
-  T.NeedsRun = true;
+  else
+    T.NeedsRun = true;
   return settle();
 }
 
@@ -258,7 +164,7 @@ std::map<ThreadId, std::vector<std::int64_t>>
 ThreadedMachine::returns() const {
   std::map<ThreadId, std::vector<std::int64_t>> Out;
   for (const auto &[Tid, T] : Threads)
-    Out.emplace(Tid, T.Returns);
+    Out.emplace(Tid, T.Exec.returns());
   return Out;
 }
 

@@ -24,13 +24,15 @@
 /// `texit` (a thread finished its workload) and `resched` (an idle CPU
 /// dispatched the lowest-id unfinished thread).  Relations erase them.
 ///
+/// Each thread's program transitions are machine/Core.h's, shared with
+/// the multicore machines; this machine adds the scheduler replay, the
+/// idle dispatcher, and the exit of a thread whose primitive ExitsThread.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CCAL_THREADS_THREADMACHINE_H
 #define CCAL_THREADS_THREADMACHINE_H
 
-#include "core/LayerInterface.h"
-#include "lasm/Vm.h"
 #include "machine/Soundness.h"
 
 #include <map>
@@ -116,16 +118,10 @@ public:
 
 private:
   struct Thr {
-    Vm Machine;
+    Core Exec; ///< parked at a shared primitive while Exec.pending()
     ThreadId Cpu = 0;
-    size_t NextWork = 0;
-    bool Active = false;   ///< a work item is in flight in the VM
-    bool Parked = false;   ///< waiting at a shared primitive
-    bool NeedsRun = false; ///< resumed (or fresh) but not yet run
+    bool NeedsRun = true; ///< resumed (or fresh) but not yet run
     bool Exited = false;
-    std::vector<std::int64_t> Returns;
-
-    explicit Thr(AsmProgramPtr P) : Machine(std::move(P)) {}
   };
 
   /// Runs local code of every CPU's current thread until each is parked,
@@ -133,7 +129,8 @@ private:
   bool settle();
   bool runThread(ThreadId Tid, Thr &T);
   void fault(ThreadId Tid, const std::string &Msg);
-  /// Appends \p Events to the log and the fold: the machine's only append.
+  /// Appends the machine's own bookkeeping \p Events (texit, resched) to
+  /// the log and the fold.
   void emit(const std::vector<Event> &Events) {
     appendFolded(GlobalLog, Fold, Events);
   }

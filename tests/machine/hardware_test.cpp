@@ -6,6 +6,7 @@
 #include "lang/Parser.h"
 #include "lang/TypeCheck.h"
 #include "machine/CpuLocal.h"
+#include "tests/common/prim_contract.h"
 
 #include <gtest/gtest.h>
 
@@ -50,7 +51,21 @@ MachineConfigPtr makeLinkConfig(unsigned Cpus, unsigned Ticks) {
   return Cfg;
 }
 
+/// One CPU running `t_main`, for the primitive-contract suite.
+struct HardwareOf {
+  static HardwareMachine make(LayerPtr L, AsmProgramPtr P) {
+    auto Cfg = std::make_shared<MachineConfig>();
+    Cfg->Name = "contract";
+    Cfg->Layer = std::move(L);
+    Cfg->Program = std::move(P);
+    Cfg->Work.emplace(1, std::vector<CpuWorkItem>{{"t_main", {}}});
+    return HardwareMachine(Cfg);
+  }
+};
+
 } // namespace
+
+INSTANTIATE_TYPED_TEST_SUITE_P(Hardware, PrimContractTest, HardwareOf);
 
 TEST(HardwareMachineTest, SingleCpuStepsInstructions) {
   HardwareMachine M(makeLinkConfig(1, 1));

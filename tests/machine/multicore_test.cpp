@@ -207,3 +207,29 @@ TEST(MultiCoreTest, UnmarkedBlockingPrimFaultsAtStep) {
   EXPECT_NE(M.error().find("not marked MayBlock"), std::string::npos)
       << M.error();
 }
+
+TEST(MultiCoreTest, BlockedPrivatePrimFaults) {
+  static ClightModule Client = [] {
+    ClightModule M = parseModuleOrDie("c", R"(
+      extern int peek();
+      int t_main() { return peek(); }
+    )");
+    typeCheckOrDie(M);
+    return M;
+  }();
+  // A private primitive runs inside the local slice and is never dry-run,
+  // so it may not block: the machine faults instead of resuming it.
+  auto L = makeInterface("Lpeek");
+  L->addPrivate("peek", [](const PrimCall &) -> std::optional<PrimResult> {
+    return PrimResult::blocked();
+  });
+  auto Cfg = std::make_shared<MachineConfig>();
+  Cfg->Name = "peek";
+  Cfg->Layer = L;
+  Cfg->Program = compileAndLink("peek.lasm", {&Client});
+  Cfg->Work.emplace(1, std::vector<CpuWorkItem>{{"t_main", {}}});
+  MultiCoreMachine M(Cfg);
+  EXPECT_FALSE(M.ok());
+  EXPECT_NE(M.error().find("not marked MayBlock"), std::string::npos)
+      << M.error();
+}

@@ -6,6 +6,7 @@
 #include "lang/Parser.h"
 #include "lang/TypeCheck.h"
 #include "machine/CpuLocal.h"
+#include "tests/common/prim_contract.h"
 #include "threads/Sched.h"
 
 #include <gtest/gtest.h>
@@ -56,7 +57,23 @@ ThreadedConfigPtr makeYieldConfig(unsigned Rounds) {
   return Cfg;
 }
 
+/// One thread on one CPU running `t_main`, for the primitive-contract
+/// suite.
+struct ThreadedOf {
+  static ThreadedMachine make(LayerPtr L, AsmProgramPtr P) {
+    auto Cfg = std::make_shared<ThreadedConfig>();
+    Cfg->Name = "contract";
+    Cfg->Layer = std::move(L);
+    Cfg->Program = std::move(P);
+    Cfg->Sched = makeHighSchedFn({{1, 0}});
+    Cfg->Threads.push_back({1, 0, {{"t_main", {}}}});
+    return ThreadedMachine(Cfg);
+  }
+};
+
 } // namespace
+
+INSTANTIATE_TYPED_TEST_SUITE_P(Threaded, PrimContractTest, ThreadedOf);
 
 TEST(ThreadMachineTest, NonPreemptiveSingleCpuIsDeterministic) {
   ThreadedMachine M(makeYieldConfig(2));
