@@ -113,6 +113,9 @@ public:
   /// in every outcome-dedup probe and snapshot hash).
   std::uint64_t runHash() const { return RunHash; }
 
+  /// runHash() of the empty log.
+  static constexpr std::uint64_t HashSeed = 1469598103934665603ULL;
+
   /// Compatibility no-op: sealed chunks make bulk pre-allocation moot.
   void reserve(size_t) {}
 
@@ -211,8 +214,6 @@ public:
   const_iterator end() const { return const_iterator(this, size()); }
 
 private:
-  static constexpr std::uint64_t HashSeed = 1469598103934665603ULL;
-
   std::vector<ChunkPtr> Chunks; ///< sealed, immutable, shared
   Chunk Tail;                   ///< < ChunkCap events, exclusively owned
   std::uint64_t RunHash = HashSeed;
@@ -246,6 +247,9 @@ ThreadId logControl(const Log &L, ThreadId Default);
 /// Combined hash of all events plus the log length, for dedup tables.
 /// (The underlying mixers hashMix64/hashCombine live in support/Hash.h.)
 std::uint64_t hashLog(const Log &L);
+
+/// hashLog of the log holding exactly \p Events, without building it.
+std::uint64_t hashLog(const std::vector<Event> &Events);
 
 } // namespace ccal
 

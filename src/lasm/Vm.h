@@ -32,7 +32,9 @@
 namespace ccal {
 
 /// Execution state of one hardware thread over a linked AsmProgram.
-/// Copying a Vm copies the whole frame stack; the program is shared.
+/// Copying a Vm copies the whole frame stack; the program is borrowed, so
+/// a copy touches no reference count and the program must outlive the Vm
+/// and every copy of it.
 class Vm {
 public:
   enum class Status {
@@ -42,7 +44,10 @@ public:
     Error,  ///< trapped; error() is valid
   };
 
-  explicit Vm(AsmProgramPtr Prog) : Prog(std::move(Prog)) {}
+  /// Borrows \p Prog, which the caller keeps alive.
+  explicit Vm(const AsmProgramPtr &Prog) : Prog(Prog.get()) {}
+  /// A temporary program pointer would die before the Vm: no binding.
+  template <typename T> Vm(const std::shared_ptr<T> &&) = delete;
 
   /// Prepares a run of function \p Fn; aborts when unknown or wrong arity.
   void start(const std::string &Fn, std::vector<std::int64_t> Args);
@@ -88,7 +93,7 @@ private:
   void trap(const std::string &Msg);
   bool pop(std::int64_t &V);
 
-  AsmProgramPtr Prog;
+  const AsmProgram *Prog;
   std::vector<Frame> Frames;
   Status St = Status::Ready;
   std::int64_t Result = 0;

@@ -49,8 +49,9 @@ struct CpuWorkItem {
 
 /// One CPU's (or thread's) copyable execution state: its VM, its place in
 /// the workload, the returns so far, and the primitive the VM is paused
-/// at.  The workload and the paused-at primitive live in the machine's
-/// config, which outlives every copy.
+/// at.  The program, the workload and the paused-at primitive are
+/// borrowed from the machine's config, which outlives every copy, so
+/// copying a Core writes no reference count.
 class Core {
 public:
   /// Where a local run stopped.
@@ -60,9 +61,9 @@ public:
     Faulted,
   };
 
-  Core(AsmProgramPtr Program, ThreadId Id,
+  Core(const AsmProgramPtr &Program, ThreadId Id,
        const std::vector<CpuWorkItem> &Items)
-      : Machine(std::move(Program)), Id(Id), Items(&Items) {}
+      : Machine(Program), Id(Id), Items(&Items) {}
 
   /// True when every work item has returned.
   bool finished() const { return !Active && NextWork == Items->size(); }

@@ -40,7 +40,7 @@ void ccal::detail::publishExploreMetrics(const ExploreResult &Res) {
 
 ExploreResult ccal::exploreMachine(MachineConfigPtr Cfg,
                                    const ExploreOptions &Opts) {
-  MultiCoreMachine Root(std::move(Cfg));
+  MultiCoreMachine Root(Cfg);
   return exploreGeneric(Root, Opts);
 }
 
@@ -49,7 +49,7 @@ Outcome ccal::runSchedule(
     const std::function<ThreadId(const std::vector<ThreadId> &, const Log &)>
         &Pick,
     std::string *Error) {
-  MultiCoreMachine M(std::move(Cfg));
+  MultiCoreMachine M(Cfg);
   std::string SchedErr;
   while (M.ok()) {
     std::vector<ThreadId> Ready = M.schedulable();

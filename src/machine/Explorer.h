@@ -17,10 +17,13 @@
 /// hardware scheduler assumption (§3.2), without which a spinning CPU
 /// would generate infinitely many schedules.
 ///
-/// The DFS is generic over the machine: the multicore machine (§3) and the
-/// multithreaded machine (§5) both instantiate it.  A machine must be
-/// copyable and provide ok()/error(), allIdle(), schedulable(), step(),
-/// log(), and returns().
+/// The DFS is generic over the machine: the query-point multicore machine
+/// and the instruction-level hardware machine (§3) and the multithreaded
+/// machine (§5) all instantiate it.  A machine must be copyable and
+/// provide ok()/error(), allIdle(), schedulable(), step(), log(), and
+/// returns().  Every machine borrows its config, so the config must
+/// outlive the root, every snapshot the search copies from it, and the
+/// search itself.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -210,16 +213,10 @@ struct ExploreResult {
 /// on hash-distinguishable outcomes).
 class OutcomeSet {
 public:
+  using ReturnMap = decltype(Outcome::Returns);
+
   static std::uint64_t hash(const Outcome &O) {
-    std::uint64_t H = hashLog(O.FinalLog);
-    H = hashCombine(H, O.Returns.size());
-    for (const auto &[Tid, Rets] : O.Returns) {
-      H = hashCombine(H, Tid);
-      H = hashCombine(H, Rets.size());
-      for (std::int64_t R : Rets)
-        H = hashCombine(H, static_cast<std::uint64_t>(R));
-    }
-    return H;
+    return hashReturns(hashLog(O.FinalLog), O.Returns);
   }
 
   /// An outcome's 128-bit fingerprint: hash() plus a second hash over the
@@ -282,9 +279,37 @@ public:
     return false;
   }
 
+  /// contains() for the outcome whose log holds exactly \p Events and
+  /// whose returns are \p Returns, compared where they are: a caller can
+  /// map a log into reused storage and look it up without building a Log
+  /// or an Outcome.
+  bool contains(const std::vector<Event> &Events,
+                const ReturnMap &Returns) const {
+    auto It = Seen.find(hashReturns(hashLog(Events), Returns));
+    if (It == Seen.end())
+      return false;
+    for (const Outcome &Prev : It->second)
+      if (Prev.FinalLog.size() == Events.size() && Prev.Returns == Returns &&
+          std::equal(Events.begin(), Events.end(), Prev.FinalLog.begin()))
+        return true;
+    return false;
+  }
+
   size_t size() const { return Count; }
 
 private:
+  /// Folds \p Returns into the log hash \p H.
+  static std::uint64_t hashReturns(std::uint64_t H, const ReturnMap &Returns) {
+    H = hashCombine(H, Returns.size());
+    for (const auto &[Tid, Rets] : Returns) {
+      H = hashCombine(H, Tid);
+      H = hashCombine(H, Rets.size());
+      for (std::int64_t R : Rets)
+        H = hashCombine(H, static_cast<std::uint64_t>(R));
+    }
+    return H;
+  }
+
   std::unordered_map<std::uint64_t, std::vector<Outcome>> Seen;
   size_t Count = 0;
 };
@@ -325,6 +350,11 @@ struct MachineHasVariants<
 /// recursive order and produces bit-identical results to the sequential
 /// Explorer.
 template <typename MachineT> class GenericDfs {
+  /// Bytes per cache line on the hosts ccal runs on, spelled out:
+  /// GCC 12 warns (-Winterference-size) wherever
+  /// std::hardware_destructive_interference_size is used.
+  static constexpr size_t CacheLine = 64;
+
 public:
   using Options = GenericExploreOptions<MachineT>;
 
@@ -407,7 +437,9 @@ private:
   };
 
   /// Per-worker counters AND result buffers, merged after the join (no
-  /// hot-path sharing).  The stored-outcome path deduplicates into the
+  /// hot-path sharing).  Each shard starts on its own cache line, so a
+  /// worker's per-state counters never share one with the previous
+  /// shard's vectors.  The stored-outcome path deduplicates into the
   /// worker's own Dedup/Outcomes/Corpus, so recording a terminal outcome
   /// takes no lock at all; cross-worker duplicates collapse at the join
   /// (mergeShardResults).  With one worker this is exactly the former
@@ -416,7 +448,7 @@ private:
   /// callback together (flushOutcomes) and then keeps only fingerprints,
   /// counted at the join; its Dedup holds just the outcomes whose logs
   /// entered the corpus.
-  struct Shard {
+  struct alignas(CacheLine) Shard {
     std::uint64_t States = 0;
     std::uint64_t InvariantChecks = 0;
     std::uint64_t MaxLogLen = 0;
@@ -820,33 +852,40 @@ private:
   static_assert(MultiWorkerOutcomeBatch <= 64,
                 "flushOutcomes keeps one verdict bit per pending outcome");
 
+  // The members below sit on cache lines by how often workers write them:
+  // a line that every worker reads on every iteration holds nothing that
+  // is written more often than once per search or per idle spell.
+
+  // Not written during the search (each worker writes only its own
+  // Shard, which sits on lines of its own).
   const Options &Opts;
   const unsigned Workers;
   const size_t OutcomeBatch;
+  std::vector<Shard> Shards;
 
-  // Work sharing.
-  std::mutex QMu;
-  std::condition_variable QCv;
-  std::deque<Frame> Injector;      ///< guarded by QMu
-  unsigned Idle = 0;               ///< guarded by QMu
-  bool Finished = false;           ///< guarded by QMu
-  std::atomic<unsigned> Hungry{0}; ///< lock-free mirror of Idle
+  // Read on every loop iteration: early abort and the donation gate.
+  alignas(CacheLine) std::atomic<bool> Stop{false};
+  std::atomic<unsigned> Hungry{0};     ///< lock-free mirror of Idle
   std::atomic<size_t> InjectorSize{0}; ///< lock-free mirror of the deque
 
-  // Early abort + schedule budget.
-  std::atomic<bool> Stop{false};
-  std::atomic<std::uint64_t> Schedules{0};
+  // The schedule budget, written once per terminal schedule.
+  alignas(CacheLine) std::atomic<std::uint64_t> Schedules{0};
+
+  // Work sharing, written on every pull and donation.
+  alignas(CacheLine) std::mutex QMu;
+  std::condition_variable QCv;
+  std::deque<Frame> Injector; ///< guarded by QMu
+  unsigned Idle = 0;          ///< guarded by QMu
+  bool Finished = false;      ///< guarded by QMu
 
   // Shared result slots (first violation wins).  Outcomes, fingerprints
   // and the corpus live in the per-worker Shards; ResMu also serializes
   // the OnOutcome calls, taken once per batch (flushOutcomes).
-  std::mutex ResMu;
+  alignas(CacheLine) std::mutex ResMu;
   bool Violated = false;  ///< guarded by ResMu
   std::string Violation;  ///< guarded by ResMu
   bool Complete = true;   ///< guarded by ResMu
   std::string Truncation; ///< guarded by ResMu
-
-  std::vector<Shard> Shards;
 };
 
 /// Publishes one run's aggregate counters into the obs metrics registry

@@ -7,8 +7,8 @@
 
 using namespace ccal;
 
-HardwareMachine::HardwareMachine(MachineConfigPtr CfgIn)
-    : Cfg(std::move(CfgIn)) {
+HardwareMachine::HardwareMachine(const MachineConfigPtr &CfgIn)
+    : Cfg(CfgIn.get()) {
   CCAL_CHECK(Cfg && Cfg->Layer && Cfg->Program && Cfg->Program->Linked,
              "machine config needs a layer and a linked program");
   CCAL_CHECK(!Cfg->Model || !Cfg->Model->weak(),

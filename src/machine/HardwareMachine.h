@@ -22,7 +22,8 @@
 ///
 /// Both machines run the same program transitions (machine/Core.h); this
 /// one differs only in its cycle: a single instruction, or the call the
-/// CPU's VM paused at.
+/// CPU's VM paused at.  Like the query-point machine it borrows its
+/// config, which must outlive the machine and every copy of it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +38,12 @@ namespace ccal {
 /// query-point MultiCoreMachine; satisfies the generic Explorer concept.
 class HardwareMachine {
 public:
-  explicit HardwareMachine(MachineConfigPtr Cfg);
+  /// Borrows \p Cfg, which the caller keeps alive for the machine and
+  /// every copy of it.
+  explicit HardwareMachine(const MachineConfigPtr &Cfg);
+  /// A temporary config pointer would die before the machine: no binding.
+  template <typename T>
+  HardwareMachine(const std::shared_ptr<T> &&) = delete;
 
   bool ok() const { return Err.empty(); }
   const std::string &error() const { return Err; }
@@ -66,7 +72,7 @@ private:
 
   void fault(ThreadId Id, const std::string &Msg);
 
-  MachineConfigPtr Cfg;
+  const MachineConfig *Cfg;
   std::map<ThreadId, Cpu> Cpus;
   Log GlobalLog;
   FoldValue Fold;

@@ -7,8 +7,8 @@
 
 using namespace ccal;
 
-MultiCoreMachine::MultiCoreMachine(MachineConfigPtr CfgIn)
-    : Cfg(std::move(CfgIn)) {
+MultiCoreMachine::MultiCoreMachine(const MachineConfigPtr &CfgIn)
+    : Cfg(CfgIn.get()) {
   CCAL_CHECK(Cfg && Cfg->Layer && Cfg->Program && Cfg->Program->Linked,
              "machine config needs a layer and a linked program");
   Fold = Cfg->Layer->fold().initial();

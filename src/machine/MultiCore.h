@@ -23,7 +23,11 @@
 /// this machine adds each CPU's phase and, under a weak memory model, the
 /// view a shared call reads.
 ///
-/// The whole machine state is copyable, enabling snapshot-based DFS.
+/// The whole machine state is copyable, enabling snapshot-based DFS.  A
+/// machine borrows its config (and, through it, the layer, the program
+/// and the workloads): the config must outlive the machine and every copy
+/// of it, and in exchange a copy writes no reference count of the config
+/// or the program, which parallel Explorer workers would all contend on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -68,7 +72,12 @@ using MachineConfigPtr = std::shared_ptr<const MachineConfig>;
 /// The executable machine state.
 class MultiCoreMachine {
 public:
-  explicit MultiCoreMachine(MachineConfigPtr Cfg);
+  /// Borrows \p Cfg, which the caller keeps alive for the machine and
+  /// every copy of it.
+  explicit MultiCoreMachine(const MachineConfigPtr &Cfg);
+  /// A temporary config pointer would die before the machine: no binding.
+  template <typename T>
+  MultiCoreMachine(const std::shared_ptr<T> &&) = delete;
 
   /// False once any CPU faulted (race, trap, stuck primitive, divergence).
   bool ok() const { return Err.empty(); }
@@ -124,7 +133,7 @@ private:
   const MemoryModel &model() const;
   bool weakModel() const { return Cfg->Model && Cfg->Model->weak(); }
 
-  MachineConfigPtr Cfg;
+  const MachineConfig *Cfg;
   std::map<ThreadId, Cpu> Cpus;
   Log GlobalLog;
   FoldValue Fold;

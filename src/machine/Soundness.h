@@ -90,13 +90,6 @@ void runOutcomeInclusion(ContextualRefinementReport &Report,
                          const EventMap &RImpl, const EventMap &RSpec,
                          const GenericExploreOptions<ImplM> &ImplOpts,
                          const GenericExploreOptions<SpecM> &SpecOpts) {
-  auto Key = [](const EventMap &R, const Outcome &O) {
-    Outcome K;
-    K.FinalLog = R.apply(O.FinalLog);
-    K.Returns = O.Returns;
-    return K;
-  };
-
   ExploreResult SpecRes = [&] {
     obs::Span SpecSpan("refine.spec_explore", "refine");
     return exploreGeneric(SpecRoot, SpecOpts);
@@ -105,15 +98,20 @@ void runOutcomeInclusion(ContextualRefinementReport &Report,
     return;
   OutcomeSet SpecSet;
   for (const Outcome &O : SpecRes.Outcomes)
-    SpecSet.insert(Key(RSpec, O));
+    SpecSet.insert(Outcome{RSpec.apply(O.FinalLog), O.Returns});
 
   // Stream implementation outcomes through the matcher instead of storing
   // them: large schedule spaces would not fit in memory otherwise.  The
   // Explorer counts the distinct outcomes checked and those that matched.
+  // It serializes the calls, so one reused buffer serves them all: each
+  // log is mapped into it and looked up with the returns compared in
+  // place, and the match builds no Log and copies no returns.
+  std::vector<Event> Mapped;
   GenericExploreOptions<ImplM> Stream = ImplOpts;
   Stream.OnOutcome = [&](const Outcome &O) -> std::string {
-    if (!SpecSet.contains(Key(RImpl, O)))
-      return unmatchedOutcome(O.FinalLog, RImpl.apply(O.FinalLog));
+    RImpl.applyInto(O.FinalLog, Mapped);
+    if (!SpecSet.contains(Mapped, O.Returns))
+      return unmatchedOutcome(O.FinalLog, Log(Mapped));
     return "";
   };
   ExploreResult ImplRes = [&] {

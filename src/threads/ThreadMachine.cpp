@@ -7,8 +7,8 @@
 
 using namespace ccal;
 
-ThreadedMachine::ThreadedMachine(ThreadedConfigPtr CfgIn)
-    : Cfg(std::move(CfgIn)) {
+ThreadedMachine::ThreadedMachine(const ThreadedConfigPtr &CfgIn)
+    : Cfg(CfgIn.get()) {
   CCAL_CHECK(Cfg && Cfg->Layer && Cfg->Program && Cfg->Program->Linked &&
                  Cfg->Sched,
              "threaded config needs layer, linked program, and scheduler");
@@ -177,7 +177,7 @@ ThreadedMachine::cpuMemory(ThreadId Cpu) const {
 
 ExploreResult ccal::exploreThreaded(ThreadedConfigPtr Cfg,
                                     const ThreadedExploreOptions &Opts) {
-  ThreadedMachine Root(std::move(Cfg));
+  ThreadedMachine Root(Cfg);
   return exploreGeneric(Root, Opts);
 }
 
@@ -185,7 +185,6 @@ ContextualRefinementReport ccal::checkThreadedRefinement(
     ThreadedConfigPtr Impl, ThreadedConfigPtr Spec, const EventMap &RImpl,
     const EventMap &RSpec, const ThreadedExploreOptions &ImplOpts,
     const ThreadedExploreOptions &SpecOpts) {
-  return checkOutcomeInclusion(ThreadedMachine(std::move(Impl)),
-                               ThreadedMachine(std::move(Spec)), RImpl, RSpec,
-                               ImplOpts, SpecOpts);
+  return checkOutcomeInclusion(ThreadedMachine(Impl), ThreadedMachine(Spec),
+                               RImpl, RSpec, ImplOpts, SpecOpts);
 }

@@ -27,6 +27,8 @@
 /// Each thread's program transitions are machine/Core.h's, shared with
 /// the multicore machines; this machine adds the scheduler replay, the
 /// idle dispatcher, and the exit of a thread whose primitive ExitsThread.
+/// Like the multicore machines it borrows its config, which must outlive
+/// the machine and every copy of it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -90,7 +92,12 @@ using ThreadedConfigPtr = std::shared_ptr<const ThreadedConfig>;
 /// machine concept.
 class ThreadedMachine {
 public:
-  explicit ThreadedMachine(ThreadedConfigPtr Cfg);
+  /// Borrows \p Cfg, which the caller keeps alive for the machine and
+  /// every copy of it.
+  explicit ThreadedMachine(const ThreadedConfigPtr &Cfg);
+  /// A temporary config pointer would die before the machine: no binding.
+  template <typename T>
+  ThreadedMachine(const std::shared_ptr<T> &&) = delete;
 
   bool ok() const { return Err.empty(); }
   const std::string &error() const { return Err; }
@@ -136,7 +143,7 @@ private:
   }
   std::optional<std::int64_t> currentOf(ThreadId Cpu) const;
 
-  ThreadedConfigPtr Cfg;
+  const ThreadedConfig *Cfg;
   std::map<ThreadId, Thr> Threads;
   std::map<ThreadId, std::vector<std::int64_t>> CpuMem;
   Log GlobalLog;

@@ -14,8 +14,9 @@
 ///
 /// This type-parameterized suite states the contract once.  A machine's
 /// test file instantiates it with a traits type whose
-/// `static Machine make(LayerPtr, AsmProgramPtr)` builds that machine with
-/// one CPU (or thread) running the program's `t_main`.
+/// `static test::WithConfig<Machine, ConfigPtr> make(LayerPtr,
+/// AsmProgramPtr)` builds that machine with one CPU (or thread) running
+/// the program's `t_main`, and returns it with the config it borrows.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -31,6 +32,13 @@
 
 namespace ccal {
 namespace test {
+
+/// A machine together with its config: a machine borrows its config, so
+/// a factory that builds the config hands over both.
+template <typename Machine, typename ConfigPtr> struct WithConfig {
+  ConfigPtr Cfg;
+  Machine M;
+};
 
 /// A program whose `t_main` returns `Prim()`.
 inline AsmProgramPtr callerOf(const std::string &Prim) {
@@ -63,7 +71,8 @@ template <typename Traits> class PrimContractTest : public ::testing::Test {};
 TYPED_TEST_SUITE_P(PrimContractTest);
 
 TYPED_TEST_P(PrimContractTest, UnknownPrimFaults) {
-  auto M = TypeParam::make(makeInterface("Lempty"), test::callerOf("nosuch"));
+  auto [Cfg, M] =
+      TypeParam::make(makeInterface("Lempty"), test::callerOf("nosuch"));
   test::drive(M);
   EXPECT_FALSE(M.ok());
   EXPECT_NE(M.error().find("call to primitive 'nosuch' not provided"),
@@ -76,7 +85,7 @@ TYPED_TEST_P(PrimContractTest, StuckSharedPrimFaultsAtStep) {
   L->addShared("sticky", [](const PrimCall &) -> std::optional<PrimResult> {
     return std::nullopt;
   });
-  auto M = TypeParam::make(L, test::callerOf("sticky"));
+  auto [Cfg, M] = TypeParam::make(L, test::callerOf("sticky"));
   ASSERT_TRUE(M.ok()) << M.error();
   test::drive(M);
   EXPECT_FALSE(M.ok());
@@ -93,7 +102,7 @@ TYPED_TEST_P(PrimContractTest, BlockedPrimIsNotSchedulable) {
   Gate.MayBlock = true;
   Gate.Sem = test::blocks;
   L->addPrim(Gate);
-  auto M = TypeParam::make(L, test::callerOf("gate"));
+  auto [Cfg, M] = TypeParam::make(L, test::callerOf("gate"));
   test::drive(M);
   ASSERT_TRUE(M.ok()) << M.error();
   EXPECT_TRUE(M.schedulable().empty()); // blocked, not schedulable
@@ -104,7 +113,7 @@ TYPED_TEST_P(PrimContractTest, UnmarkedBlockingPrimFaultsAtStep) {
   // Never dry-run, so its caller looks schedulable until the call.
   auto L = makeInterface("Lgate_unmarked");
   L->addShared("gate", test::blocks);
-  auto M = TypeParam::make(L, test::callerOf("gate"));
+  auto [Cfg, M] = TypeParam::make(L, test::callerOf("gate"));
   ASSERT_TRUE(M.ok()) << M.error();
   test::drive(M);
   EXPECT_FALSE(M.ok());
@@ -118,7 +127,7 @@ TYPED_TEST_P(PrimContractTest, BlockedPrivatePrimFaults) {
   // A private primitive is never dry-run, so it may not block at all.
   auto L = makeInterface("Lpeek");
   L->addPrivate("peek", test::blocks);
-  auto M = TypeParam::make(L, test::callerOf("peek"));
+  auto [Cfg, M] = TypeParam::make(L, test::callerOf("peek"));
   test::drive(M);
   EXPECT_FALSE(M.ok());
   EXPECT_NE(M.error().find("private primitive 'peek' blocked but is not "

@@ -4,7 +4,17 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 using namespace ccal;
+
+// A Vm borrows its program, so only a program pointer the caller holds
+// binds: a temporary one would die before the Vm.
+static_assert(std::is_constructible_v<Vm, const AsmProgramPtr &>);
+static_assert(std::is_constructible_v<Vm, std::shared_ptr<AsmProgram> &>);
+static_assert(!std::is_constructible_v<Vm, AsmProgramPtr>);
+static_assert(!std::is_constructible_v<Vm, std::shared_ptr<AsmProgram>>);
+static_assert(!std::is_constructible_v<Vm, const AsmProgramPtr &&>);
 
 namespace {
 
@@ -156,6 +166,19 @@ TEST(VmTest, CopyableMidExecution) {
   Copy.resumePrim(2);
   ASSERT_EQ(Copy.run(Globals, 100), Vm::Status::Done);
   EXPECT_EQ(Copy.result(), 2);
+}
+
+TEST(VmTest, CopiesBorrowTheProgram) {
+  auto P = makeProgram({Instr::push(1), Instr(Opcode::Ret)});
+  Vm M(P);
+  std::vector<Vm> Copies(4, M);
+  EXPECT_EQ(P.use_count(), 1); // no copy holds a reference
+  std::vector<std::int64_t> Globals;
+  for (Vm &C : Copies) {
+    C.start("main", {});
+    ASSERT_EQ(C.run(Globals, 100), Vm::Status::Done);
+    EXPECT_EQ(C.result(), 1);
+  }
 }
 
 TEST(VmTest, BudgetExhaustionTraps) {

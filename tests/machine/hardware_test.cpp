@@ -10,7 +10,16 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 using namespace ccal;
+
+// The hardware machine borrows its config like the query-point machine.
+static_assert(
+    std::is_constructible_v<HardwareMachine, const MachineConfigPtr &>);
+static_assert(!std::is_constructible_v<HardwareMachine, MachineConfigPtr>);
+static_assert(!std::is_constructible_v<HardwareMachine,
+                                       std::shared_ptr<MachineConfig>>);
 
 namespace {
 
@@ -53,13 +62,14 @@ MachineConfigPtr makeLinkConfig(unsigned Cpus, unsigned Ticks) {
 
 /// One CPU running `t_main`, for the primitive-contract suite.
 struct HardwareOf {
-  static HardwareMachine make(LayerPtr L, AsmProgramPtr P) {
+  static test::WithConfig<HardwareMachine, MachineConfigPtr>
+  make(LayerPtr L, AsmProgramPtr P) {
     auto Cfg = std::make_shared<MachineConfig>();
     Cfg->Name = "contract";
     Cfg->Layer = std::move(L);
     Cfg->Program = std::move(P);
     Cfg->Work.emplace(1, std::vector<CpuWorkItem>{{"t_main", {}}});
-    return HardwareMachine(Cfg);
+    return {Cfg, HardwareMachine(Cfg)};
   }
 };
 
@@ -68,7 +78,8 @@ struct HardwareOf {
 INSTANTIATE_TYPED_TEST_SUITE_P(Hardware, PrimContractTest, HardwareOf);
 
 TEST(HardwareMachineTest, SingleCpuStepsInstructions) {
-  HardwareMachine M(makeLinkConfig(1, 1));
+  MachineConfigPtr Cfg = makeLinkConfig(1, 1);
+  HardwareMachine M(Cfg);
   ASSERT_TRUE(M.ok());
   std::uint64_t Steps = 0;
   while (!M.allIdle()) {
@@ -89,7 +100,8 @@ TEST(HardwareMachineTest, PreemptionBetweenInstructions) {
   // not yet committed its shared tick), then let CPU 2 run to completion:
   // CPU 2 wins the tick even though CPU 1 started first — hardware
   // preemption at instruction granularity.
-  HardwareMachine M(makeLinkConfig(2, 1));
+  MachineConfigPtr Cfg = makeLinkConfig(2, 1);
+  HardwareMachine M(Cfg);
   for (int Cycle = 0; Cycle != 3; ++Cycle)
     ASSERT_TRUE(M.step(1)) << M.error();
   EXPECT_TRUE(M.log().empty()); // CPU 1's tick not yet committed

@@ -9,7 +9,21 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 using namespace ccal;
+
+// A machine borrows its config, so only a config pointer the caller holds
+// binds: a temporary one would die before the machine.
+static_assert(
+    std::is_constructible_v<MultiCoreMachine, const MachineConfigPtr &>);
+static_assert(std::is_constructible_v<MultiCoreMachine,
+                                      std::shared_ptr<MachineConfig> &>);
+static_assert(!std::is_constructible_v<MultiCoreMachine, MachineConfigPtr>);
+static_assert(!std::is_constructible_v<MultiCoreMachine,
+                                       std::shared_ptr<MachineConfig>>);
+static_assert(
+    !std::is_constructible_v<MultiCoreMachine, const MachineConfigPtr &&>);
 
 namespace {
 
@@ -52,7 +66,8 @@ MachineConfigPtr makeConfig(unsigned Cpus) {
 } // namespace
 
 TEST(MultiCoreTest, SingleCpuRunsToCompletion) {
-  MultiCoreMachine M(makeConfig(1));
+  MachineConfigPtr Cfg = makeConfig(1);
+  MultiCoreMachine M(Cfg);
   ASSERT_TRUE(M.ok()) << M.error();
   // CPU 1 is parked at the shared tick (local_work ran silently).
   EXPECT_EQ(M.schedulable(), std::vector<ThreadId>{1});
@@ -64,12 +79,14 @@ TEST(MultiCoreTest, SingleCpuRunsToCompletion) {
 }
 
 TEST(MultiCoreTest, PrivatePrimsEmitNoEvents) {
-  MultiCoreMachine M(makeConfig(1));
+  MachineConfigPtr Cfg = makeConfig(1);
+  MultiCoreMachine M(Cfg);
   EXPECT_TRUE(M.log().empty()); // local_work already executed silently
 }
 
 TEST(MultiCoreTest, TwoCpusInterleaveSharedPrims) {
-  MultiCoreMachine M(makeConfig(2));
+  MachineConfigPtr Cfg = makeConfig(2);
+  MultiCoreMachine M(Cfg);
   ASSERT_TRUE(M.ok());
   EXPECT_EQ(M.schedulable().size(), 2u);
   ASSERT_TRUE(M.step(2)); // CPU 2 ticks first: gets 0
@@ -82,17 +99,31 @@ TEST(MultiCoreTest, TwoCpusInterleaveSharedPrims) {
 }
 
 TEST(MultiCoreTest, ReturnsDependOnScheduleOrder) {
-  MultiCoreMachine A(makeConfig(2));
+  MachineConfigPtr CfgA = makeConfig(2), CfgB = makeConfig(2);
+  MultiCoreMachine A(CfgA);
   A.step(1);
   A.step(2);
-  MultiCoreMachine B(makeConfig(2));
+  MultiCoreMachine B(CfgB);
   B.step(2);
   B.step(1);
   EXPECT_NE(A.returns(), B.returns());
 }
 
+TEST(MultiCoreTest, SnapshotsBorrowTheConfigAndProgram) {
+  // Copying a snapshot writes no reference count: the config owns the
+  // program, and only the caller owns the config.
+  MachineConfigPtr Cfg = makeConfig(2);
+  MultiCoreMachine M(Cfg);
+  std::vector<MultiCoreMachine> Snapshots(4, M);
+  EXPECT_EQ(Cfg.use_count(), 1);
+  EXPECT_EQ(Cfg->Program.use_count(), 1);
+  ASSERT_TRUE(Snapshots[3].step(2));
+  EXPECT_EQ(Snapshots[3].log()[0].Tid, 2u);
+}
+
 TEST(MultiCoreTest, CopyIsIndependentSnapshot) {
-  MultiCoreMachine M(makeConfig(2));
+  MachineConfigPtr Cfg = makeConfig(2);
+  MultiCoreMachine M(Cfg);
   MultiCoreMachine Snapshot = M;
   ASSERT_TRUE(M.step(1));
   EXPECT_EQ(M.log().size(), 1u);

@@ -116,9 +116,8 @@ TEST(FoldGuardTest, HardwareTicks) {
   O.FairnessBound = 4;
   O.MaxSteps = 65536;
   O.Invariant = foldGuard<HardwareMachine>(L);
-  expectGuarded(
-      exploreGeneric(HardwareMachine(hardwareConfig(L, Client)), O),
-      {10530, 39645});
+  MachineConfigPtr Cfg = hardwareConfig(L, Client);
+  expectGuarded(exploreGeneric(HardwareMachine(Cfg), O), {10530, 39645});
 }
 
 TEST(FoldGuardTest, HardwareAtomicLock) {
@@ -130,9 +129,8 @@ TEST(FoldGuardTest, HardwareAtomicLock) {
   O.FairnessBound = 2;
   O.MaxSteps = 65536;
   O.Invariant = foldGuard<HardwareMachine>(L1);
-  expectGuarded(
-      exploreGeneric(HardwareMachine(hardwareConfig(L1, Client)), O),
-      {5376, 60631});
+  MachineConfigPtr Cfg = hardwareConfig(L1, Client);
+  expectGuarded(exploreGeneric(HardwareMachine(Cfg), O), {5376, 60631});
 }
 
 TEST(FoldGuardTest, ThreadedQueuingLock) {

@@ -121,7 +121,8 @@ TEST(TicketLockTest, FifoViolationThroughTheMachine) {
   // CPU 1 fetches ticket 0, CPU 2 ticket 1, and CPU 2 — not spinning —
   // acquires first: mutual exclusion holds, FIFO handout does not.
   ObjectHarness H = makeSpinlessTicketHarness();
-  MultiCoreMachine M(H.implConfig());
+  MachineConfigPtr Cfg = H.implConfig();
+  MultiCoreMachine M(Cfg);
   ASSERT_EQ(M.pendingPrim(1), "FAI_t");
   ASSERT_TRUE(M.step(1)) << M.error();
   ASSERT_EQ(M.pendingPrim(2), "FAI_t");

@@ -11,7 +11,16 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 using namespace ccal;
+
+// The multithreaded machine borrows its config like the multicore ones.
+static_assert(
+    std::is_constructible_v<ThreadedMachine, const ThreadedConfigPtr &>);
+static_assert(!std::is_constructible_v<ThreadedMachine, ThreadedConfigPtr>);
+static_assert(!std::is_constructible_v<ThreadedMachine,
+                                       std::shared_ptr<ThreadedConfig>>);
 
 namespace {
 
@@ -60,14 +69,15 @@ ThreadedConfigPtr makeYieldConfig(unsigned Rounds) {
 /// One thread on one CPU running `t_main`, for the primitive-contract
 /// suite.
 struct ThreadedOf {
-  static ThreadedMachine make(LayerPtr L, AsmProgramPtr P) {
+  static test::WithConfig<ThreadedMachine, ThreadedConfigPtr>
+  make(LayerPtr L, AsmProgramPtr P) {
     auto Cfg = std::make_shared<ThreadedConfig>();
     Cfg->Name = "contract";
     Cfg->Layer = std::move(L);
     Cfg->Program = std::move(P);
     Cfg->Sched = makeHighSchedFn({{1, 0}});
     Cfg->Threads.push_back({1, 0, {{"t_main", {}}}});
-    return ThreadedMachine(Cfg);
+    return {Cfg, ThreadedMachine(Cfg)};
   }
 };
 
@@ -76,7 +86,8 @@ struct ThreadedOf {
 INSTANTIATE_TYPED_TEST_SUITE_P(Threaded, PrimContractTest, ThreadedOf);
 
 TEST(ThreadMachineTest, NonPreemptiveSingleCpuIsDeterministic) {
-  ThreadedMachine M(makeYieldConfig(2));
+  ThreadedConfigPtr Cfg = makeYieldConfig(2);
+  ThreadedMachine M(Cfg);
   ASSERT_TRUE(M.ok()) << M.error();
   // Exactly one schedulable thread at a time on one CPU.
   while (!M.allIdle()) {
@@ -92,7 +103,8 @@ TEST(ThreadMachineTest, NonPreemptiveSingleCpuIsDeterministic) {
 }
 
 TEST(ThreadMachineTest, ThreadsShareCpuLocalMemory) {
-  ThreadedMachine M(makeYieldConfig(1));
+  ThreadedConfigPtr Cfg = makeYieldConfig(1);
+  ThreadedMachine M(Cfg);
   while (!M.allIdle()) {
     std::vector<ThreadId> Ready = M.schedulable();
     ASSERT_FALSE(Ready.empty());
@@ -104,7 +116,8 @@ TEST(ThreadMachineTest, ThreadsShareCpuLocalMemory) {
 }
 
 TEST(ThreadMachineTest, ExitEventsAppendedOnCompletion) {
-  ThreadedMachine M(makeYieldConfig(1));
+  ThreadedConfigPtr Cfg = makeYieldConfig(1);
+  ThreadedMachine M(Cfg);
   while (!M.allIdle()) {
     std::vector<ThreadId> Ready = M.schedulable();
     ASSERT_FALSE(Ready.empty());
