@@ -79,10 +79,14 @@ bool operator<(const Event &A, const Event &B);
 /// (KindId::strHash), so the value is independent of interning order.
 /// Inline (and header-only) because Log::push_back folds it into the
 /// log's running hash on every append.
-inline std::uint64_t hashEvent(const Event &E) {
+/// hashEvent with the kind's content hash \p KindHash already looked up.
+inline std::uint64_t hashEvent(const Event &E, std::uint64_t KindHash) {
   Hasher H;
-  H.u64(E.Tid).u64(E.Kind.strHash()).i64s(E.Args);
+  H.u64(E.Tid).u64(KindHash).i64s(E.Args);
   return H.value();
+}
+inline std::uint64_t hashEvent(const Event &E) {
+  return hashEvent(E, E.Kind.strHash());
 }
 
 } // namespace ccal

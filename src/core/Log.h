@@ -90,7 +90,13 @@ public:
   }
 
   void push_back(Event E) {
-    RunHash = hashCombine(RunHash, hashEvent(E));
+    const std::uint64_t KindHash = E.Kind.strHash();
+    RunHash = hashCombine(RunHash, hashEvent(E, KindHash));
+    RunAlt = hashCombineAlt(RunAlt, E.Tid);
+    RunAlt = hashCombineAlt(RunAlt, KindHash);
+    RunAlt = hashCombineAlt(RunAlt, E.Args.size());
+    for (std::int64_t A : E.Args)
+      RunAlt = hashCombineAlt(RunAlt, static_cast<std::uint64_t>(A));
     // Copied logs arrive with a capacity-exact tail; grow it to a full
     // chunk once instead of letting the vector realloc its way up.
     if (Tail.capacity() < ChunkCap)
@@ -106,6 +112,7 @@ public:
     Chunks.clear();
     Tail.clear();
     RunHash = HashSeed;
+    RunAlt = 0;
   }
 
   /// Running fold of hashEvent over the contents, maintained on append so
@@ -115,6 +122,11 @@ public:
 
   /// runHash() of the empty log.
   static constexpr std::uint64_t HashSeed = 1469598103934665603ULL;
+
+  /// A second running hash over the same fields, built from hashCombineAlt
+  /// (0 for the empty log): the log half of OutcomeSet::fingerprint's
+  /// alternate hash, kept on append so a fingerprint never walks the log.
+  std::uint64_t runAltHash() const { return RunAlt; }
 
   /// Compatibility no-op: sealed chunks make bulk pre-allocation moot.
   void reserve(size_t) {}
@@ -217,6 +229,7 @@ private:
   std::vector<ChunkPtr> Chunks; ///< sealed, immutable, shared
   Chunk Tail;                   ///< < ChunkCap events, exclusively owned
   std::uint64_t RunHash = HashSeed;
+  std::uint64_t RunAlt = 0;
 };
 
 /// Appends \p E to \p L (the paper's `l • e`).

@@ -21,6 +21,23 @@ void FoldValue::advance(const Event &E) {
     S.Part->step(S.State, E);
 }
 
+FoldValue &FoldValue::operator=(const FoldValue &O) {
+  if (this == &O)
+    return *this;
+  Counts = O.Counts;
+  const bool SameParts =
+      Parts.size() == O.Parts.size() &&
+      std::equal(Parts.begin(), Parts.end(), O.Parts.begin(),
+                 [](const Slot &A, const Slot &B) { return A.Part == B.Part; });
+  if (!SameParts) {
+    Parts = O.Parts; // a differently declared fold
+    return *this;
+  }
+  for (size_t I = 0, N = Parts.size(); I != N; ++I)
+    Parts[I].Part->assign(Parts[I].State, O.Parts[I].State);
+  return *this;
+}
+
 bool FoldValue::operator==(const FoldValue &O) const {
   if (Counts != O.Counts || Parts.size() != O.Parts.size())
     return false;

@@ -106,6 +106,10 @@ public:
   /// Folds E into S; empties S when E is stuck (a stuck part stays stuck).
   virtual void step(std::any &S, const Event &E) const = 0;
   virtual bool equal(const std::any &A, const std::any &B) const = 0;
+  /// Dst = Src.  Assigning the state itself when both hold one reuses the
+  /// storage Dst's state already owns (std::any's own assignment always
+  /// builds a fresh state); a stuck side takes the plain copy.
+  virtual void assign(std::any &Dst, const std::any &Src) const = 0;
 };
 
 template <typename State> class FoldPartImpl final : public FoldPartBase {
@@ -126,6 +130,15 @@ public:
     return X && Y ? *X == *Y : X == Y;
   }
 
+  void assign(std::any &Dst, const std::any &Src) const override {
+    State *D = std::any_cast<State>(&Dst);
+    const State *S = std::any_cast<State>(&Src);
+    if (D && S)
+      *D = *S;
+    else
+      Dst = Src;
+  }
+
   Replayer<State> R;
 };
 
@@ -136,10 +149,18 @@ template <typename State> class FoldPart;
 /// The value of a layer's shared-state fold: the per-kind event counts
 /// plus one state per declared part.  Machines keep it in every snapshot:
 /// moving it moves two vectors, and copying it copies the counts and each
-/// part's state (the lock jobs declare one part).  A value refers to its
-/// parts' declarations, which live as long as the declaring interface.
+/// part's state (the lock jobs declare one part).  Copy-assigning a value
+/// of the same fold assigns each part's state in place, so a snapshot slot
+/// keeps the storage its states already own.  A value refers to its parts'
+/// declarations, which live as long as the declaring interface.
 class FoldValue {
 public:
+  FoldValue() = default;
+  FoldValue(const FoldValue &) = default;
+  FoldValue(FoldValue &&) = default;
+  FoldValue &operator=(FoldValue &&) = default;
+  FoldValue &operator=(const FoldValue &O);
+
   /// Number of folded events of kind \p K (the paper's counter replays:
   /// `FAI_t` fetches the count of earlier `FAI_t` events).
   std::uint64_t count(KindId K) const {

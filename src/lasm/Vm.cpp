@@ -7,6 +7,8 @@
 #include "support/Check.h"
 #include "support/Text.h"
 
+#include <algorithm>
+
 using namespace ccal;
 
 void Vm::start(const std::string &Fn, std::vector<std::int64_t> Args) {
@@ -17,17 +19,22 @@ void Vm::start(const std::string &Fn, std::vector<std::int64_t> Args) {
   CCAL_CHECK(Args.size() == F.NumParams, "VM start: wrong arity");
 
   Frames.clear();
-  Frame Entry;
-  Entry.Func = Idx;
-  Entry.PC = 0;
-  Entry.Slots.assign(F.NumSlots, 0);
-  for (size_t I = 0; I != Args.size(); ++I)
-    Entry.Slots[I] = Args[I];
-  Frames.push_back(std::move(Entry));
+  Slots.clear();
+  Operands.clear();
+  pushFrame(Idx, F, 0);
+  std::copy(Args.begin(), Args.end(), Slots.begin());
   St = Status::Ready;
   Result = 0;
   Err.clear();
   Steps = 0;
+}
+
+void Vm::pushFrame(std::int32_t Func, const AsmFunc &F, size_t StackBase) {
+  // The arguments are copied into the frame's first locals.
+  CCAL_CHECK(F.NumSlots >= F.NumParams, "VM: fewer locals than parameters");
+  Frames.push_back(Frame{Func, 0, static_cast<std::uint32_t>(Slots.size()),
+                         static_cast<std::uint32_t>(StackBase)});
+  Slots.resize(Slots.size() + F.NumSlots, 0);
 }
 
 void Vm::trap(const std::string &Msg) {
@@ -37,13 +44,12 @@ void Vm::trap(const std::string &Msg) {
 }
 
 bool Vm::pop(std::int64_t &V) {
-  Frame &F = Frames.back();
-  if (F.Stack.empty()) {
+  if (operandCount() == 0) {
     trap("operand stack underflow");
     return false;
   }
-  V = F.Stack.back();
-  F.Stack.pop_back();
+  V = Operands.back();
+  Operands.pop_back();
   return true;
 }
 
@@ -92,12 +98,17 @@ Vm::Status Vm::runBounded(std::vector<std::int64_t> &Globals,
       std::int64_t B, A;
       if (!pop(B) || !pop(A))
         return;
-      Frames.back().Stack.push_back(Apply(A, B));
+      Operands.push_back(Apply(A, B));
+    };
+    // The top frame's locals are the tail of Slots.
+    auto LocalInRange = [&](std::int32_t Slot) {
+      return Slot >= 0 &&
+             static_cast<size_t>(Slot) < Slots.size() - F.SlotBase;
     };
 
     switch (I.Op) {
     case Opcode::Push:
-      F.Stack.push_back(I.Imm);
+      Operands.push_back(I.Imm);
       break;
     case Opcode::Pop: {
       std::int64_t V;
@@ -105,22 +116,21 @@ Vm::Status Vm::runBounded(std::vector<std::int64_t> &Globals,
       break;
     }
     case Opcode::LoadL:
-      if (I.Target < 0 || static_cast<size_t>(I.Target) >= F.Slots.size()) {
+      if (!LocalInRange(I.Target)) {
         trap("local slot out of range");
         break;
       }
-      F.Stack.push_back(F.Slots[static_cast<size_t>(I.Target)]);
+      Operands.push_back(Slots[F.SlotBase + static_cast<size_t>(I.Target)]);
       break;
     case Opcode::StoreL: {
       std::int64_t V;
       if (!pop(V))
         break;
-      Frame &Cur = Frames.back();
-      if (I.Target < 0 || static_cast<size_t>(I.Target) >= Cur.Slots.size()) {
+      if (!LocalInRange(I.Target)) {
         trap("local slot out of range");
         break;
       }
-      Cur.Slots[static_cast<size_t>(I.Target)] = V;
+      Slots[F.SlotBase + static_cast<size_t>(I.Target)] = V;
       break;
     }
     case Opcode::LoadG:
@@ -128,7 +138,7 @@ Vm::Status Vm::runBounded(std::vector<std::int64_t> &Globals,
         trap("global address out of range");
         break;
       }
-      F.Stack.push_back(Globals[static_cast<size_t>(I.Target)]);
+      Operands.push_back(Globals[static_cast<size_t>(I.Target)]);
       break;
     case Opcode::StoreG: {
       std::int64_t V;
@@ -156,7 +166,7 @@ Vm::Status Vm::runBounded(std::vector<std::int64_t> &Globals,
         trap("global address out of range");
         break;
       }
-      Frames.back().Stack.push_back(Globals[Addr]);
+      Operands.push_back(Globals[Addr]);
       break;
     }
     case Opcode::StoreGI: {
@@ -195,8 +205,7 @@ Vm::Status Vm::runBounded(std::vector<std::int64_t> &Globals,
         trap("division by zero");
         break;
       }
-      Frames.back().Stack.push_back(I.Op == Opcode::Div ? wrapDiv(A, B)
-                                                        : wrapMod(A, B));
+      Operands.push_back(I.Op == Opcode::Div ? wrapDiv(A, B) : wrapMod(A, B));
       break;
     }
     case Opcode::Eq:
@@ -221,14 +230,14 @@ Vm::Status Vm::runBounded(std::vector<std::int64_t> &Globals,
       std::int64_t V;
       if (!pop(V))
         break;
-      Frames.back().Stack.push_back(V == 0 ? 1 : 0);
+      Operands.push_back(V == 0 ? 1 : 0);
       break;
     }
     case Opcode::Neg: {
       std::int64_t V;
       if (!pop(V))
         break;
-      Frames.back().Stack.push_back(wrapNeg(V));
+      Operands.push_back(wrapNeg(V));
       break;
     }
     case Opcode::Jmp:
@@ -239,7 +248,7 @@ Vm::Status Vm::runBounded(std::vector<std::int64_t> &Globals,
       if (!pop(V))
         break;
       if (V == 0)
-        Frames.back().PC = I.Target;
+        F.PC = I.Target;
       break;
     }
     case Opcode::Jnz: {
@@ -247,7 +256,7 @@ Vm::Status Vm::runBounded(std::vector<std::int64_t> &Globals,
       if (!pop(V))
         break;
       if (V != 0)
-        Frames.back().PC = I.Target;
+        F.PC = I.Target;
       break;
     }
     case Opcode::Call: {
@@ -257,39 +266,33 @@ Vm::Status Vm::runBounded(std::vector<std::int64_t> &Globals,
         break;
       }
       const AsmFunc &Callee = Prog->Funcs[static_cast<size_t>(I.Target)];
-      Frame New;
-      New.Func = I.Target;
-      New.PC = 0;
-      New.Slots.assign(Callee.NumSlots, 0);
-      // Arguments were pushed left to right; pop right to left.
-      bool Ok = true;
-      for (size_t A = Callee.NumParams; A-- > 0;) {
-        std::int64_t V;
-        if (!pop(V)) {
-          Ok = false;
-          break;
-        }
-        New.Slots[A] = V;
-      }
-      if (!Ok)
+      if (operandCount() < Callee.NumParams) {
+        trap("operand stack underflow");
         break;
-      Frames.push_back(std::move(New));
+      }
+      // Arguments were pushed left to right, so they sit on top of the
+      // caller's stack in parameter order: they move into the callee's
+      // first locals, and the callee's stack starts where they were.
+      const size_t ArgBase = Operands.size() - Callee.NumParams;
+      const size_t SlotBase = Slots.size();
+      pushFrame(I.Target, Callee, ArgBase);
+      std::copy(Operands.begin() + static_cast<std::ptrdiff_t>(ArgBase),
+                Operands.end(),
+                Slots.begin() + static_cast<std::ptrdiff_t>(SlotBase));
+      Operands.resize(ArgBase);
       break;
     }
     case Opcode::Prim: {
       PrimKind = I.SymId;
-      PrimArgVals.clear();
-      bool Ok = true;
-      for (std::int64_t A = I.Imm; A-- > 0;) {
-        std::int64_t V;
-        if (!pop(V)) {
-          Ok = false;
-          break;
-        }
-        PrimArgVals.insert(PrimArgVals.begin(), V);
-      }
-      if (!Ok)
+      const size_t NumArgs = I.Imm > 0 ? static_cast<size_t>(I.Imm) : 0;
+      if (operandCount() < NumArgs) {
+        trap("operand stack underflow");
         break;
+      }
+      const auto ArgBegin =
+          Operands.end() - static_cast<std::ptrdiff_t>(NumArgs);
+      PrimArgVals.assign(ArgBegin, Operands.end());
+      Operands.erase(ArgBegin, Operands.end());
       St = Status::AtPrim;
       return St;
     }
@@ -297,18 +300,23 @@ Vm::Status Vm::runBounded(std::vector<std::int64_t> &Globals,
       std::int64_t V;
       if (!pop(V))
         break;
+      // The frame's locals and what is left of its stack go with it.
+      Slots.resize(F.SlotBase);
+      Operands.resize(F.StackBase);
       Frames.pop_back();
       if (Frames.empty()) {
         Result = V;
         St = Status::Done;
         return St;
       }
-      Frames.back().Stack.push_back(V);
+      Operands.push_back(V);
       break;
     }
     case Opcode::Halt:
       St = Status::Done;
       Frames.clear();
+      Slots.clear();
+      Operands.clear();
       return St;
     }
 
@@ -320,7 +328,7 @@ Vm::Status Vm::runBounded(std::vector<std::int64_t> &Globals,
 void Vm::resumePrim(std::int64_t Ret) {
   CCAL_CHECK(St == Status::AtPrim, "resumePrim: VM is not at a primitive");
   CCAL_CHECK(!Frames.empty(), "resumePrim: no live frame");
-  Frames.back().Stack.push_back(Ret);
+  Operands.push_back(Ret);
   PrimKind = KindId();
   PrimArgVals.clear();
 }

@@ -35,6 +35,13 @@ namespace ccal {
 /// Copying a Vm copies the whole frame stack; the program is borrowed, so
 /// a copy touches no reference count and the program must outlive the Vm
 /// and every copy of it.
+///
+/// The locals and operand stacks of all frames live in two flat vectors,
+/// each frame recording where its own part begins.  A call appends to
+/// them and a return truncates them, so once they have grown to the
+/// deepest call a run makes, calls allocate nothing; a copy is three
+/// vectors whatever the call depth, and copy-assigning into a Vm reuses
+/// the storage it already holds.
 class Vm {
 public:
   enum class Status {
@@ -86,15 +93,24 @@ private:
   struct Frame {
     std::int32_t Func = 0;
     std::int32_t PC = 0;
-    std::vector<std::int64_t> Slots;
-    std::vector<std::int64_t> Stack;
+    std::uint32_t SlotBase = 0;  ///< first local of this frame in Slots
+    std::uint32_t StackBase = 0; ///< bottom of its operand stack in Operands
   };
 
   void trap(const std::string &Msg);
   bool pop(std::int64_t &V);
+  /// Pushes a frame for function \p Func whose locals start zeroed and
+  /// whose operand stack starts at \p StackBase.
+  void pushFrame(std::int32_t Func, const AsmFunc &F, size_t StackBase);
+  /// Operands on the top frame's stack.
+  size_t operandCount() const {
+    return Operands.size() - Frames.back().StackBase;
+  }
 
   const AsmProgram *Prog;
   std::vector<Frame> Frames;
+  std::vector<std::int64_t> Slots;    ///< every frame's locals, in order
+  std::vector<std::int64_t> Operands; ///< every frame's operand stack
   Status St = Status::Ready;
   std::int64_t Result = 0;
   std::string Err;

@@ -36,6 +36,7 @@
 #include "lasm/Vm.h"
 #include "support/Check.h"
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -46,6 +47,29 @@ struct CpuWorkItem {
   std::string Fn;
   std::vector<std::int64_t> Args;
 };
+
+/// Each participant's return values so far, by id: a machine's returns()
+/// and an outcome's Returns.
+using ReturnMap = std::map<ThreadId, std::vector<std::int64_t>>;
+
+/// Rewrites \p Out to hold exactly the (id, returns) pairs \p Each hands
+/// to the callback it is given, which it must do in increasing id order.
+/// Nodes and vectors of ids \p Out already holds are reused, so rewriting
+/// one outcome slot after another from the same machine allocates nothing
+/// once the vectors have grown.
+template <typename EachFn> void writeReturns(ReturnMap &Out, EachFn Each) {
+  auto It = Out.begin();
+  Each([&](ThreadId Id, const std::vector<std::int64_t> &Rets) {
+    while (It != Out.end() && It->first < Id)
+      It = Out.erase(It);
+    if (It == Out.end() || It->first != Id)
+      It = Out.emplace_hint(It, Id, Rets);
+    else
+      It->second = Rets;
+    ++It;
+  });
+  Out.erase(It, Out.end());
+}
 
 /// One CPU's (or thread's) copyable execution state: its VM, its place in
 /// the workload, the returns so far, and the primitive the VM is paused

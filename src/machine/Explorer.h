@@ -12,18 +12,20 @@
 /// environment contexts / schedulers: a property checked by the Explorer
 /// holds for every interleaving the bound admits.
 ///
-/// The fairness bound caps how many consecutive steps one participant may
-/// take while others are runnable — the finite form of the paper's fair
-/// hardware scheduler assumption (§3.2), without which a spinning CPU
-/// would generate infinitely many schedules.
+/// The fairness bound m caps how many consecutive steps one participant
+/// may take while another is ready: no participant takes more than m
+/// steps in a row while some other participant could step.  It is the
+/// finite form of the paper's fair hardware scheduler assumption (§3.2),
+/// without which a spinning CPU would generate infinitely many schedules.
 ///
 /// The DFS is generic over the machine: the query-point multicore machine
 /// and the instruction-level hardware machine (§3) and the multithreaded
 /// machine (§5) all instantiate it.  A machine must be copyable and
-/// provide ok()/error(), allIdle(), schedulable(), step(), log(), and
-/// returns().  Every machine borrows its config, so the config must
-/// outlive the root, every snapshot the search copies from it, and the
-/// search itself.
+/// swappable and provide ok()/error(), allIdle(), schedulable(Out),
+/// step(), log(), and returns(Out); the two Out forms write into the
+/// caller's storage, which the search reuses from state to state.  Every
+/// machine borrows its config, so the config must outlive the root, every
+/// snapshot the search copies from it, and the search itself.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -41,6 +43,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <queue>
 #include <string>
 #include <thread>
 #include <type_traits>
@@ -52,14 +55,15 @@ namespace ccal {
 /// One terminal execution.
 struct Outcome {
   Log FinalLog;
-  std::map<ThreadId, std::vector<std::int64_t>> Returns;
+  ReturnMap Returns;
 };
 
 /// Exploration knobs, parameterized by the machine type so invariants can
 /// inspect the concrete machine.
 template <typename MachineT> struct GenericExploreOptions {
-  /// Max consecutive steps of one participant while another is schedulable
-  /// (the paper's "any CPU can be scheduled within m steps").
+  /// Max consecutive steps of one participant while another is
+  /// schedulable: a schedule in which one participant takes more than
+  /// this many steps in a row while another could step is never taken.
   unsigned FairnessBound = 6;
 
   /// Budgets; exceeding MaxSteps along a path is reported as divergence.
@@ -213,7 +217,7 @@ struct ExploreResult {
 /// on hash-distinguishable outcomes).
 class OutcomeSet {
 public:
-  using ReturnMap = decltype(Outcome::Returns);
+  using ReturnMap = ccal::ReturnMap;
 
   static std::uint64_t hash(const Outcome &O) {
     return hashReturns(hashLog(O.FinalLog), O.Returns);
@@ -223,8 +227,8 @@ public:
   /// same fields built from hashMixAlt64/hashCombineAlt, so the halves
   /// collide independently (hash compaction, Stern & Dill 1995).  The
   /// OnOutcome path counts distinct outcomes by it without keeping them.
-  /// The second half walks the log: the log keeps a running value of the
-  /// first half only.
+  /// The log keeps a running value of both halves, so a fingerprint costs
+  /// O(returns), whatever the log's length.
   struct Fingerprint {
     std::uint64_t Hash = 0, Alt = 0;
     friend bool operator==(const Fingerprint &A, const Fingerprint &B) {
@@ -235,14 +239,8 @@ public:
     }
   };
   static Fingerprint fingerprint(const Outcome &O) {
-    std::uint64_t H = hashCombineAlt(0, O.FinalLog.size());
-    for (const Event &E : O.FinalLog) {
-      H = hashCombineAlt(H, E.Tid);
-      H = hashCombineAlt(H, E.Kind.strHash());
-      H = hashCombineAlt(H, E.Args.size());
-      for (std::int64_t A : E.Args)
-        H = hashCombineAlt(H, static_cast<std::uint64_t>(A));
-    }
+    std::uint64_t H =
+        hashCombineAlt(O.FinalLog.runAltHash(), O.FinalLog.size());
     H = hashCombineAlt(H, O.Returns.size());
     for (const auto &[Tid, Rets] : O.Returns) {
       H = hashCombineAlt(H, Tid);
@@ -336,11 +334,15 @@ struct MachineHasVariants<
 /// Each worker owns a stack of frames; a frame is one machine snapshot
 /// plus the iteration state over its schedulable children, so the top of
 /// the stack advances exactly like the recursive formulation (a child
-/// subtree is fully explored before the next sibling starts).  Work
+/// subtree is fully explored before the next sibling starts).  A popped
+/// frame keeps its slot: the next child pushed at that depth is assigned
+/// into it, so every vector in the slot keeps the capacity its previous
+/// occupant grew, and a frame allocates nothing once the stack has been
+/// that deep before.  Work
 /// sharing: when some worker is idle, a busy worker moves the
-/// *shallowest* frame with unvisited children — the largest pending
-/// subtree — into the shared injector deque, where an idle worker picks
-/// it up.  Every node is expanded exactly once, so all counters are
+/// *shallowest* frame below its top with unvisited children — the
+/// largest pending subtree — into the shared injector deque, where an
+/// idle worker picks it up.  Every node is expanded exactly once, so all counters are
 /// schedule-deterministic; only the order of Outcomes/Corpus depends on
 /// the number of workers.
 ///
@@ -409,7 +411,8 @@ public:
   }
 
 private:
-  /// One DFS node: a machine snapshot plus sibling-iteration state.
+  /// One DFS node: a machine snapshot plus sibling-iteration state.  The
+  /// slot a frame lives in is reused by later frames at the same depth.
   struct Frame {
     MachineT M;
     ThreadId LastId;
@@ -434,6 +437,20 @@ private:
     Frame(SrcT &&Src, ThreadId LastId, unsigned Consec, std::uint64_t Depth)
         : M(std::forward<SrcT>(Src)), LastId(LastId), Consec(Consec),
           Depth(Depth) {}
+
+    /// Readies a reused slot, whose M the caller has already assigned, for
+    /// a fresh node; the vectors are cleared, not freed.
+    void reset(ThreadId NewLastId, unsigned NewConsec,
+               std::uint64_t NewDepth) {
+      LastId = NewLastId;
+      Consec = NewConsec;
+      Depth = NewDepth;
+      Ready.clear();
+      NextChild = 0;
+      Expanded = false;
+      ReadyVars.clear();
+      NextVariant = 0;
+    }
   };
 
   /// Per-worker counters AND result buffers, merged after the join (no
@@ -446,8 +463,8 @@ private:
   /// globally-locked recording, entry for entry.  The OnOutcome path
   /// buffers up to OutcomeBatch outcomes in Pending, hands them to the
   /// callback together (flushOutcomes) and then keeps only fingerprints,
-  /// counted at the join; its Dedup holds just the outcomes whose logs
-  /// entered the corpus.
+  /// which the worker sorts on its way out and the join counts; its Dedup
+  /// holds just the outcomes whose logs entered the corpus.
   struct alignas(CacheLine) Shard {
     std::uint64_t States = 0;
     std::uint64_t InvariantChecks = 0;
@@ -464,25 +481,38 @@ private:
     std::vector<Log> Corpus;       ///< terminal + sampled logs
     bool StoreTruncated = false;   ///< hit MaxStoredOutcomes locally
 
-    /// OnOutcome path: outcomes reached but not yet handed over, and one
-    /// fingerprint per handed-over terminal schedule, split by whether
-    /// the callback accepted the outcome.
+    /// OnOutcome path: the first NPending outcomes of Pending were
+    /// reached but not yet handed over.  The slots past them are kept, so
+    /// the next outcome is assigned into storage an earlier one grew.
     std::vector<Outcome> Pending;
+    size_t NPending = 0;
+    /// One fingerprint per handed-over terminal schedule, split by whether
+    /// the callback accepted the outcome; sorted and deduplicated once the
+    /// worker leaves the search.
     std::vector<OutcomeSet::Fingerprint> Accepted, Rejected;
   };
 
   void worker(unsigned Idx) {
     Shard &S = Shards[Idx];
+    // The DFS stack is Stack[0, Live).  Popping lowers Live and leaves the
+    // frame in its slot; the next push at that depth assigns into it.
     std::vector<Frame> Stack;
+    size_t Live = 0;
     while (true) {
       if (Stop.load(std::memory_order_relaxed))
-        Stack.clear();
-      if (Stack.empty()) {
+        Live = 0;
+      if (Live == 0) {
         // The one flush point besides a full batch: an idle, stopped,
         // cancelled, truncated or finished worker holds no outcomes.
         flushOutcomes(S);
-        if (!pullWork(Stack))
+        if (!pullWork(Stack)) {
+          // Every worker leaves together, so the sorts run in parallel
+          // and the join only counts across sorted runs.
+          sortUnique(S.Accepted);
+          sortUnique(S.Rejected);
           return;
+        }
+        Live = 1;
         ++S.Pulls;
         continue;
       }
@@ -492,16 +522,16 @@ private:
       // behind the old sub-1.0 multi-thread speedups.
       if (Workers > 1 && Hungry.load(std::memory_order_relaxed) > 0 &&
           InjectorSize.load(std::memory_order_relaxed) == 0)
-        donate(Stack, S);
-      Frame &Top = Stack.back();
+        donate(Stack, Live, S);
+      Frame &Top = Stack[Live - 1];
       if (!Top.Expanded) {
         if (!expand(Top, S)) {
-          Stack.pop_back();
+          --Live;
           continue;
         }
       }
       if (Top.NextChild >= Top.Ready.size()) {
-        Stack.pop_back();
+        --Live;
         continue;
       }
       const size_t ChildIdx = Top.NextChild;
@@ -522,27 +552,41 @@ private:
       const ThreadId C = Top.Ready[ChildIdx];
       const unsigned Consec = C == Top.LastId ? Top.Consec + 1 : 1;
       const std::uint64_t Depth = Top.Depth;
-      // The child is built in its stack slot.  The final child takes the
-      // parent's machine by move: NextChild is already past the end, so
-      // the frame can only be popped from here on (donate() skips
-      // child-less frames) and its machine is dead weight.  emplace_back
-      // builds the new element before it relocates the old ones, so Top.M
-      // may be its source, but Top dangles after a reallocation and is
-      // not read past this point.
-      if (Top.NextChild >= Top.Ready.size())
-        Stack.emplace_back(std::move(Top.M), C, Consec, Depth + 1);
-      else
-        Stack.emplace_back(Top.M, C, Consec, Depth + 1);
-      Frame &Child = Stack.back();
+      // The final child takes the parent's machine: NextChild is already
+      // past the end, so the frame can only be popped from here on
+      // (donate() skips child-less frames) and its machine is dead
+      // weight.  A reused slot swaps machines with the parent, so the
+      // parent's slot keeps storage for a later occupant; any other child
+      // is copy-assigned into the slot.
+      const bool LastChild = Top.NextChild >= Top.Ready.size();
+      if (Live == Stack.size()) {
+        // A depth reached for the first time: the slot is built.
+        // emplace_back builds the new element before it relocates the old
+        // ones, so Top.M may be its source, but Top dangles after a
+        // reallocation and is not read past this point.
+        if (LastChild)
+          Stack.emplace_back(std::move(Top.M), C, Consec, Depth + 1);
+        else
+          Stack.emplace_back(Top.M, C, Consec, Depth + 1);
+      } else {
+        Frame &Slot = Stack[Live];
+        if (LastChild) {
+          using std::swap;
+          swap(Slot.M, Top.M);
+        } else {
+          Slot.M = Top.M;
+        }
+        Slot.reset(C, Consec, Depth + 1);
+      }
+      Frame &Child = Stack[Live++];
       if (!stepOn(Child.M, C, Variant)) {
         violate(Child.M, Child.M.error());
-        Stack.pop_back();
+        --Live;
         continue;
       }
       if (Opts.CollectCorpus && (Depth & 3) == 0)
         pushCorpus(Child.M.log(), S);
-      S.MaxStack = std::max(S.MaxStack,
-                            static_cast<std::uint64_t>(Stack.size()));
+      S.MaxStack = std::max(S.MaxStack, static_cast<std::uint64_t>(Live));
     }
   }
 
@@ -581,12 +625,12 @@ private:
         return false;
       }
     }
-    F.Ready = F.M.schedulable();
+    F.M.schedulable(F.Ready);
     if constexpr (MachineHasVariants<MachineT>::value) {
       // One menu query per candidate per node; a budget overflow shows up
       // as a count above the machine's cap and the step itself faults
-      // fail-closed, so no clamping happens here.
-      F.ReadyVars.reserve(F.Ready.size());
+      // fail-closed, so no clamping happens here.  ReadyVars was cleared
+      // with the slot and keeps its capacity.
       for (ThreadId C : F.Ready) {
         unsigned V = std::max(1u, F.M.stepVariants(C));
         F.ReadyVars.push_back(V);
@@ -628,26 +672,32 @@ private:
   }
 
   void recordOutcome(const MachineT &M, Shard &S) {
-    Outcome O;
-    O.FinalLog = M.log();
-    O.Returns = M.returns();
     if (Opts.OnOutcome) {
       // Callback path: every terminal schedule's outcome goes into the
       // worker's batch, which is handed to the callback once full (or
-      // when the worker's stack runs empty).  The corpus still takes each
-      // distinct terminal log once (a copy per schedule would crowd the
-      // capped buffer), so Dedup holds the outcomes whose logs it took
-      // and stops growing once the corpus is full.
+      // when the worker's stack runs empty).  The outcome is assigned
+      // into a kept slot, so the log's chunk table and tail and the
+      // returns reuse what an earlier outcome grew.  The corpus still
+      // takes each distinct terminal log once (a copy per schedule would
+      // crowd the capped buffer), so Dedup holds the outcomes whose logs
+      // it took and stops growing once the corpus is full.
+      if (S.NPending == S.Pending.size())
+        S.Pending.emplace_back();
+      Outcome &O = S.Pending[S.NPending++];
+      O.FinalLog = M.log();
+      M.returns(O.Returns);
       if (Opts.CollectCorpus && S.Corpus.size() < Opts.MaxCorpus &&
           S.Dedup.insert(O))
         S.Corpus.push_back(O.FinalLog);
-      S.Pending.push_back(std::move(O));
-      if (S.Pending.size() >= OutcomeBatch)
+      if (S.NPending >= OutcomeBatch)
         flushOutcomes(S);
       return;
     }
     // Stored path: everything is worker-local, so recording an outcome
     // takes no lock; cross-worker duplicates collapse at the join.
+    Outcome O;
+    O.FinalLog = M.log();
+    M.returns(O.Returns);
     if (!S.Dedup.insert(O))
       return;
     if (Opts.CollectCorpus && S.Corpus.size() < Opts.MaxCorpus)
@@ -664,12 +714,12 @@ private:
   /// Only fingerprints stay in the shard, filed after the lock is
   /// released; distinct outcomes are counted at the join.
   void flushOutcomes(Shard &S) {
-    if (S.Pending.empty())
+    if (S.NPending == 0)
       return;
     std::uint64_t Rejects = 0; // bit I: the callback rejected Pending[I]
     {
       std::lock_guard<std::mutex> L(ResMu);
-      for (size_t I = 0; I != S.Pending.size(); ++I) {
+      for (size_t I = 0; I != S.NPending; ++I) {
         std::string V = Opts.OnOutcome(S.Pending[I]);
         if (V.empty())
           continue;
@@ -680,12 +730,18 @@ private:
         }
       }
     }
-    for (size_t I = 0; I != S.Pending.size(); ++I)
+    for (size_t I = 0; I != S.NPending; ++I)
       ((Rejects >> I & 1) ? S.Rejected : S.Accepted)
           .push_back(OutcomeSet::fingerprint(S.Pending[I]));
-    S.Pending.clear();
+    S.NPending = 0;
     if (Rejects)
       stopAll();
+  }
+
+  /// Sorts \p Fs and drops its duplicates.
+  static void sortUnique(std::vector<OutcomeSet::Fingerprint> &Fs) {
+    std::sort(Fs.begin(), Fs.end());
+    Fs.erase(std::unique(Fs.begin(), Fs.end()), Fs.end());
   }
 
   /// Joins the per-worker result shards after the workers exit, in worker
@@ -698,12 +754,24 @@ private:
   void mergeShardResults(ExploreResult &Res) {
     bool Truncated = false;
     if (Opts.OnOutcome) {
-      std::vector<OutcomeSet::Fingerprint> Accepted =
-          distinctFingerprints(&Shard::Accepted);
-      Res.AcceptedOutcomes = Res.DistinctOutcomes = Accepted.size();
-      for (const auto &F : distinctFingerprints(&Shard::Rejected))
-        if (!std::binary_search(Accepted.begin(), Accepted.end(), F))
-          ++Res.DistinctOutcomes;
+      Res.AcceptedOutcomes = countDistinct(
+          &Shard::Accepted, [](const OutcomeSet::Fingerprint &) { return true; });
+      // A rejected outcome that another schedule's callback accepted is
+      // counted already.
+      Res.DistinctOutcomes =
+          Res.AcceptedOutcomes +
+          countDistinct(&Shard::Rejected,
+                        [this](const OutcomeSet::Fingerprint &F) {
+                          for (const Shard &S : Shards)
+                            if (std::binary_search(S.Accepted.begin(),
+                                                   S.Accepted.end(), F))
+                              return false;
+                          return true;
+                        });
+      for (Shard &S : Shards) {
+        std::vector<OutcomeSet::Fingerprint>().swap(S.Accepted);
+        std::vector<OutcomeSet::Fingerprint>().swap(S.Rejected);
+      }
     } else {
       OutcomeSet Merged;
       for (Shard &S : Shards) {
@@ -733,22 +801,36 @@ private:
     }
   }
 
-  /// Moves one fingerprint list out of every shard into a single sorted
-  /// vector without duplicates, freeing each shard's list as it goes.
-  std::vector<OutcomeSet::Fingerprint>
-  distinctFingerprints(std::vector<OutcomeSet::Fingerprint> Shard::*List) {
-    size_t N = 0;
+  /// The number of distinct fingerprints \p Keep holds true for in the
+  /// union of one list of every shard, each already sorted and without
+  /// duplicates (see worker).  A k-way merge over the lists' heads visits
+  /// each fingerprint once, in order, and copies none of them.
+  template <typename KeepFn>
+  std::uint64_t
+  countDistinct(const std::vector<OutcomeSet::Fingerprint> Shard::*List,
+                KeepFn Keep) const {
+    using Fp = OutcomeSet::Fingerprint;
+    using Head = std::pair<const Fp *, const Fp *>; // next, end of a list
+    auto Later = [](const Head &A, const Head &B) {
+      return *B.first < *A.first;
+    };
+    std::priority_queue<Head, std::vector<Head>, decltype(Later)> Heads(
+        Later);
     for (const Shard &S : Shards)
-      N += (S.*List).size();
-    std::vector<OutcomeSet::Fingerprint> All;
-    All.reserve(N);
-    for (Shard &S : Shards) {
-      All.insert(All.end(), (S.*List).begin(), (S.*List).end());
-      std::vector<OutcomeSet::Fingerprint>().swap(S.*List);
+      if (!(S.*List).empty())
+        Heads.push({(S.*List).data(), (S.*List).data() + (S.*List).size()});
+    std::uint64_t N = 0;
+    const Fp *Last = nullptr;
+    while (!Heads.empty()) {
+      Head H = Heads.top();
+      Heads.pop();
+      if ((!Last || !(*Last == *H.first)) && Keep(*H.first))
+        ++N;
+      Last = H.first;
+      if (++H.first != H.second)
+        Heads.push(H);
     }
-    std::sort(All.begin(), All.end());
-    All.erase(std::unique(All.begin(), All.end()), All.end());
-    return All;
+    return N;
   }
 
   void violate(const MachineT &M, const std::string &Msg) {
@@ -775,8 +857,9 @@ private:
       S.Corpus.push_back(L);
   }
 
-  /// Blocks until a frame is available or the search is over; false means
-  /// the worker should exit.
+  /// Blocks until a frame is available, and moves it into the bottom slot
+  /// of \p Stack; false means the search is over and the worker should
+  /// exit.
   bool pullWork(std::vector<Frame> &Stack) {
     std::unique_lock<std::mutex> L(QMu);
     ++Idle;
@@ -785,7 +868,10 @@ private:
       if (Finished)
         return false;
       if (!Injector.empty() && !Stop.load(std::memory_order_relaxed)) {
-        Stack.push_back(std::move(Injector.front()));
+        if (Stack.empty())
+          Stack.push_back(std::move(Injector.front()));
+        else
+          Stack[0] = std::move(Injector.front());
         Injector.pop_front();
         InjectorSize.store(Injector.size(), std::memory_order_relaxed);
         --Idle;
@@ -809,11 +895,17 @@ private:
   /// of its stack.  Donating one frame per call (the old behavior) made
   /// a donor re-enter the injector lock on nearly every expansion while
   /// any worker was hungry; batching plus the caller's injector-empty
-  /// gate bounds donation traffic by steals actually taken.  True when
-  /// anything was donated.
-  bool donate(std::vector<Frame> &Stack, Shard &S) {
+  /// gate bounds donation traffic by steals actually taken.  The live
+  /// frames are Stack[0, Live), and the top one is never donated: a donor
+  /// that gave away the frame it was about to step would go idle at once,
+  /// and a frame just pulled would bounce straight back to the worker it
+  /// came from.  So every donated frame has had a child stepped since its
+  /// worker got it, and donations never outnumber explored states.  True
+  /// when anything was donated.
+  bool donate(std::vector<Frame> &Stack, size_t Live, Shard &S) {
     std::vector<Frame> Moved;
-    for (Frame &F : Stack) {
+    for (size_t I = 0; I + 1 < Live; ++I) {
+      Frame &F = Stack[I];
       if (Moved.size() >= StealBatch)
         break;
       if (!F.Expanded || F.NextChild >= F.Ready.size())

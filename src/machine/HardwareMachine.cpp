@@ -35,13 +35,12 @@ bool HardwareMachine::allIdle() const {
   return true;
 }
 
-std::vector<ThreadId> HardwareMachine::schedulable() const {
-  std::vector<ThreadId> Out;
+void HardwareMachine::schedulable(std::vector<ThreadId> &Out) const {
+  Out.clear();
   for (const auto &[Id, C] : Cpus)
     if (!C.Exec.finished() &&
         !(C.Exec.pending() && C.Exec.blocked(GlobalLog, Fold, C.Globals)))
       Out.push_back(Id);
-  return Out;
 }
 
 bool HardwareMachine::step(ThreadId Id) {
@@ -61,12 +60,11 @@ bool HardwareMachine::step(ThreadId Id) {
   return false;
 }
 
-std::map<ThreadId, std::vector<std::int64_t>>
-HardwareMachine::returns() const {
-  std::map<ThreadId, std::vector<std::int64_t>> Out;
-  for (const auto &[Id, C] : Cpus)
-    Out.emplace(Id, C.Exec.returns());
-  return Out;
+void HardwareMachine::returns(ReturnMap &Out) const {
+  writeReturns(Out, [this](auto Put) {
+    for (const auto &[Id, C] : Cpus)
+      Put(Id, C.Exec.returns());
+  });
 }
 
 ContextualRefinementReport ccal::checkMulticoreLinking(

@@ -50,8 +50,14 @@ public:
   bool allIdle() const;
 
   /// Every CPU with work left and no Blocked pending primitive: hardware
-  /// scheduling may hand any of them the next cycle.
-  std::vector<ThreadId> schedulable() const;
+  /// scheduling may hand any of them the next cycle.  Written into \p Out
+  /// in id order, reusing its storage.
+  void schedulable(std::vector<ThreadId> &Out) const;
+  std::vector<ThreadId> schedulable() const {
+    std::vector<ThreadId> Out;
+    schedulable(Out);
+    return Out;
+  }
 
   /// Executes ONE unit on CPU \p C: a single instruction, or the pending
   /// primitive call (private: silent; shared: appends events).
@@ -62,7 +68,13 @@ public:
   /// The layer's fold over log() (see MultiCoreMachine::fold).
   const FoldValue &fold() const { return Fold; }
 
-  std::map<ThreadId, std::vector<std::int64_t>> returns() const;
+  /// Per-CPU returns, written into \p Out in place (writeReturns).
+  void returns(ReturnMap &Out) const;
+  ReturnMap returns() const {
+    ReturnMap Out;
+    returns(Out);
+    return Out;
+  }
 
 private:
   struct Cpu {

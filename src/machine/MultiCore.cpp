@@ -5,6 +5,8 @@
 #include "support/Check.h"
 #include "support/Text.h"
 
+#include <algorithm>
+
 using namespace ccal;
 
 MultiCoreMachine::MultiCoreMachine(const MachineConfigPtr &CfgIn)
@@ -13,70 +15,73 @@ MultiCoreMachine::MultiCoreMachine(const MachineConfigPtr &CfgIn)
              "machine config needs a layer and a linked program");
   Fold = Cfg->Layer->fold().initial();
   std::vector<std::int64_t> Image = Cfg->Program->initialGlobals();
+  // Work is a map, so the CPUs arrive in id order.
+  Cpus.reserve(Cfg->Work.size());
   for (const auto &[Id, Items] : Cfg->Work) {
-    auto [It, Inserted] =
-        Cpus.emplace(Id, Cpu{Core(Cfg->Program, Id, Items), Image});
-    CCAL_CHECK(Inserted, "duplicate CPU id");
-    advance(It->second, Id);
+    Cpus.push_back(Cpu{Id, Core(Cfg->Program, Id, Items), Image});
+    advance(Cpus.back());
   }
 }
 
-void MultiCoreMachine::fault(ThreadId Id, const std::string &Msg) {
-  if (Err.empty())
-    Err = strFormat("CPU %u: %s", Id, Msg.c_str());
-  auto It = Cpus.find(Id);
-  if (It != Cpus.end())
-    It->second.Phase = Core::Stop::Faulted;
+const MultiCoreMachine::Cpu *MultiCoreMachine::cpu(ThreadId Id) const {
+  auto It = std::lower_bound(
+      Cpus.begin(), Cpus.end(), Id,
+      [](const Cpu &C, ThreadId Want) { return C.Id < Want; });
+  return It != Cpus.end() && It->Id == Id ? &*It : nullptr;
 }
 
-bool MultiCoreMachine::advance(Cpu &C, ThreadId Id) {
+void MultiCoreMachine::fault(Cpu &C, const std::string &Msg) {
+  if (Err.empty())
+    Err = strFormat("CPU %u: %s", C.Id, Msg.c_str());
+  C.Phase = Core::Stop::Faulted;
+}
+
+bool MultiCoreMachine::advance(Cpu &C) {
   std::string Why;
   C.Phase = C.Exec.runLocal(*Cfg->Layer, Cfg->SliceBudget, GlobalLog, Fold,
                             C.Globals, Why);
   if (C.Phase != Core::Stop::Faulted)
     return true;
-  fault(Id, Why);
+  fault(C, Why);
   return false;
 }
 
 bool MultiCoreMachine::allIdle() const {
-  for (const auto &[Id, C] : Cpus)
+  for (const Cpu &C : Cpus)
     if (C.Phase != Core::Stop::Idle)
       return false;
   return true;
 }
 
-std::vector<ThreadId> MultiCoreMachine::schedulable() const {
-  std::vector<ThreadId> Out;
-  Out.reserve(Cpus.size());
+void MultiCoreMachine::schedulable(std::vector<ThreadId> &Out) const {
+  Out.clear();
   // A CPU whose pending primitive is currently Blocked (an atomic blocking
   // spec such as acq on a held lock) is not schedulable until the log
   // grows.
-  for (const auto &[Id, C] : Cpus)
+  for (const Cpu &C : Cpus)
     if (C.Phase == Core::Stop::AtShared &&
         !C.Exec.blocked(GlobalLog, Fold, C.Globals))
-      Out.push_back(Id);
-  return Out;
+      Out.push_back(C.Id);
 }
 
-const std::string &MultiCoreMachine::pendingPrim(ThreadId C) const {
-  auto It = Cpus.find(C);
-  if (It == Cpus.end() || It->second.Phase != Core::Stop::AtShared)
+const std::string &MultiCoreMachine::pendingPrim(ThreadId Id) const {
+  const Cpu *C = cpu(Id);
+  if (!C || C->Phase != Core::Stop::AtShared)
     return KindId().str();
-  return It->second.Exec.pending()->Name;
+  return C->Exec.pending()->Name;
 }
 
 const MemoryModel &MultiCoreMachine::model() const {
   return Cfg->Model ? *Cfg->Model : *scMemory();
 }
 
-unsigned MultiCoreMachine::stepVariants(ThreadId C) const {
+unsigned MultiCoreMachine::stepVariants(ThreadId Id) const {
   if (!weakModel())
     return 1;
-  auto It = Cpus.find(C);
-  if (It == Cpus.end() || It->second.Phase != Core::Stop::AtShared)
+  const Cpu *C = cpu(Id);
+  if (!C || C->Phase != Core::Stop::AtShared)
     return 1;
-  return model().stepVariants(Ra, C, It->second.Exec.pending()->Foot,
+  return model().stepVariants(Ra, Id, C->Exec.pending()->Foot,
                               Cfg->MaxReadsFromPerStep);
 }
 
@@ -85,9 +90,9 @@ bool MultiCoreMachine::step(ThreadId Id) { return step(Id, 0); }
 bool MultiCoreMachine::step(ThreadId Id, unsigned Variant) {
   if (!ok())
     return false;
-  auto It = Cpus.find(Id);
-  CCAL_CHECK(It != Cpus.end(), "step: unknown CPU");
-  Cpu &C = It->second;
+  Cpu *Found = cpu(Id);
+  CCAL_CHECK(Found, "step: unknown CPU");
+  Cpu &C = *Found;
   CCAL_CHECK(C.Phase == Core::Stop::AtShared,
              "step: CPU is not parked at a shared primitive");
 
@@ -101,7 +106,7 @@ bool MultiCoreMachine::step(ThreadId Id, unsigned Variant) {
     const unsigned Count =
         model().stepVariants(Ra, Id, Foot, Cfg->MaxReadsFromPerStep);
     if (Count > Cfg->MaxReadsFromPerStep) {
-      fault(Id, "step offers more reads-from choices than "
+      fault(C, "step offers more reads-from choices than "
                 "MaxReadsFromPerStep admits; raise the budget in the "
                 "MachineConfig");
       return false;
@@ -121,19 +126,18 @@ bool MultiCoreMachine::step(ThreadId Id, unsigned Variant) {
   if (!C.Exec.call(Visible ? *Visible : GlobalLog,
                    VisibleFold ? *VisibleFold : Fold, GlobalLog, Fold,
                    C.Globals, Why)) {
-    fault(Id, Why);
+    fault(C, Why);
     return false;
   }
   if (Weak)
     model().commit(Ra, GlobalLog, FirstNew, Id, Foot, Variant,
                    [this](KindId K) { return Cfg->Layer->footprintOf(K); });
-  return advance(C, Id);
+  return advance(C);
 }
 
-std::map<ThreadId, std::vector<std::int64_t>>
-MultiCoreMachine::returns() const {
-  std::map<ThreadId, std::vector<std::int64_t>> Out;
-  for (const auto &[Id, C] : Cpus)
-    Out.emplace(Id, C.Exec.returns());
-  return Out;
+void MultiCoreMachine::returns(ReturnMap &Out) const {
+  writeReturns(Out, [this](auto Put) {
+    for (const Cpu &C : Cpus)
+      Put(C.Id, C.Exec.returns());
+  });
 }

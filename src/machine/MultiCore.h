@@ -86,8 +86,15 @@ public:
   /// True when every CPU has finished its workload.
   bool allIdle() const;
 
-  /// CPUs currently parked at a shared primitive (the scheduler's menu).
-  std::vector<ThreadId> schedulable() const;
+  /// CPUs currently parked at a shared primitive (the scheduler's menu),
+  /// written into \p Out in id order.  Out's storage is reused, so the
+  /// Explorer's frames fill their menus without allocating.
+  void schedulable(std::vector<ThreadId> &Out) const;
+  std::vector<ThreadId> schedulable() const {
+    std::vector<ThreadId> Out;
+    schedulable(Out);
+    return Out;
+  }
 
   /// Executes CPU \p C's pending shared primitive and advances it to its
   /// next query point.  Returns false when the machine faulted.
@@ -109,8 +116,14 @@ public:
   /// shared state primitives and invariants read.
   const FoldValue &fold() const { return Fold; }
 
-  /// Per-CPU return values of completed work items, in order.
-  std::map<ThreadId, std::vector<std::int64_t>> returns() const;
+  /// Per-CPU return values of completed work items, in order, written
+  /// into \p Out in place (writeReturns).
+  void returns(ReturnMap &Out) const;
+  ReturnMap returns() const {
+    ReturnMap Out;
+    returns(Out);
+    return Out;
+  }
 
   /// Name of the shared primitive CPU \p C is parked at ("" when none).
   /// The reference lives as long as the config: no allocation per query.
@@ -118,23 +131,34 @@ public:
 
 private:
   struct Cpu {
+    ThreadId Id;
     Core Exec;
     std::vector<std::int64_t> Globals;
     /// Where the CPU's last local run stopped; step() needs AtShared.
     Core::Stop Phase = Core::Stop::Idle;
   };
 
-  /// Runs CPU \p Id's local code (instructions + private primitives) until
+  /// The CPU with id \p Id; null when there is none.
+  const Cpu *cpu(ThreadId Id) const;
+  Cpu *cpu(ThreadId Id) {
+    return const_cast<Cpu *>(static_cast<const MultiCoreMachine *>(this)
+                                 ->cpu(Id));
+  }
+
+  /// Runs CPU \p C's local code (instructions + private primitives) until
   /// the next shared call or workload completion.
-  bool advance(Cpu &C, ThreadId Id);
-  void fault(ThreadId Id, const std::string &Msg);
+  bool advance(Cpu &C);
+  void fault(Cpu &C, const std::string &Msg);
 
   /// The configured model, defaulting to SC when the config has none.
   const MemoryModel &model() const;
   bool weakModel() const { return Cfg->Model && Cfg->Model->weak(); }
 
   const MachineConfig *Cfg;
-  std::map<ThreadId, Cpu> Cpus;
+  /// Ordered by id.  A vector, not a map: copy-assigning the machine into
+  /// a snapshot slot then assigns each CPU in place, so the VMs, local
+  /// memories and returns keep the storage the slot already held.
+  std::vector<Cpu> Cpus;
   Log GlobalLog;
   FoldValue Fold;
   /// Weak-memory state (view fronts, modification orders).  Stays empty

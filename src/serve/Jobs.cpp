@@ -64,7 +64,7 @@ Registry &registry() {
     Add("ticket.1cpu.2r", "ticket lock, 1 CPU x 2 rounds (fast)",
         [] { return makeTicketLockHarness(1, 2); });
     Add("ticket.2cpu.2r",
-        "ticket lock, 2 CPUs x 2 rounds (heavy: ~3.5M schedules, ~17 s "
+        "ticket lock, 2 CPUs x 2 rounds (heavy: ~3.5M schedules, ~10 s "
         "cold on one worker — submit with a timeout unless you mean it)",
         [] { return makeTicketLockHarness(2, 2); });
     // 3 CPUs of spinning exceed the harness's 512-step budget, so after

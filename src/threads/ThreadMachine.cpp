@@ -119,11 +119,11 @@ bool ThreadedMachine::allIdle() const {
   return true;
 }
 
-std::vector<ThreadId> ThreadedMachine::schedulable() const {
-  std::vector<ThreadId> Out;
+void ThreadedMachine::schedulable(std::vector<ThreadId> &Out) const {
+  Out.clear();
   std::optional<SchedView> View = Cfg->Sched(GlobalLog);
   if (!View)
-    return Out;
+    return;
   for (const auto &[Cpu, Cur] : View->Current) {
     if (Cur < 0)
       continue;
@@ -132,7 +132,6 @@ std::vector<ThreadId> ThreadedMachine::schedulable() const {
         !It->second.Exec.blocked(GlobalLog, Fold, CpuMem.at(Cpu)))
       Out.push_back(It->first);
   }
-  return Out;
 }
 
 bool ThreadedMachine::step(ThreadId Tid) {
@@ -160,12 +159,11 @@ bool ThreadedMachine::step(ThreadId Tid) {
   return settle();
 }
 
-std::map<ThreadId, std::vector<std::int64_t>>
-ThreadedMachine::returns() const {
-  std::map<ThreadId, std::vector<std::int64_t>> Out;
-  for (const auto &[Tid, T] : Threads)
-    Out.emplace(Tid, T.Exec.returns());
-  return Out;
+void ThreadedMachine::returns(ReturnMap &Out) const {
+  writeReturns(Out, [this](auto Put) {
+    for (const auto &[Tid, T] : Threads)
+      Put(Tid, T.Exec.returns());
+  });
 }
 
 const std::vector<std::int64_t> &

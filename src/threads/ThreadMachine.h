@@ -106,8 +106,14 @@ public:
   bool allIdle() const;
 
   /// Threads that are current on their CPU, parked at a shared primitive,
-  /// and not Blocked.
-  std::vector<ThreadId> schedulable() const;
+  /// and not Blocked, written into \p Out in CPU order, reusing its
+  /// storage.
+  void schedulable(std::vector<ThreadId> &Out) const;
+  std::vector<ThreadId> schedulable() const {
+    std::vector<ThreadId> Out;
+    schedulable(Out);
+    return Out;
+  }
 
   /// Executes thread \p T's pending shared primitive, then settles every
   /// CPU (runs new current threads to their query points).
@@ -118,8 +124,14 @@ public:
   /// The layer's fold over log() (see MultiCoreMachine::fold).
   const FoldValue &fold() const { return Fold; }
 
-  /// Per-thread return values of completed work items.
-  std::map<ThreadId, std::vector<std::int64_t>> returns() const;
+  /// Per-thread return values of completed work items, written into
+  /// \p Out in place (writeReturns).
+  void returns(ReturnMap &Out) const;
+  ReturnMap returns() const {
+    ReturnMap Out;
+    returns(Out);
+    return Out;
+  }
 
   const std::vector<std::int64_t> &cpuMemory(ThreadId Cpu) const;
 

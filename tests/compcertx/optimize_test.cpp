@@ -40,8 +40,9 @@ void expectSameBehavior(const ClightModule &M, const std::string &Fn,
   VmRun A = runVmSequential(PlainP, Fn, Args, noPrims());
   VmRun B = runVmSequential(OptimP, Fn, Args, noPrims());
   EXPECT_EQ(A.Ret.has_value(), B.Ret.has_value());
-  if (A.Ret && B.Ret)
+  if (A.Ret && B.Ret) {
     EXPECT_EQ(*A.Ret, *B.Ret);
+  }
   EXPECT_EQ(A.Globals, B.Globals);
 }
 
@@ -203,8 +204,9 @@ TEST_P(OptimizedDiffTest, OptimizedAgreesWithInterpreter) {
       std::optional<std::int64_t> Want = Ref.call("f", Args);
       VmRun Got = runVmSequential(Linked, "f", Args, noPrims());
       ASSERT_EQ(Want.has_value(), Got.Ret.has_value()) << Src;
-      if (Want)
+      if (Want) {
         EXPECT_EQ(*Want, *Got.Ret) << Src;
+      }
     }
   }
 }

@@ -42,13 +42,27 @@ Event randomEvent(Rng &R) {
   return E;
 }
 
+/// Log::runAltHash of a log holding exactly \p Events, from scratch.
+std::uint64_t altHashModel(const std::vector<Event> &Events) {
+  std::uint64_t H = 0;
+  for (const Event &E : Events) {
+    H = hashCombineAlt(H, E.Tid);
+    H = hashCombineAlt(H, E.Kind.strHash());
+    H = hashCombineAlt(H, E.Args.size());
+    for (std::int64_t A : E.Args)
+      H = hashCombineAlt(H, static_cast<std::uint64_t>(A));
+  }
+  return H;
+}
+
 void checkAgainstModel(const Pair &P, const std::string &Ctx) {
   ASSERT_EQ(P.L.size(), P.Ref.size()) << Ctx;
   ASSERT_EQ(P.L.empty(), P.Ref.empty()) << Ctx;
   for (size_t I = 0; I != P.Ref.size(); ++I)
     ASSERT_EQ(P.L[I], P.Ref[I]) << Ctx << " at index " << I;
-  if (!P.Ref.empty())
+  if (!P.Ref.empty()) {
     ASSERT_EQ(P.L.back(), P.Ref.back()) << Ctx;
+  }
   // Iteration visits the same sequence as indexing.
   size_t I = 0;
   for (const Event &E : P.L)
@@ -57,6 +71,8 @@ void checkAgainstModel(const Pair &P, const std::string &Ctx) {
   // The implicit vector-to-Log view is the identity on contents.
   ASSERT_EQ(P.L, Log(P.Ref)) << Ctx;
   ASSERT_EQ(hashLog(P.L), hashLog(Log(P.Ref))) << Ctx;
+  // The running alternate hash survives appends, copies and clears.
+  ASSERT_EQ(P.L.runAltHash(), altHashModel(P.Ref)) << Ctx;
 }
 
 } // namespace
@@ -101,8 +117,9 @@ TEST(LogModelTest, RandomOpsMatchVectorModel) {
           bool RefEq = Pop[A].Ref == Pop[B].Ref;
           ASSERT_EQ(Pop[A].L == Pop[B].L, RefEq)
               << "trial " << T << " step " << S << " pair " << A << "," << B;
-          if (RefEq)
+          if (RefEq) {
             ASSERT_EQ(hashLog(Pop[A].L), hashLog(Pop[B].L));
+          }
         }
     }
   }

@@ -40,6 +40,44 @@ AsmProgramPtr makeProgram(std::vector<Instr> Code, unsigned Params = 0,
   return P;
 }
 
+/// Hand-assembles a program from \p Funcs; Call targets index into it.
+AsmProgramPtr makeFuncs(std::vector<AsmFunc> Funcs) {
+  auto P = std::make_shared<AsmProgram>();
+  P->Name = "test";
+  P->Funcs = std::move(Funcs);
+  P->Linked = true;
+  return P;
+}
+
+AsmFunc makeFunc(std::string Name, unsigned Params, unsigned Slots,
+                 std::vector<Instr> Code) {
+  AsmFunc F;
+  F.Name = std::move(Name);
+  F.NumParams = Params;
+  F.NumSlots = Slots;
+  F.Code = std::move(Code);
+  return F;
+}
+
+/// main() = 7 + f(3), f(x) = g(10 * x, x), g(a, b) = p(a - b) + 100, with
+/// a primitive p paused at three frames deep.  main keeps an operand
+/// under the call, so each frame must see only its own stack.
+AsmProgramPtr makeNested() {
+  return makeFuncs(
+      {makeFunc("main", 0, 0,
+                {Instr::push(7), Instr::push(3), Instr(Opcode::Call, 1),
+                 Instr(Opcode::Add), Instr(Opcode::Ret)}),
+       makeFunc("f", 1, 2,
+                {Instr(Opcode::LoadL, 0), Instr::push(10), Instr(Opcode::Mul),
+                 Instr(Opcode::StoreL, 1), Instr(Opcode::LoadL, 1),
+                 Instr(Opcode::LoadL, 0), Instr(Opcode::Call, 2),
+                 Instr(Opcode::Ret)}),
+       makeFunc("g", 2, 2,
+                {Instr(Opcode::LoadL, 0), Instr(Opcode::LoadL, 1),
+                 Instr(Opcode::Sub), Instr::withSym(Opcode::Prim, "p", 1),
+                 Instr::push(100), Instr(Opcode::Add), Instr(Opcode::Ret)})});
+}
+
 std::optional<std::int64_t> runMain(AsmProgramPtr P,
                                     std::vector<std::int64_t> Args = {}) {
   Vm M(P);
@@ -202,4 +240,88 @@ TEST(VmTest, DisassembleRoundTripNames) {
   EXPECT_STREQ(opcodeName(Opcode::Push), "push");
   Instr I = Instr::withSym(Opcode::Prim, "acq", 2);
   EXPECT_EQ(I.toString(), "prim acq/2");
+}
+
+TEST(VmTest, NestedCallsAndReturns) {
+  auto P = makeNested();
+  Vm M(P);
+  M.start("main", {});
+  std::vector<std::int64_t> Globals;
+  ASSERT_EQ(M.run(Globals, 100), Vm::Status::AtPrim);
+  EXPECT_EQ(M.frameDepth(), 3u);
+  EXPECT_EQ(M.primArgs(), (std::vector<std::int64_t>{27}));
+
+  // A VM that ran elsewhere, copy-assigned the paused one, continues
+  // exactly like a fresh copy, and neither disturbs the other.
+  Vm Slot(P);
+  Slot.start("main", {});
+  Vm Fresh = M;
+  Slot = M;
+  M.resumePrim(27);
+  ASSERT_EQ(M.run(Globals, 100), Vm::Status::Done);
+  EXPECT_EQ(M.result(), 134);
+  EXPECT_EQ(M.frameDepth(), 0u);
+  Slot.resumePrim(0);
+  ASSERT_EQ(Slot.run(Globals, 100), Vm::Status::Done);
+  EXPECT_EQ(Slot.result(), 107);
+  Fresh.resumePrim(0);
+  ASSERT_EQ(Fresh.run(Globals, 100), Vm::Status::Done);
+  EXPECT_EQ(Fresh.result(), 107);
+  EXPECT_EQ(Slot.steps(), Fresh.steps());
+
+  // A restarted VM starts from empty frames.
+  M.start("main", {});
+  ASSERT_EQ(M.run(Globals, 100), Vm::Status::AtPrim);
+  EXPECT_EQ(M.frameDepth(), 3u);
+  EXPECT_EQ(M.primArgs(), (std::vector<std::int64_t>{27}));
+}
+
+TEST(VmTest, CallUnderflowTrapsWithinTheCallersFrame) {
+  // f calls g(a, b) with one operand on its own stack; main's operands
+  // below f's frame must not stand in for the missing argument.
+  auto P = makeFuncs(
+      {makeFunc("main", 0, 0,
+                {Instr::push(5), Instr::push(6), Instr(Opcode::Call, 1),
+                 Instr(Opcode::Ret)}),
+       makeFunc("f", 0, 0,
+                {Instr::push(1), Instr(Opcode::Call, 2), Instr(Opcode::Ret)}),
+       makeFunc("g", 2, 2, {Instr(Opcode::LoadL, 0), Instr(Opcode::Ret)})});
+  Vm M(P);
+  M.start("main", {});
+  std::vector<std::int64_t> Globals;
+  EXPECT_EQ(M.run(Globals, 100), Vm::Status::Error);
+  EXPECT_EQ(M.error(), "operand stack underflow");
+  EXPECT_EQ(M.frameDepth(), 2u); // g's frame was never pushed
+}
+
+TEST(VmTest, PrimAndOperatorUnderflowTrapWithinTheFrame) {
+  for (Instr Op : {Instr::withSym(Opcode::Prim, "p", 1), Instr(Opcode::Add),
+                   Instr(Opcode::Ret)}) {
+    auto P = makeFuncs({makeFunc("main", 0, 0,
+                                 {Instr::push(5), Instr::push(6),
+                                  Instr(Opcode::Call, 1), Instr(Opcode::Ret)}),
+                        makeFunc("f", 0, 0, {Op, Instr(Opcode::Ret)})});
+    Vm M(P);
+    M.start("main", {});
+    std::vector<std::int64_t> Globals;
+    EXPECT_EQ(M.run(Globals, 100), Vm::Status::Error) << Op.toString();
+    EXPECT_EQ(M.error(), "operand stack underflow") << Op.toString();
+  }
+}
+
+TEST(VmTest, HaltEndsTheRunFromANestedFrame) {
+  auto P = makeFuncs(
+      {makeFunc("main", 0, 1,
+                {Instr::push(1), Instr(Opcode::Call, 1), Instr(Opcode::Ret)}),
+       makeFunc("f", 1, 1, {Instr::push(9), Instr(Opcode::Halt)})});
+  Vm M(P);
+  M.start("main", {});
+  std::vector<std::int64_t> Globals;
+  ASSERT_EQ(M.run(Globals, 100), Vm::Status::Done);
+  EXPECT_EQ(M.frameDepth(), 0u);
+  EXPECT_EQ(M.result(), 0); // Halt returns no value
+  // The halted VM starts again from empty frames.
+  M.start("main", {});
+  ASSERT_EQ(M.run(Globals, 100), Vm::Status::Done);
+  EXPECT_EQ(M.steps(), 4u);
 }

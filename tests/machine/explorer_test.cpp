@@ -379,3 +379,26 @@ TEST(ExplorerTest, RegistryCountersMatchExploreResult) {
   obs::metricsReset();
   obs::setEnabled(WasEnabled);
 }
+
+TEST(ExplorerTest, DonationsAreBoundedByProgress) {
+  // A worker donates only frames below its top, each of which it has
+  // stepped a child of since it got the frame, so donations never
+  // outnumber explored states.  Donating the top frame let a frame bounce
+  // between two workers without either stepping it: a tiny tree took
+  // dozens of steals per run at four workers.  The bound holds on every
+  // run, whatever the interleaving.
+  for (unsigned Ticks : {1u, 2u}) {
+    MachineConfigPtr Cfg = makeTickConfig(2, Ticks);
+    for (unsigned Threads : {2u, 4u}) {
+      ExploreOptions Opts;
+      Opts.Threads = Threads;
+      for (int Run = 0; Run != 20; ++Run) {
+        ExploreResult Res = exploreMachine(Cfg, Opts);
+        ASSERT_TRUE(Res.Ok) << Res.Violation;
+        ASSERT_LE(Res.Donations, Res.StatesExplored)
+            << Ticks << " ticks, " << Threads << " workers, run " << Run;
+        ASSERT_LE(Res.Steals, Res.Donations);
+      }
+    }
+  }
+}

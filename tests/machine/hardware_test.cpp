@@ -243,3 +243,51 @@ TEST(MulticoreLinkTest, OnOutcomeFiresPerScheduleAndCountsDistinctOutcomes) {
     EXPECT_EQ(Rep.ObligationsChecked, Stored.Outcomes.size()) << Threads;
   }
 }
+
+TEST(MulticoreLinkTest, FingerprintCountsEqualTheOutcomesTheCallbackSaw) {
+  // Each worker sorts its own fingerprints and the join merges the runs;
+  // the counts must equal the distinct outcomes the callback was handed,
+  // compared structurally, at every worker count.  The second callback
+  // rejects one outcome that several schedules reach, so the run stops
+  // early with some outcomes accepted, some rejected, and a
+  // worker-dependent set of them seen.
+  MachineConfigPtr Cfg = makeLinkConfig(2, 1);
+  GenericExploreOptions<HardwareMachine> Opts;
+  Opts.FairnessBound = 2;
+  ExploreResult Stored = exploreGeneric(HardwareMachine(Cfg), Opts);
+  ASSERT_TRUE(Stored.Ok) << Stored.Violation;
+  ASSERT_GE(Stored.Outcomes.size(), 2u);
+  OutcomeSet All;
+  for (const Outcome &O : Stored.Outcomes)
+    All.insert(O);
+  const Outcome &Refused = Stored.Outcomes.back();
+  for (bool Reject : {false, true}) {
+    for (unsigned Threads : {1u, 2u, 4u}) {
+      GenericExploreOptions<HardwareMachine> Streamed = Opts;
+      Streamed.Threads = Threads;
+      // Unguarded: the Explorer serializes the calls.
+      OutcomeSet Seen, Accepted;
+      std::uint64_t Calls = 0;
+      Streamed.OnOutcome = [&](const Outcome &O) {
+        ++Calls;
+        EXPECT_TRUE(All.contains(O));
+        Seen.insert(O);
+        if (Reject && OutcomeSet::same(O, Refused))
+          return std::string("refused");
+        Accepted.insert(O);
+        return std::string();
+      };
+      ExploreResult Res = exploreGeneric(HardwareMachine(Cfg), Streamed);
+      EXPECT_EQ(Res.Ok, !Reject) << Threads;
+      EXPECT_EQ(Res.DistinctOutcomes, Seen.size()) << Threads;
+      EXPECT_EQ(Res.AcceptedOutcomes, Accepted.size()) << Threads;
+      if (!Reject) {
+        EXPECT_GT(Calls, Seen.size()) << Threads; // outcomes repeat
+        EXPECT_EQ(Seen.size(), Stored.Outcomes.size()) << Threads;
+      } else {
+        EXPECT_EQ(Accepted.size() + 1, Seen.size()) << Threads;
+        EXPECT_NE(Res.Violation.find("refused"), std::string::npos);
+      }
+    }
+  }
+}

@@ -188,3 +188,66 @@ TEST(FoldGuardTest, MergeKeepsBothParts) {
   EXPECT_FALSE(RelQ->Blocked);
   EXPECT_TRUE(AB->lookup("acq")->MayBlock);
 }
+
+TEST(FoldGuardTest, AssignmentCopiesLiveAndStuckParts) {
+  // Snapshot slots copy-assign folds: a live part's state is assigned in
+  // place, and a stuck (empty) part on either side takes the plain copy.
+  FoldPart<TicketState> Ticket(makeTicketReplayer());
+  SharedFold F;
+  F.declare(Ticket);
+  const KindId Fai("FAI_t"), Hold("hold"), IncN("inc_n");
+  const FoldValue Live = F.replay({Event(1, Fai), Event(2, Fai),
+                                   Event(1, Hold)});
+  const FoldValue Other = F.replay({Event(2, Fai)});
+  const FoldValue Stuck = F.replay({Event(1, Fai), Event(1, Hold),
+                                    Event(2, Hold)});
+  const FoldValue Initial = F.initial();
+  ASSERT_NE(Ticket.in(Live), nullptr);
+  ASSERT_EQ(Ticket.in(Stuck), nullptr);
+
+  for (const FoldValue *Src : {&Live, &Other, &Stuck})
+    for (const FoldValue *Held : {&Live, &Other, &Stuck, &Initial}) {
+      FoldValue Slot = *Held;
+      Slot = *Src;
+      EXPECT_EQ(Slot, *Src);
+      EXPECT_EQ(Ticket.in(Slot) == nullptr, Ticket.in(*Src) == nullptr);
+      // The slot moves on by itself; its source stays put.
+      FoldValue Fresh = *Src;
+      const FoldValue Before = *Src;
+      for (const Event &E : {Event(2, Fai), Event(1, IncN)}) {
+        Slot.advance(E);
+        Fresh.advance(E);
+      }
+      EXPECT_EQ(Slot, Fresh);
+      EXPECT_EQ(*Src, Before);
+    }
+}
+
+TEST(FoldGuardTest, AssignmentBetweenDifferentlyDeclaredFolds) {
+  FoldPart<TicketState> Ticket(makeTicketReplayer());
+  FoldPart<std::int64_t> Holds(
+      Replayer<std::int64_t>(0, [](std::int64_t &N, const Event &) {
+        ++N;
+        return true;
+      }).onlyKinds({KindId("hold")}));
+  SharedFold One, Two;
+  One.declare(Ticket);
+  Two.declare(Ticket);
+  Two.declare(Holds);
+  const Log L{Event(1, KindId("FAI_t")), Event(1, KindId("hold"))};
+  const FoldValue A = One.replay(L), B = Two.replay(L);
+
+  FoldValue Slot = A;
+  Slot = B;
+  EXPECT_EQ(Slot, B);
+  ASSERT_TRUE(Holds.declaredIn(Slot));
+  EXPECT_EQ(*Holds.in(Slot), 1);
+  Slot = A;
+  EXPECT_EQ(Slot, A);
+  EXPECT_FALSE(Holds.declaredIn(Slot));
+  Slot = FoldValue();
+  EXPECT_EQ(Slot, FoldValue());
+  EXPECT_FALSE(Ticket.declaredIn(Slot));
+  Slot = B;
+  EXPECT_EQ(Slot, B);
+}
