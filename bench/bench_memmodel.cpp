@@ -33,7 +33,7 @@ void pushPullReplay(benchmark::State &State) {
     logAppend(L, Event(T, PushEventKind, {0, I, I + 1, I + 2, I + 3}));
   }
   for (auto _ : State) {
-    std::optional<SharedMemState> S = Model.replay(L);
+    std::optional<SharedMemState> S = Model.replayer().replay(L);
     benchmark::DoNotOptimize(S);
   }
   State.counters["events/s"] = benchmark::Counter(

@@ -90,8 +90,8 @@ template <typename CfgT> void keyAddMachineConfig(Hasher &H, const CfgT &C) {
 }
 
 /// Folds a ThreadedConfig (threads/ThreadMachine.h shape) into \p H.  The
-/// schedule replay function is opaque; it is represented by the config's
-/// Name, which the linking front-end constructs alongside it.
+/// scheduler part is opaque; it is represented by the config's Name,
+/// which the linking front-end constructs alongside it.
 template <typename CfgT> void keyAddThreadedConfig(Hasher &H, const CfgT &C) {
   H.str(C.Name);
   keyAddLayer(H, *C.Layer);

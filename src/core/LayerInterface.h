@@ -17,13 +17,14 @@
 /// deterministic here.  The shared state is the replay of the global log
 /// (§2); the interface declares that replay as its SharedFold
 /// (core/Replay.h), and the machine keeps the fold's value as it appends
-/// events, so a primitive reads it from PrimCall::Fold without scanning
-/// the log.  Shared primitives append events and may read/write the local
-/// copy of shared memory (the push/pull model delivers shared effects this
-/// way, Fig. 8); private primitives touch only local memory.  A primitive
-/// returning std::nullopt is *stuck*: the executable analogue of undefined
-/// behaviour such as a data race, which verification must show
-/// unreachable.
+/// events.  A primitive sees the shared state only through PrimCall::Fold:
+/// it is handed no log, so what it may observe is exactly what the
+/// interface declares.  Shared primitives append events and may read/write
+/// the local copy of shared memory (the push/pull model delivers shared
+/// effects this way, Fig. 8); private primitives touch only local memory.
+/// A primitive returning std::nullopt is *stuck*: the executable analogue
+/// of undefined behaviour such as a data race, which verification must
+/// show unreachable.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -54,19 +55,14 @@ struct PrimCall {
   /// Evaluated arguments.
   std::vector<std::int64_t> Args;
 
-  /// The global log *before* this call.  Primitives read the shared
-  /// state from Fold; the layers that still replay the log themselves
-  /// (the §5 scheduler, queuing-lock and condition-variable primitives,
-  /// push/pull, the shared queue's enQ/deQ) read it here.
-  const Log *L = nullptr;
-
-  /// The interface's fold over L: what the primitive sees of the shared
-  /// state.  A machine passes the value it keeps; under a weak memory
-  /// model a stale read gets the fold of its visible log instead.
+  /// The interface's fold over the global log *before* this call: all
+  /// the primitive sees of the shared state.  A machine passes the value
+  /// it keeps; under a weak memory model a stale read gets the fold of
+  /// its visible log instead.
   const FoldValue *Fold = nullptr;
 
   /// The caller's CPU-local memory (LAsm globals), or nullptr when invoked
-  /// outside a machine (e.g. by the strategy simulation checker).
+  /// outside a machine (a test calling a primitive directly).
   const std::vector<std::int64_t> *LocalMem = nullptr;
 };
 

@@ -19,10 +19,10 @@ void Core::startNext() {
   Active = true;
 }
 
-bool Core::dryRunBlocks(const Log &L, const FoldValue &Fold,
+bool Core::dryRunBlocks(const FoldValue &Fold,
                         const std::vector<std::int64_t> &Mem) const {
   std::optional<PrimResult> Res =
-      Pending->Sem(PrimCall{Id, Machine.primArgs(), &L, &Fold, &Mem});
+      Pending->Sem(PrimCall{Id, Machine.primArgs(), &Fold, &Mem});
   return Res && Res->Blocked;
 }
 

@@ -24,8 +24,9 @@
 ///
 /// The log, the fold and the local memory belong to the machine (threads
 /// of one CPU share its local memory, §5.5), so a Core takes them per
-/// call.  A fault is reported as a message for the machine to prefix with
-/// the caller's id.
+/// call.  A primitive reads the shared state from the fold alone; the log
+/// is only appended to, and quoted in fault messages.  A fault is
+/// reported as a message for the machine to prefix with the caller's id.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -114,26 +115,25 @@ public:
                       std::vector<std::int64_t> &Mem, std::string &Why);
 
   /// True when the pending primitive (there must be one) blocks on the
-  /// shared state \p L / \p Fold.  Only a primitive marked MayBlock can,
-  /// so only such a one is dry-run; primitives are deterministic in the
-  /// shared state, so the dry run is exact.
-  bool blocked(const Log &L, const FoldValue &Fold,
+  /// shared state \p Fold.  Only a primitive marked MayBlock can, so only
+  /// such a one is dry-run; primitives are deterministic in the shared
+  /// state, so the dry run is exact.
+  bool blocked(const FoldValue &Fold,
                const std::vector<std::int64_t> &Mem) const {
-    return Pending->MayBlock && dryRunBlocks(L, Fold, Mem);
+    return Pending->MayBlock && dryRunBlocks(Fold, Mem);
   }
 
   /// Calls the pending primitive, appends its events to \p L and \p Fold,
   /// applies its local writes to \p Mem and resumes the VM with its return
-  /// value.  The primitive reads \p Seen and \p SeenFold: the machine's log
-  /// and fold, or under a weak memory model the view its read has.  False
-  /// after a fault.
-  bool call(const Log &Seen, const FoldValue &SeenFold, Log &L,
-            FoldValue &Fold, std::vector<std::int64_t> &Mem,
-            std::string &Why);
+  /// value.  The primitive reads \p Seen: the machine's fold, or under a
+  /// weak memory model the fold of the view its read has.  False after a
+  /// fault.
+  bool call(const FoldValue &Seen, Log &L, FoldValue &Fold,
+            std::vector<std::int64_t> &Mem, std::string &Why);
 
 private:
   void startNext();
-  bool dryRunBlocks(const Log &L, const FoldValue &Fold,
+  bool dryRunBlocks(const FoldValue &Fold,
                     const std::vector<std::int64_t> &Mem) const;
   /// Records how a VM run ended: a returned work item, a trap, or a pause
   /// at a primitive, which is resolved in \p Layer.  False after a fault.
@@ -179,7 +179,7 @@ inline Core::Stop Core::runLocal(const LayerInterface &Layer,
     if (Pending->Shared)
       return Stop::AtShared;
     // Private primitive: silent, executed immediately.
-    if (!call(L, Fold, L, Fold, Mem, Why))
+    if (!call(Fold, L, Fold, Mem, Why))
       return Stop::Faulted;
   }
 }
@@ -203,13 +203,12 @@ inline bool Core::ranTo(Vm::Status St, const LayerInterface &Layer,
   return true;
 }
 
-inline bool Core::call(const Log &Seen, const FoldValue &SeenFold, Log &L,
-                       FoldValue &Fold, std::vector<std::int64_t> &Mem,
-                       std::string &Why) {
+inline bool Core::call(const FoldValue &Seen, Log &L, FoldValue &Fold,
+                       std::vector<std::int64_t> &Mem, std::string &Why) {
   const Primitive *P = Pending;
   Pending = nullptr;
   std::optional<PrimResult> Res =
-      P->Sem(PrimCall{Id, Machine.primArgs(), &Seen, &SeenFold, &Mem});
+      P->Sem(PrimCall{Id, Machine.primArgs(), &Seen, &Mem});
   if (!Res) {
     Why = stuck(*P, L);
     return false;
@@ -221,8 +220,8 @@ inline bool Core::call(const Log &Seen, const FoldValue &SeenFold, Log &L,
     return false;
   }
   // Blocked is checked against the FULL log's fold by the dry run; a
-  // weak-ordered primitive must never block (its visible log may differ
-  // from the full log, which would make enabledness unsound), and the
+  // weak-ordered primitive must never block (its visible fold may differ
+  // from the full one, which would make enabledness unsound), and the
   // blocking primitives (atomic lock specs) keep their SeqCst defaults.
   CCAL_CHECK(!Res->Blocked, "step: blocked callers are not schedulable");
   CCAL_CHECK(P->Shared || Res->Events.empty(),

@@ -39,7 +39,7 @@ void HardwareMachine::schedulable(std::vector<ThreadId> &Out) const {
   Out.clear();
   for (const auto &[Id, C] : Cpus)
     if (!C.Exec.finished() &&
-        !(C.Exec.pending() && C.Exec.blocked(GlobalLog, Fold, C.Globals)))
+        !(C.Exec.pending() && C.Exec.blocked(Fold, C.Globals)))
       Out.push_back(Id);
 }
 
@@ -52,9 +52,9 @@ bool HardwareMachine::step(ThreadId Id) {
   CCAL_CHECK(!C.Exec.finished(), "step: CPU has no work left");
   // One hardware cycle: the call the VM paused at, or one instruction.
   std::string Why;
-  if (C.Exec.pending() ? C.Exec.call(GlobalLog, Fold, GlobalLog, Fold,
-                                     C.Globals, Why)
-                       : C.Exec.runInstruction(*Cfg->Layer, C.Globals, Why))
+  if (C.Exec.pending()
+          ? C.Exec.call(Fold, GlobalLog, Fold, C.Globals, Why)
+          : C.Exec.runInstruction(*Cfg->Layer, C.Globals, Why))
     return true;
   fault(Id, Why);
   return false;

@@ -60,7 +60,7 @@ void MultiCoreMachine::schedulable(std::vector<ThreadId> &Out) const {
   // grows.
   for (const Cpu &C : Cpus)
     if (C.Phase == Core::Stop::AtShared &&
-        !C.Exec.blocked(GlobalLog, Fold, C.Globals))
+        !C.Exec.blocked(Fold, C.Globals))
       Out.push_back(C.Id);
 }
 
@@ -98,8 +98,7 @@ bool MultiCoreMachine::step(ThreadId Id, unsigned Variant) {
 
   const bool Weak = weakModel();
   const Footprint Foot = Weak ? C.Exec.pending()->Foot : Footprint();
-  std::optional<Log> Visible;
-  std::optional<FoldValue> VisibleFold;
+  std::optional<FoldValue> Visible;
   if (Weak) {
     // Fail closed when the reads-from enumeration would be truncated:
     // a capped menu silently hides behaviors the model allows.
@@ -112,20 +111,19 @@ bool MultiCoreMachine::step(ThreadId Id, unsigned Variant) {
       return false;
     }
     CCAL_CHECK(Variant < Count, "step: reads-from variant out of range");
-    Visible = model().visibleLog(Ra, GlobalLog, Id, Foot, Variant);
     // A stale read sees the shared state of its visible log, folded from
     // scratch; the kept fold covers the full log only.
-    if (Visible)
-      VisibleFold = Cfg->Layer->fold().replay(*Visible);
+    if (std::optional<Log> Seen =
+            model().visibleLog(Ra, GlobalLog, Id, Foot, Variant))
+      Visible = Cfg->Layer->fold().replay(*Seen);
   } else {
     CCAL_CHECK(Variant == 0, "step: sc model has a single variant");
   }
 
   const std::size_t FirstNew = GlobalLog.size();
   std::string Why;
-  if (!C.Exec.call(Visible ? *Visible : GlobalLog,
-                   VisibleFold ? *VisibleFold : Fold, GlobalLog, Fold,
-                   C.Globals, Why)) {
+  if (!C.Exec.call(Visible ? *Visible : Fold, GlobalLog, Fold, C.Globals,
+                   Why)) {
     fault(C, Why);
     return false;
   }

@@ -17,12 +17,6 @@ void PushPullModel::addLocation(Location Loc) {
   CCAL_CHECK(Inserted, "duplicate shared location");
 }
 
-const PushPullModel::Location *
-PushPullModel::lookup(std::int64_t Loc) const {
-  auto It = Locations.find(Loc);
-  return It == Locations.end() ? nullptr : &It->second;
-}
-
 Replayer<SharedMemState> PushPullModel::replayer() const {
   SharedMemState Init;
   for (const auto &[Id, Loc] : Locations)
@@ -57,12 +51,9 @@ Replayer<SharedMemState> PushPullModel::replayer() const {
   return R;
 }
 
-std::optional<SharedMemState> PushPullModel::replay(const Log &L) const {
-  return replayer().replay(L);
-}
-
 void PushPullModel::installPrims(LayerInterface &L) const {
-  Replayer<SharedMemState> R = replayer();
+  FoldPart<SharedMemState> Cells(replayer());
+  L.declareFold(Cells);
   std::map<std::int64_t, Location> Locs = Locations;
 
   // Both primitives read and write the shared-memory cells (pull takes
@@ -71,8 +62,8 @@ void PushPullModel::installPrims(LayerInterface &L) const {
   // common single-cell case.
   Footprint MemFoot = Footprint::of({"pp_mem"}, {"pp_mem"});
 
-  // Fig. 8, sigma_pull: append c.pull(b), replay, deliver the contents.
-  L.addShared(PullEventKind.str(), [R, Locs](const PrimCall &Call)
+  // Fig. 8, sigma_pull: append c.pull(b), fold it, deliver the contents.
+  L.addShared(PullEventKind.str(), [Cells, Locs](const PrimCall &Call)
                   -> std::optional<PrimResult> {
     if (Call.Args.size() != 1)
       return std::nullopt;
@@ -82,15 +73,16 @@ void PushPullModel::installPrims(LayerInterface &L) const {
     const Location &Loc = It->second;
 
     Event E(Call.Tid, PullEventKind, {Loc.Loc});
-    Log Extended = *Call.L;
-    Extended.push_back(E);
-    std::optional<SharedMemState> S = R.replay(Extended);
-    if (!S)
+    const SharedMemState *Now = Cells.in(*Call.Fold);
+    if (!Now)
+      return std::nullopt;
+    SharedMemState S = *Now;
+    if (!Cells.replayer().step(S, E))
       return std::nullopt; // race: machine gets stuck
 
     PrimResult Res;
     Res.Events.push_back(std::move(E));
-    const CellState &Cell = S->at(Loc.Loc);
+    const CellState &Cell = S.at(Loc.Loc);
     for (std::int32_t I = 0; I != Loc.Size; ++I)
       Res.LocalWrites.emplace_back(Loc.LocalBase + I,
                                    Cell.Contents[static_cast<size_t>(I)]);
@@ -98,7 +90,7 @@ void PushPullModel::installPrims(LayerInterface &L) const {
   }, MemFoot);
 
   // Fig. 8, sigma_push: read the local copy, append c.push(b, vals).
-  L.addShared(PushEventKind.str(), [R, Locs](const PrimCall &Call)
+  L.addShared(PushEventKind.str(), [Cells, Locs](const PrimCall &Call)
                   -> std::optional<PrimResult> {
     if (Call.Args.size() != 1 || !Call.LocalMem)
       return std::nullopt;
@@ -115,9 +107,11 @@ void PushPullModel::installPrims(LayerInterface &L) const {
       Args.push_back((*Call.LocalMem)[Addr]);
     }
     Event E(Call.Tid, PushEventKind, std::move(Args));
-    Log Extended = *Call.L;
-    Extended.push_back(E);
-    if (!R.replay(Extended))
+    const SharedMemState *Now = Cells.in(*Call.Fold);
+    if (!Now)
+      return std::nullopt;
+    SharedMemState S = *Now;
+    if (!Cells.replayer().step(S, E))
       return std::nullopt; // push without ownership: stuck
 
     PrimResult Res;

@@ -64,16 +64,12 @@ public:
   /// Registers location \p Loc; ids must be fresh.
   void addLocation(Location Loc);
 
-  const Location *lookup(std::int64_t Loc) const;
-
   /// The replay function `Rshared` over full logs (Fig. 8): stuck exactly
   /// when a race occurred.
   Replayer<SharedMemState> replayer() const;
 
-  /// Replays the full log; std::nullopt on a data race.
-  std::optional<SharedMemState> replay(const Log &L) const;
-
-  /// Installs `pull` and `push` shared primitives into \p L.
+  /// Installs `pull` and `push` shared primitives into \p L, and declares
+  /// `Rshared` as a part of L's fold, which both read.
   ///
   /// pull(b):  appends `c.pull(b)`, gets stuck if b is not free, and
   ///           delivers the replayed contents into the caller's local copy.

@@ -55,8 +55,9 @@ ccal::makeAbstractLockReplayer(std::string AcqKind, std::string RelKind) {
   return R;
 }
 
-void ccal::addAtomicLock(LayerInterface &L, const std::string &AcqKind,
-                         const std::string &RelKind) {
+FoldPart<AbstractLockState> ccal::addAtomicLock(LayerInterface &L,
+                                                const std::string &AcqKind,
+                                                const std::string &RelKind) {
   FoldPart<AbstractLockState> Lock(makeAbstractLockReplayer(AcqKind, RelKind));
   L.declareFold(Lock);
 
@@ -82,10 +83,16 @@ void ccal::addAtomicLock(LayerInterface &L, const std::string &AcqKind,
 
   addAtomicMethod(L, RelKind,
                   [Lock](const PrimCall &Call) -> AtomicOutcome {
-                    const AbstractLockState *S = Lock.in(*Call.Fold);
-                    if (!S || !S->Holder || *S->Holder != Call.Tid)
-                      return AtomicOutcome::stuck();
-                    return AtomicOutcome::ok(0);
+                    return holdsLock(Lock, *Call.Fold, Call.Tid)
+                               ? AtomicOutcome::ok(0)
+                               : AtomicOutcome::stuck();
                   },
                   LockFoot);
+  return Lock;
+}
+
+bool ccal::holdsLock(const FoldPart<AbstractLockState> &Lock,
+                     const FoldValue &Fold, ThreadId Tid) {
+  const AbstractLockState *S = Lock.in(Fold);
+  return S && S->Holder && *S->Holder == Tid;
 }

@@ -42,9 +42,9 @@ struct AtomicOutcome {
 };
 
 /// Semantics of one atomic method: \p Call carries the caller, the
-/// arguments and the shared state *before* the call (its fold, and the
-/// log for specs that still replay it); the event `Tid.Name(Args)` is
-/// appended by the machine iff the outcome is Ok.
+/// arguments and the fold of the shared state *before* the call; the
+/// event `Tid.Name(Args)` is appended by the machine iff the outcome is
+/// Ok.
 using AtomicSemantics = std::function<AtomicOutcome(const PrimCall &Call)>;
 
 /// Installs an atomic method into interface \p L: a shared primitive
@@ -70,13 +70,19 @@ Replayer<AbstractLockState> makeAbstractLockReplayer(std::string AcqKind,
                                                      std::string RelKind);
 
 /// Installs blocking atomic `acq`/`rel` methods into \p L and declares
-/// the abstract lock replayer as a part of L's fold; both methods read the
-/// holder from it.  Both read and write the single abstract location
+/// the abstract lock replayer as a part of L's fold, which it returns; both
+/// methods, and every other reader of the lock, read the holder from it.
+/// Both read and write the single abstract location
 /// `lock.<AcqKind>` (acq's blocking condition reads the holder, its event
 /// writes it; rel likewise), so two operations on the same lock never
 /// commute while operations on distinct locks always do.
-void addAtomicLock(LayerInterface &L, const std::string &AcqKind,
-                   const std::string &RelKind);
+FoldPart<AbstractLockState> addAtomicLock(LayerInterface &L,
+                                          const std::string &AcqKind,
+                                          const std::string &RelKind);
+
+/// True when \p Tid holds the lock \p Lock (false once its replay is stuck).
+bool holdsLock(const FoldPart<AbstractLockState> &Lock,
+               const FoldValue &Fold, ThreadId Tid);
 
 } // namespace ccal
 

@@ -126,7 +126,7 @@ SharedQueueSetup ccal::makeSharedQueueSetup(unsigned Producers,
   // Underlay: the certified lock's atomic interface, the push/pull
   // primitives, and the ghost commit markers.
   auto Under = makeInterface("L1_lock_pp");
-  addAtomicLock(*Under, "acq", "rel");
+  Out.Lock = addAtomicLock(*Under, "acq", "rel");
   Mem.installPrims(*Under);
   // The commit markers ARE the queue operations after R, so their mutual
   // order is observable and they must never commute with one another.
@@ -136,12 +136,13 @@ SharedQueueSetup ccal::makeSharedQueueSetup(unsigned Producers,
                    Footprint::of({"sq"}, {"sq"}));
   Out.Underlay = Under;
 
-  // Overlay: atomic enQ/deQ over the abstract queue replay.
-  Replayer<AbstractSharedQueue> QR = makeSharedQueueReplayer();
+  // Overlay: atomic enQ/deQ over the abstract queue part of its fold.
+  FoldPart<AbstractSharedQueue> Queue(makeSharedQueueReplayer());
   auto Over = makeInterface("Lq");
+  Over->declareFold(Queue);
   addAtomicMethod(*Over, "deQ",
-                  [QR](const PrimCall &Call) -> AtomicOutcome {
-                    std::optional<AbstractSharedQueue> S = QR.replay(*Call.L);
+                  [Queue](const PrimCall &Call) -> AtomicOutcome {
+                    const AbstractSharedQueue *S = Queue.in(*Call.Fold);
                     if (!S)
                       return AtomicOutcome::stuck();
                     return AtomicOutcome::ok(
@@ -149,10 +150,8 @@ SharedQueueSetup ccal::makeSharedQueueSetup(unsigned Producers,
                   },
                   Footprint::of({"sq"}, {"sq"}));
   addAtomicMethod(*Over, "enQ",
-                  [QR](const PrimCall &Call) -> AtomicOutcome {
-                    if (Call.Args.size() != 1)
-                      return AtomicOutcome::stuck();
-                    if (!QR.replay(*Call.L))
+                  [Queue](const PrimCall &Call) -> AtomicOutcome {
+                    if (Call.Args.size() != 1 || !Queue.in(*Call.Fold))
                       return AtomicOutcome::stuck();
                     return AtomicOutcome::ok(0);
                   },
@@ -211,13 +210,12 @@ HarnessOutcome ccal::certifySharedQueue(unsigned Producers,
   ExploreOptions ImplOpts;
   ImplOpts.FairnessBound = 4;
   ImplOpts.MaxSteps = 512;
-  // Safety invariant: the lock protocol and the push/pull model must stay
-  // race free along every interleaving.
-  Replayer<AbstractLockState> LockR = makeAbstractLockReplayer("acq", "rel");
-  ImplOpts.Invariant = [LockR](const MultiCoreMachine &M) -> std::string {
-    if (!LockR.wellFormed(M.log()))
-      return "lock protocol violated";
-    return "";
+  // Safety invariant: the lock protocol must stay well formed along every
+  // interleaving (a stuck push/pull already faults the machine).  The
+  // lock's part of the fold is empty once its replay got stuck.
+  ImplOpts.Invariant = [Lock = *Setup.Lock](const MultiCoreMachine &M)
+      -> std::string {
+    return Lock.in(M.fold()) ? "" : "lock protocol violated";
   };
   ImplOpts.InvariantName = "shared_queue.lock-protocol";
   ExploreOptions SpecOpts;

@@ -18,7 +18,7 @@
 /// atomic lock interface is the vertical composition the paper emphasizes
 /// ("we simply wrap the local queue operations with lock acquire and
 /// release", §6).  The overlay is an atomic enQ/deQ interface whose state
-/// replays from the commit events.
+/// is the fold of the commit events.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,6 +37,7 @@ inline constexpr int SharedQueueCap = 8;
 /// Abstract queue replayed from atomic enQ/deQ (or commit-marker) events.
 struct AbstractSharedQueue {
   std::vector<std::int64_t> Items;
+  bool operator==(const AbstractSharedQueue &) const = default;
 };
 
 /// Replays the abstract queue from `enQ`/`deQ` events (spec level).
@@ -48,6 +49,8 @@ struct SharedQueueSetup {
   ClightModule Module;           ///< deQ/enQ implementation
   ClightModule Client;           ///< producer/consumer client
   LayerPtr Underlay;             ///< atomic lock + pull/push + markers
+  /// The underlay's lock part, read by the lock-protocol invariant.
+  std::optional<FoldPart<AbstractLockState>> Lock;
   LayerPtr Overlay;              ///< atomic enQ/deQ
   EventMap R;                    ///< commit mapping
   MachineConfigPtr ImplConfig;   ///< client (+) module over Underlay

@@ -14,7 +14,7 @@ using namespace ccal;
 
 namespace {
 /// The monitor's event kinds, interned once.
-const KindId RelQ("rel_q"), Sleep("sleep"), Wakeup("wakeup");
+const KindId RelQ("rel_q"), Sleep("sleep");
 } // namespace
 
 ClightModule ccal::makeCondVarModule() {
@@ -37,39 +37,24 @@ ClightModule ccal::makeCondVarModule() {
   return M;
 }
 
-LayerPtr ccal::makeMonitorLayer(const std::map<ThreadId, ThreadId> &CpuOf) {
-  Replayer<AbstractLockState> LockR =
-      makeAbstractLockReplayer("acq_q", "rel_q");
-  Replayer<HighSchedState> SchedR = makeHighSchedReplayer(CpuOf);
-
+LayerPtr ccal::makeMonitorLayer(const FoldPart<SchedState> &Sched) {
   auto L = makeInterface("Lmonitor");
-  addAtomicLock(*L, "acq_q", "rel_q");
-  L->addShared("cv_sleep", [LockR](const PrimCall &Call)
+  FoldPart<AbstractLockState> Monitor = addAtomicLock(*L, "acq_q", "rel_q");
+  L->declareFold(Sched);
+  L->addShared("cv_sleep", [Monitor](const PrimCall &Call)
                    -> std::optional<PrimResult> {
-    if (Call.Args.size() != 1)
-      return std::nullopt;
-    std::optional<AbstractLockState> S = LockR.replay(*Call.L);
-    if (!S || !S->Holder || *S->Holder != Call.Tid)
+    if (Call.Args.size() != 1 || !holdsLock(Monitor, *Call.Fold, Call.Tid))
       return std::nullopt; // must hold the monitor to wait
     PrimResult Res;
     Res.Events.push_back(Event(Call.Tid, RelQ));
     Res.Events.push_back(Event(Call.Tid, Sleep, Call.Args));
     return Res;
   });
-  L->addShared("cv_wake", [SchedR](const PrimCall &Call)
+  L->addShared("cv_wake", [Sched](const PrimCall &Call)
                    -> std::optional<PrimResult> {
     if (Call.Args.size() != 1)
       return std::nullopt;
-    std::optional<HighSchedState> S = SchedR.replay(*Call.L);
-    if (!S)
-      return std::nullopt;
-    PrimResult Res;
-    auto It = S->Sleep.find(Call.Args[0]);
-    Res.Ret = (It == S->Sleep.end() || It->second.empty())
-                  ? -1
-                  : static_cast<std::int64_t>(It->second.front());
-    Res.Events.push_back(Event(Call.Tid, Wakeup, Call.Args));
-    return Res;
+    return wakeupQueue(Sched, Call, Call.Args[0]);
   });
   L->addShared("done", makeEventPrim("done"));
   L->addPrivate("get_tid", makeSelfIdPrim());
@@ -160,10 +145,10 @@ MonitorCheck runBufferCheck(unsigned Items, unsigned Producers,
 
   auto Cfg = std::make_shared<ThreadedConfig>();
   Cfg->Name = SharedCv ? "buffer.sharedcv" : "buffer";
-  Cfg->Layer = makeMonitorLayer(CpuOf);
+  Cfg->Sched.emplace(makeHighSchedReplayer(CpuOf));
+  Cfg->Layer = makeMonitorLayer(*Cfg->Sched);
   Cfg->Program =
       compileAndLink(Cfg->Name + ".lasm", {&Client, &Buffer, &Cv});
-  Cfg->Sched = makeHighSchedFn(CpuOf);
   // Thread 0 consumes everything; threads 1..P produce Items each.
   Cfg->Threads.push_back(
       {0, 0, {{"t_consumer", {static_cast<std::int64_t>(Items * Producers)}}}});

@@ -33,8 +33,10 @@ ClightModule makeCondVarModule();
 
 /// Builds the CV/monitor underlay interface: atomic acq_q/rel_q, the
 /// composite cv_sleep(q) (release monitor + sleep), cv_wake(q), get_tid,
-/// and a `done` marker.
-LayerPtr makeMonitorLayer(const std::map<ThreadId, ThreadId> &CpuOf);
+/// and a `done` marker.  cv_wake reads the sleep queues from \p Sched
+/// (the high scheduler part, made by makeHighSchedReplayer), which the
+/// interface declares; its machines take it as their ThreadedConfig::Sched.
+LayerPtr makeMonitorLayer(const FoldPart<SchedState> &Sched);
 
 /// Outcome of a monitor property check.
 struct MonitorCheck {

@@ -81,9 +81,9 @@ MonitorCheck ccal::checkIpcChannel(unsigned Items) {
 
   auto Cfg = std::make_shared<ThreadedConfig>();
   Cfg->Name = "ipc";
-  Cfg->Layer = makeMonitorLayer(CpuOf);
+  Cfg->Sched.emplace(makeHighSchedReplayer(CpuOf));
+  Cfg->Layer = makeMonitorLayer(*Cfg->Sched);
   Cfg->Program = compileAndLink("ipc.lasm", {&Client, &Channel, &Cv});
-  Cfg->Sched = makeHighSchedFn(CpuOf);
   Cfg->Threads.push_back(
       {0, 0, {{"t_receiver", {static_cast<std::int64_t>(Items)}}}});
   Cfg->Threads.push_back(

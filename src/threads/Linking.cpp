@@ -60,7 +60,7 @@ ClightModule makeLinkingClient(unsigned NumThreads) {
 
 } // namespace
 
-LinkingReport ccal::checkMultithreadedLinking(const LinkingSetup &Setup) {
+LinkingConfigs ccal::makeLinkingConfigs(const LinkingSetup &Setup) {
   // Thread placement: everything on CPU 0 (the theorem is per CPU).
   std::map<ThreadId, ThreadId> CpuOf;
   for (ThreadId T = 0; T <= Setup.NumThreads; ++T)
@@ -72,7 +72,7 @@ LinkingReport ccal::checkMultithreadedLinking(const LinkingSetup &Setup) {
 
   // --- Lbtd[c]: scheduler and ready queue are linked code.
   auto Low = makeInterface("Lbtd");
-  installLowSchedPrims(*Low, CpuOf);
+  FoldPart<SchedState> LowSched = installLowSchedPrims(*Low, CpuOf);
   Low->addShared("bump", makeFetchIncPrim("bump"));
   Low->addShared("done", makeEventPrim("done"));
 
@@ -81,11 +81,12 @@ LinkingReport ccal::checkMultithreadedLinking(const LinkingSetup &Setup) {
   LowCfg->Layer = Low;
   LowCfg->Program =
       compileAndLink("linking.low.lasm", {&Client, &Sched, &Queue});
-  LowCfg->Sched = makeLowSchedFn(CpuOf);
+  LowCfg->Sched = LowSched;
 
   // --- Lhtd[c][Tc]: scheduling primitives are atomic.
   auto High = makeInterface("Lhtd");
-  installHighSchedPrims(*High, CpuOf, /*PreloadReady=*/false);
+  FoldPart<SchedState> HighSched =
+      installHighSchedPrims(*High, CpuOf, /*PreloadReady=*/false);
   High->addShared("bump", makeFetchIncPrim("bump"));
   High->addShared("done", makeEventPrim("done"));
 
@@ -93,7 +94,7 @@ LinkingReport ccal::checkMultithreadedLinking(const LinkingSetup &Setup) {
   HighCfg->Name = "linking.high";
   HighCfg->Layer = High;
   HighCfg->Program = compileAndLink("linking.high.lasm", {&Client});
-  HighCfg->Sched = makeHighSchedFn(CpuOf, /*PreloadReady=*/false);
+  HighCfg->Sched = HighSched;
 
   // Same workloads on both.
   for (auto *Cfg : {LowCfg.get(), HighCfg.get()}) {
@@ -102,6 +103,12 @@ LinkingReport ccal::checkMultithreadedLinking(const LinkingSetup &Setup) {
       Cfg->Threads.push_back(
           {T, 0, {{"t_worker", {static_cast<std::int64_t>(Setup.Rounds)}}}});
   }
+  return {LowCfg, HighCfg};
+}
+
+LinkingReport ccal::checkMultithreadedLinking(const LinkingSetup &Setup) {
+  const LinkingConfigs Cfgs = makeLinkingConfigs(Setup);
+  const ThreadedConfigPtr &LowCfg = Cfgs.Low, &HighCfg = Cfgs.High;
 
   // Relations: concrete context switches become atomic yields; the
   // machine-internal events are erased on both sides.
@@ -138,8 +145,8 @@ LinkingReport ccal::checkMultithreadedLinking(const LinkingSetup &Setup) {
 
   // Load-or-recheck front-end.  Both configs are fully built above, so
   // the key sees the compiled programs, layer interfaces, workloads, and
-  // relations; the opaque schedule replay functions are represented by
-  // the config names they were constructed alongside.  Editing any of the
+  // relations; the opaque scheduler parts are represented by the config
+  // names they were constructed alongside.  Editing any of the
   // linked modules (client, scheduler, ready queue) changes the compiled
   // program hash and re-explores; an unchanged setup loads.
   cert::CertKey Key;

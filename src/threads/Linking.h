@@ -39,6 +39,13 @@ struct LinkingReport {
   CertPtr Cert;
 };
 
+/// The two machines Thm 5.1 relates: Lbtd[0], whose scheduler and ready
+/// queue are linked code, and Lhtd[0][Tc] with atomic scheduling.
+struct LinkingConfigs {
+  ThreadedConfigPtr Low, High;
+};
+LinkingConfigs makeLinkingConfigs(const LinkingSetup &Setup);
+
 /// Checks Thm 5.1 on the given setup (single CPU, as in the theorem's
 /// statement Lbtd[c]).
 LinkingReport checkMultithreadedLinking(const LinkingSetup &Setup);

@@ -15,19 +15,25 @@ using namespace ccal;
 namespace {
 
 /// The queuing lock's event kinds, interned once.
-const KindId Rel("rel"), Sleep("sleep"), Wakeup("wakeup"),
-    GetBusy("ql_get_busy"), SetBusy("ql_set_busy"), QHold("qlock_hold"),
-    QWakeHold("qlock_wake_hold"), QPass("qlock_pass"),
-    QHoldAny("qlock_hold_any"), AcqQ("acq_q"), RelQ("rel_q"), Crit("crit"),
+const KindId Rel("rel"), Sleep("sleep"), GetBusy("ql_get_busy"),
+    SetBusy("ql_set_busy"), QHold("qlock_hold"), QWakeHold("qlock_wake_hold"),
+    QPass("qlock_pass"), AcqQ("acq_q"), RelQ("rel_q"), Crit("crit"),
     Done("done");
 
-/// Replays the queuing lock's busy word from ql_set_busy events.
-std::int64_t replayBusy(const Log &L) {
-  std::int64_t Busy = -1;
-  for (const Event &E : L)
-    if (E.Kind == SetBusy && E.Args.size() == 1)
-      Busy = E.Args[0];
-  return Busy;
+/// The marker protocol, a part of the underlay's fold read by the
+/// mutual-exclusion invariant: qlock_hold and qlock_wake_hold both acquire
+/// the queuing lock and qlock_pass releases it.
+const FoldPart<AbstractLockState> &markerFold() {
+  static const FoldPart<AbstractLockState> Part = [] {
+    Replayer<AbstractLockState> Lock =
+        makeAbstractLockReplayer("qlock_hold", "qlock_pass");
+    Replayer<AbstractLockState> R(
+        Lock.initial(), [Lock](AbstractLockState &S, const Event &E) {
+          return Lock.step(S, E.Kind == QWakeHold ? Event(E.Tid, QHold) : E);
+        });
+    return FoldPart<AbstractLockState>(R.onlyKinds({QHold, QWakeHold, QPass}));
+  }();
+  return Part;
 }
 
 ClightModule makeQueuingLockModule() {
@@ -105,53 +111,48 @@ QueuingLockSetup ccal::makeQueuingLockSetup(unsigned Cpus,
     for (unsigned K = 0; K != ThreadsPerCpu; ++K)
       Out.CpuOf.emplace(Cpu * ThreadsPerCpu + K, Cpu);
 
-  // --- Underlay: atomic spinlock + scheduler sleep/wakeup + busy word.
-  Replayer<AbstractLockState> SpinR = makeAbstractLockReplayer("acq", "rel");
-  Replayer<HighSchedState> SchedR = makeHighSchedReplayer(Out.CpuOf);
+  // --- Underlay: atomic spinlock + scheduler sleep/wakeup + busy word,
+  // each read from its part of the underlay's fold.
+  FoldPart<SchedState> Sched(makeHighSchedReplayer(Out.CpuOf));
+  // The busy word: the argument of the last ql_set_busy.
+  FoldPart<std::int64_t> Busy(
+      Replayer<std::int64_t>(-1, [](std::int64_t &B, const Event &E) {
+        if (E.Args.size() == 1)
+          B = E.Args[0];
+        return true;
+      }).onlyKinds({SetBusy}));
 
   auto Under = makeInterface("Lhtd_qlock");
-  addAtomicLock(*Under, "acq", "rel");
+  FoldPart<AbstractLockState> Spin = addAtomicLock(*Under, "acq", "rel");
+  Under->declareFold(Sched);
+  Under->declareFold(Busy);
+  Under->declareFold(markerFold());
   // sleep_q: atomically release the spinlock and sleep on queue 0 ("sleep
   // on queue i while holding the lock lk", §5.1).
-  Under->addShared("sleep_q", [SpinR](const PrimCall &Call)
+  Under->addShared("sleep_q", [Spin](const PrimCall &Call)
                        -> std::optional<PrimResult> {
-    std::optional<AbstractLockState> S = SpinR.replay(*Call.L);
-    if (!S || !S->Holder || *S->Holder != Call.Tid)
+    if (!holdsLock(Spin, *Call.Fold, Call.Tid))
       return std::nullopt; // must hold the spinlock to sleep
     PrimResult Res;
     Res.Events.push_back(Event(Call.Tid, Rel));
     Res.Events.push_back(Event(Call.Tid, Sleep, {0}));
     return Res;
   });
-  Under->addShared("wakeup_q", [SchedR](const PrimCall &Call)
-                       -> std::optional<PrimResult> {
-    std::optional<HighSchedState> S = SchedR.replay(*Call.L);
-    if (!S)
-      return std::nullopt;
-    PrimResult Res;
-    auto It = S->Sleep.find(0);
-    Res.Ret = (It == S->Sleep.end() || It->second.empty())
-                  ? -1
-                  : static_cast<std::int64_t>(It->second.front());
-    Res.Events.push_back(Event(Call.Tid, Wakeup, {0}));
-    return Res;
+  Under->addShared("wakeup_q", [Sched](const PrimCall &Call) {
+    return wakeupQueue(Sched, Call, 0);
   });
-  Under->addShared("ql_get_busy", [SpinR](const PrimCall &Call)
+  Under->addShared("ql_get_busy", [Spin, Busy](const PrimCall &Call)
                        -> std::optional<PrimResult> {
-    std::optional<AbstractLockState> S = SpinR.replay(*Call.L);
-    if (!S || !S->Holder || *S->Holder != Call.Tid)
+    if (!holdsLock(Spin, *Call.Fold, Call.Tid))
       return std::nullopt; // busy word is spinlock-protected
     PrimResult Res;
-    Res.Ret = replayBusy(*Call.L);
+    Res.Ret = *Busy.in(*Call.Fold);
     Res.Events.push_back(Event(Call.Tid, GetBusy));
     return Res;
   });
-  Under->addShared("ql_set_busy", [SpinR](const PrimCall &Call)
+  Under->addShared("ql_set_busy", [Spin](const PrimCall &Call)
                        -> std::optional<PrimResult> {
-    if (Call.Args.size() != 1)
-      return std::nullopt;
-    std::optional<AbstractLockState> S = SpinR.replay(*Call.L);
-    if (!S || !S->Holder || *S->Holder != Call.Tid)
+    if (Call.Args.size() != 1 || !holdsLock(Spin, *Call.Fold, Call.Tid))
       return std::nullopt;
     PrimResult Res;
     Res.Events.push_back(Event(Call.Tid, SetBusy, Call.Args));
@@ -195,13 +196,13 @@ QueuingLockSetup ccal::makeQueuingLockSetup(unsigned Cpus,
   ImplCfg->Layer = Out.Underlay;
   ImplCfg->Program =
       compileAndLink("qlock.impl.lasm", {&Out.Client, &Out.Module});
-  ImplCfg->Sched = makeHighSchedFn(Out.CpuOf);
+  ImplCfg->Sched = Sched;
 
   auto SpecCfg = std::make_shared<ThreadedConfig>();
   SpecCfg->Name = "qlock.spec";
   SpecCfg->Layer = Out.Overlay;
   SpecCfg->Program = compileAndLink("qlock.spec.lasm", {&Out.Client});
-  SpecCfg->Sched = makeHighSchedFn(Out.CpuOf);
+  SpecCfg->Sched = Sched;
 
   for (const auto &[Tid, Cpu] : Out.CpuOf) {
     ThreadSpec TS;
@@ -225,27 +226,17 @@ QueuingLockOutcome ccal::certifyQueuingLock(unsigned Cpus,
   QueuingLockSetup Setup =
       makeQueuingLockSetup(Cpus, ThreadsPerCpu, Rounds);
 
-  // Mutual exclusion of the queuing lock at the marker level: the marker
-  // events must satisfy the abstract lock protocol along every state.
-  Replayer<AbstractLockState> MarkerR =
-      makeAbstractLockReplayer("qlock_hold_any", "qlock_pass");
-  // qlock_hold and qlock_wake_hold are both acquisitions; normalize first.
-  EventMap Normalize("norm", [](const Event &E) -> std::optional<Event> {
-    if (E.Kind == QHold || E.Kind == QWakeHold)
-      return Event(E.Tid, QHoldAny);
-    return E;
-  });
-
   // The queuing lock never spins, so every schedule terminates; a small
   // fairness bound keeps the (complete-for-that-bound) space tractable.
   ThreadedExploreOptions ImplOpts;
   ImplOpts.FairnessBound = 2;
   ImplOpts.MaxSteps = 1024;
-  ImplOpts.Invariant =
-      [MarkerR, Normalize](const ThreadedMachine &M) -> std::string {
-    if (!MarkerR.wellFormed(Normalize.apply(M.log())))
-      return "queuing-lock mutual exclusion violated";
-    return "";
+  // Mutual exclusion of the queuing lock at the marker level, along every
+  // state: the marker part is empty once its replay got stuck.
+  ImplOpts.Invariant = [](const ThreadedMachine &M) -> std::string {
+    return markerFold().in(M.fold())
+               ? ""
+               : "queuing-lock mutual exclusion violated";
   };
   ImplOpts.InvariantName = "qlock.mutex";
   // The spec machine must admit every schedule the implementation's

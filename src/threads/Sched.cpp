@@ -17,10 +17,10 @@ const KindId Spawn("spawn"), Yield("yield"), Sleep("sleep"), Wakeup("wakeup"),
     Cswitch("cswitch");
 } // namespace
 
-Replayer<HighSchedState>
+Replayer<SchedState>
 ccal::makeHighSchedReplayer(std::map<ThreadId, ThreadId> CpuOf,
                             bool PreloadReady) {
-  HighSchedState Init;
+  SchedState Init;
   for (const auto &[Tid, Cpu] : CpuOf) {
     if (!Init.Current.count(Cpu))
       Init.Current.emplace(Cpu, -1);
@@ -28,7 +28,7 @@ ccal::makeHighSchedReplayer(std::map<ThreadId, ThreadId> CpuOf,
       Init.Ready[Cpu].push_back(Tid);
   }
 
-  auto Step = [CpuOf](HighSchedState &N, const Event &E) {
+  auto Step = [CpuOf](SchedState &N, const Event &E) {
     auto CpuOfTid = [&CpuOf](ThreadId T) -> std::optional<ThreadId> {
       auto It = CpuOf.find(T);
       if (It == CpuOf.end())
@@ -115,75 +115,80 @@ ccal::makeHighSchedReplayer(std::map<ThreadId, ThreadId> CpuOf,
     }
     return true;
   };
-  return Replayer<HighSchedState>(std::move(Init), std::move(Step));
+  Replayer<SchedState> R(std::move(Init), std::move(Step));
+  R.onlyKinds({Spawn, Yield, Sleep, Wakeup, ThreadExitEventKind,
+               ReschedEventKind});
+  return R;
 }
 
-SchedReplayFn ccal::makeHighSchedFn(std::map<ThreadId, ThreadId> CpuOf,
-                                    bool PreloadReady) {
-  Replayer<HighSchedState> R =
-      makeHighSchedReplayer(std::move(CpuOf), PreloadReady);
-  return [R](const Log &L) -> std::optional<SchedView> {
-    std::optional<HighSchedState> S = R.replay(L);
-    if (!S)
-      return std::nullopt;
-    SchedView V;
-    V.Current = S->Current;
-    V.Sleeping = S->Sleeping;
-    return V;
-  };
-}
-
-SchedReplayFn ccal::makeLowSchedFn(std::map<ThreadId, ThreadId> CpuOf) {
-  std::map<ThreadId, std::int64_t> Init;
+Replayer<SchedState>
+ccal::makeLowSchedReplayer(std::map<ThreadId, ThreadId> CpuOf) {
+  SchedState Init;
   for (const auto &[Tid, Cpu] : CpuOf) {
     (void)Tid;
-    Init.emplace(Cpu, -1);
+    Init.Current.emplace(Cpu, -1);
   }
-  return [CpuOf, Init](const Log &L) -> std::optional<SchedView> {
-    SchedView V;
-    V.Current = Init;
-    for (const Event &E : L) {
-      auto CpuIt = CpuOf.find(E.Tid);
-      if (CpuIt == CpuOf.end())
-        continue;
-      ThreadId Cpu = CpuIt->second;
-      if (E.Kind == Cswitch) {
-        if (E.Args.size() != 1 ||
-            V.Current[Cpu] != static_cast<std::int64_t>(E.Tid))
-          return std::nullopt;
-        V.Current[Cpu] = E.Args[0];
-      } else if (E.Kind == ThreadExitEventKind) {
-        if (V.Current[Cpu] != static_cast<std::int64_t>(E.Tid))
-          return std::nullopt;
-        V.Current[Cpu] = E.Args.empty() ? -1 : E.Args[0];
-      } else if (E.Kind == ReschedEventKind) {
-        if (V.Current[Cpu] != -1)
-          return std::nullopt;
-        V.Current[Cpu] = E.Tid;
-      }
+  auto Step = [CpuOf](SchedState &V, const Event &E) {
+    auto CpuIt = CpuOf.find(E.Tid);
+    if (CpuIt == CpuOf.end())
+      return true;
+    std::int64_t &Cur = V.Current[CpuIt->second];
+    if (E.Kind == Cswitch) {
+      if (E.Args.size() != 1 || Cur != static_cast<std::int64_t>(E.Tid))
+        return false;
+      Cur = E.Args[0];
+    } else if (E.Kind == ThreadExitEventKind) {
+      if (Cur != static_cast<std::int64_t>(E.Tid))
+        return false;
+      Cur = E.Args.empty() ? -1 : E.Args[0];
+    } else {
+      if (Cur != -1)
+        return false; // resched only fills an idle CPU
+      Cur = E.Tid;
     }
-    return V;
+    return true;
   };
+  Replayer<SchedState> R(std::move(Init), std::move(Step));
+  R.onlyKinds({Cswitch, ThreadExitEventKind, ReschedEventKind});
+  return R;
 }
 
-void ccal::installHighSchedPrims(LayerInterface &L,
-                                 std::map<ThreadId, ThreadId> CpuOf,
-                                 bool PreloadReady) {
-  Replayer<HighSchedState> R = makeHighSchedReplayer(CpuOf, PreloadReady);
+std::optional<PrimResult> ccal::wakeupQueue(const FoldPart<SchedState> &Sched,
+                                            const PrimCall &Call,
+                                            std::int64_t Q) {
+  const SchedState *S = Sched.in(*Call.Fold);
+  if (!S)
+    return std::nullopt;
+  PrimResult Res;
+  auto It = S->Sleep.find(Q);
+  Res.Ret = (It == S->Sleep.end() || It->second.empty())
+                ? -1
+                : static_cast<std::int64_t>(It->second.front());
+  Res.Events.push_back(Event(Call.Tid, Wakeup, {Q}));
+  return Res;
+}
 
-  auto RequireCurrent = [R, CpuOf](ThreadId Tid,
-                                   const Log &Prefix) -> bool {
-    std::optional<HighSchedState> S = R.replay(Prefix);
-    if (!S)
+FoldPart<SchedState>
+ccal::installHighSchedPrims(LayerInterface &L,
+                            std::map<ThreadId, ThreadId> CpuOf,
+                            bool PreloadReady) {
+  FoldPart<SchedState> Sched(makeHighSchedReplayer(CpuOf, PreloadReady));
+  L.declareFold(Sched);
+
+  // The primitives a thread may call only while it is current.
+  auto Current = [Sched, CpuOf](const PrimCall &Call) -> bool {
+    const SchedState *S = Sched.in(*Call.Fold);
+    auto Cpu = CpuOf.find(Call.Tid);
+    if (!S || Cpu == CpuOf.end())
       return false;
-    auto It = CpuOf.find(Tid);
-    return It != CpuOf.end() &&
-           S->Current[It->second] == static_cast<std::int64_t>(Tid);
+    auto Cur = S->Current.find(Cpu->second);
+    return Cur != S->Current.end() &&
+           Cur->second == static_cast<std::int64_t>(Call.Tid);
   };
 
-  L.addShared("yield", [RequireCurrent](const PrimCall &Call)
+  L.addShared("yield", [Current](const PrimCall &Call)
                   -> std::optional<PrimResult> {
-    if (!RequireCurrent(Call.Tid, *Call.L))
+    if (!Current(Call))
       return std::nullopt;
     PrimResult Res;
     Res.Events.push_back(Event(Call.Tid, Yield));
@@ -199,29 +204,20 @@ void ccal::installHighSchedPrims(LayerInterface &L,
     return Res;
   });
 
-  L.addShared("sleep", [RequireCurrent](const PrimCall &Call)
+  L.addShared("sleep", [Current](const PrimCall &Call)
                   -> std::optional<PrimResult> {
-    if (Call.Args.size() != 1 || !RequireCurrent(Call.Tid, *Call.L))
+    if (Call.Args.size() != 1 || !Current(Call))
       return std::nullopt;
     PrimResult Res;
     Res.Events.push_back(Event(Call.Tid, Sleep, Call.Args));
     return Res;
   });
 
-  L.addShared("wakeup", [R](const PrimCall &Call)
+  L.addShared("wakeup", [Sched](const PrimCall &Call)
                   -> std::optional<PrimResult> {
     if (Call.Args.size() != 1)
       return std::nullopt;
-    std::optional<HighSchedState> S = R.replay(*Call.L);
-    if (!S)
-      return std::nullopt;
-    PrimResult Res;
-    auto It = S->Sleep.find(Call.Args[0]);
-    Res.Ret = (It == S->Sleep.end() || It->second.empty())
-                  ? -1
-                  : static_cast<std::int64_t>(It->second.front());
-    Res.Events.push_back(Event(Call.Tid, Wakeup, Call.Args));
-    return Res;
+    return wakeupQueue(Sched, Call, Call.Args[0]);
   });
 
   {
@@ -229,9 +225,8 @@ void ccal::installHighSchedPrims(LayerInterface &L,
     P.Name = "thread_exit";
     P.Shared = true;
     P.ExitsThread = true;
-    P.Sem = [RequireCurrent](const PrimCall &Call)
-        -> std::optional<PrimResult> {
-      if (!RequireCurrent(Call.Tid, *Call.L))
+    P.Sem = [Current](const PrimCall &Call) -> std::optional<PrimResult> {
+      if (!Current(Call))
         return std::nullopt;
       PrimResult Res;
       Res.Events.push_back(Event(Call.Tid, ThreadExitEventKind));
@@ -241,18 +236,18 @@ void ccal::installHighSchedPrims(LayerInterface &L,
   }
 
   L.addPrivate("get_tid", makeSelfIdPrim());
+  return Sched;
 }
 
-void ccal::installLowSchedPrims(LayerInterface &L,
-                                std::map<ThreadId, ThreadId> CpuOf) {
-  SchedReplayFn Low = makeLowSchedFn(std::move(CpuOf));
+FoldPart<SchedState>
+ccal::installLowSchedPrims(LayerInterface &L,
+                           std::map<ThreadId, ThreadId> CpuOf) {
+  FoldPart<SchedState> Sched(makeLowSchedReplayer(std::move(CpuOf)));
+  L.declareFold(Sched);
 
-  L.addShared("cswitch", [Low](const PrimCall &Call)
+  L.addShared("cswitch", [Sched](const PrimCall &Call)
                   -> std::optional<PrimResult> {
-    if (Call.Args.size() != 1)
-      return std::nullopt;
-    std::optional<SchedView> V = Low(*Call.L);
-    if (!V)
+    if (Call.Args.size() != 1 || !Sched.in(*Call.Fold))
       return std::nullopt;
     PrimResult Res;
     Res.Events.push_back(Event(Call.Tid, Cswitch, Call.Args));
@@ -276,6 +271,7 @@ void ccal::installLowSchedPrims(LayerInterface &L,
   }
 
   L.addPrivate("get_tid", makeSelfIdPrim());
+  return Sched;
 }
 
 ClightModule ccal::makeSchedModule() {

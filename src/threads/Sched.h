@@ -21,6 +21,8 @@
 ///   * the scheduler module M_sched implements yield/spawn/thread_exit in
 ///     ClightX over the local-queue module plus the cswitch primitive.
 ///
+/// Both replays fold the log into a SchedState, as a declared part that
+/// the primitives and the machine (ThreadedConfig::Sched) read.
 /// threads/Linking.h uses both to check the multithreaded linking theorem
 /// (Thm 5.1).
 ///
@@ -35,16 +37,8 @@
 
 namespace ccal {
 
-/// The abstract scheduler state replayed by the high-level Rsched.
-struct HighSchedState {
-  std::map<ThreadId, std::int64_t> Current;            ///< cpu -> tid/-1
-  std::map<ThreadId, std::vector<ThreadId>> Ready;     ///< cpu -> rdq
-  std::map<std::int64_t, std::vector<ThreadId>> Sleep; ///< q -> sleepers
-  std::set<ThreadId> Sleeping;
-};
-
-/// Builds the high-level scheduler replayer over the given thread->CPU
-/// placement.  Event protocol:
+/// Builds the high-level scheduler replay `Rsched` over the given
+/// thread->CPU placement.  Event protocol:
 ///   t.spawn(t'):   rdq(cpu(t')) += t'
 ///   t.yield:       rdq(cpu) += t; cur = pop rdq
 ///   t.sleep(q):    slpq(q) += t;  cur = pop rdq or -1
@@ -57,29 +51,34 @@ struct HighSchedState {
 /// Thm 5.1 linking demo, where the low level's ready queue in memory also
 /// starts empty).  spawn has set semantics: re-spawning a queued or
 /// running thread is a no-op, mirroring the local-queue module's inq flag.
-Replayer<HighSchedState>
-makeHighSchedReplayer(std::map<ThreadId, ThreadId> CpuOf,
-                      bool PreloadReady = true);
+Replayer<SchedState> makeHighSchedReplayer(std::map<ThreadId, ThreadId> CpuOf,
+                                           bool PreloadReady = true);
 
-/// Adapts the replayer to the machine's SchedReplayFn.
-SchedReplayFn makeHighSchedFn(std::map<ThreadId, ThreadId> CpuOf,
-                              bool PreloadReady = true);
-
-/// The low-level scheduler view: cur(cpu) follows cswitch/texit(next)
-/// events verbatim; resched dispatches on idle CPUs.
-SchedReplayFn makeLowSchedFn(std::map<ThreadId, ThreadId> CpuOf);
+/// Builds the low-level scheduler replay of Lbtd[c], which keeps only
+/// Current: cur(cpu) follows cswitch/texit(next) events verbatim, and
+/// resched dispatches on idle CPUs.
+Replayer<SchedState> makeLowSchedReplayer(std::map<ThreadId, ThreadId> CpuOf);
 
 /// Installs the atomic scheduling primitives (yield, spawn, thread_exit,
-/// sleep, wakeup) into \p L, validated against the high replayer.
-/// `sleep(q)` emits only the sleep event; lock layers that need
-/// release-and-sleep install their own composite primitive.
-void installHighSchedPrims(LayerInterface &L,
-                           std::map<ThreadId, ThreadId> CpuOf,
-                           bool PreloadReady = true);
+/// sleep, wakeup) into \p L and declares the high replay as a part of
+/// L's fold, which it returns; yield, sleep and thread_exit are stuck
+/// unless the caller is current.  `sleep(q)` emits only the sleep event;
+/// lock layers that need release-and-sleep install their own composite.
+FoldPart<SchedState> installHighSchedPrims(LayerInterface &L,
+                                           std::map<ThreadId, ThreadId> CpuOf,
+                                           bool PreloadReady = true);
 
-/// Installs the low-level primitives (cswitch, texit, get_tid) into \p L.
-void installLowSchedPrims(LayerInterface &L,
-                          std::map<ThreadId, ThreadId> CpuOf);
+/// Installs the low-level primitives (cswitch, texit, get_tid) into \p L
+/// and declares the low replay as a part of L's fold; cswitch gets stuck
+/// once that replay is.  Returns the declared part.
+FoldPart<SchedState> installLowSchedPrims(LayerInterface &L,
+                                          std::map<ThreadId, ThreadId> CpuOf);
+
+/// The semantics of waking sleep queue \p Q on behalf of \p Call: the
+/// event `wakeup(Q)`, returning the thread it wakes (-1 for an empty
+/// queue), read from \p Sched.  Stuck once the scheduler replay is.
+std::optional<PrimResult> wakeupQueue(const FoldPart<SchedState> &Sched,
+                                      const PrimCall &Call, std::int64_t Q);
 
 /// The scheduler module: yield/spawn/thread_exit over local-queue code and
 /// cswitch/texit primitives (link with makeLocalQueueModule()).

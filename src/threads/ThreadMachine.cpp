@@ -7,6 +7,12 @@
 
 using namespace ccal;
 
+SharedFold ThreadedConfig::fold() const {
+  SharedFold F = Layer->fold();
+  F.declare(*Sched);
+  return F;
+}
+
 ThreadedMachine::ThreadedMachine(const ThreadedConfigPtr &CfgIn)
     : Cfg(CfgIn.get()) {
   CCAL_CHECK(Cfg && Cfg->Layer && Cfg->Program && Cfg->Program->Linked &&
@@ -15,7 +21,7 @@ ThreadedMachine::ThreadedMachine(const ThreadedConfigPtr &CfgIn)
   CCAL_CHECK(!Cfg->Model || !Cfg->Model->weak(),
              "the multithreaded machine is SC-only; run weak-memory "
              "verification on the MultiCoreMachine lock layers");
-  Fold = Cfg->Layer->fold().initial();
+  Fold = Cfg->fold().initial();
   std::vector<std::int64_t> Image = Cfg->Program->initialGlobals();
   for (const ThreadSpec &TS : Cfg->Threads) {
     auto [It, Inserted] = Threads.emplace(
@@ -32,25 +38,17 @@ void ThreadedMachine::fault(ThreadId Tid, const std::string &Msg) {
     Err = strFormat("thread %u: %s", Tid, Msg.c_str());
 }
 
-std::optional<std::int64_t> ThreadedMachine::currentOf(ThreadId Cpu) const {
-  std::optional<SchedView> View = Cfg->Sched(GlobalLog);
-  if (!View)
-    return std::nullopt;
-  auto It = View->Current.find(Cpu);
-  return It == View->Current.end() ? -1 : It->second;
-}
-
 bool ThreadedMachine::settle() {
   // Iterate until no CPU makes progress: a thread exit or resched event
-  // changes the scheduler view of its own CPU only, but a wakeup executed
-  // earlier can change any CPU, so loop over all of them.
+  // changes the scheduler state of its own CPU only, but a wakeup executed
+  // earlier can change any CPU, so loop over all of them.  View points
+  // into the fold, so every append is followed by a break.
   bool Changed = true;
   while (Changed && Err.empty()) {
     Changed = false;
-    std::optional<SchedView> View = Cfg->Sched(GlobalLog);
+    const SchedState *View = Cfg->Sched->in(Fold);
     if (!View) {
-      if (Err.empty())
-        Err = "scheduler replay stuck on log: " + logToString(GlobalLog);
+      Err = "scheduler replay stuck on log: " + logToString(GlobalLog);
       return false;
     }
     for (auto &[Cpu, Mem] : CpuMem) {
@@ -71,7 +69,7 @@ bool ThreadedMachine::settle() {
           if (!runThread(TIt->first, T))
             return false;
           Changed = true;
-          break; // log may have changed (exit events); re-replay
+          break; // the fold may have changed (exit events); re-read
         } else {
           continue; // parked at a shared primitive: explorer's turn
         }
@@ -121,7 +119,7 @@ bool ThreadedMachine::allIdle() const {
 
 void ThreadedMachine::schedulable(std::vector<ThreadId> &Out) const {
   Out.clear();
-  std::optional<SchedView> View = Cfg->Sched(GlobalLog);
+  const SchedState *View = Cfg->Sched->in(Fold);
   if (!View)
     return;
   for (const auto &[Cpu, Cur] : View->Current) {
@@ -129,7 +127,7 @@ void ThreadedMachine::schedulable(std::vector<ThreadId> &Out) const {
       continue;
     auto It = Threads.find(static_cast<ThreadId>(Cur));
     if (It != Threads.end() && It->second.Exec.pending() &&
-        !It->second.Exec.blocked(GlobalLog, Fold, CpuMem.at(Cpu)))
+        !It->second.Exec.blocked(Fold, CpuMem.at(Cpu)))
       Out.push_back(It->first);
   }
 }
@@ -144,8 +142,7 @@ bool ThreadedMachine::step(ThreadId Tid) {
              "step: thread is not parked at a shared primitive");
   const bool Exits = T.Exec.pending()->ExitsThread;
   std::string Why;
-  if (!T.Exec.call(GlobalLog, Fold, GlobalLog, Fold, CpuMem.at(T.Cpu),
-                   Why)) {
+  if (!T.Exec.call(Fold, GlobalLog, Fold, CpuMem.at(T.Cpu), Why)) {
     fault(Tid, Why);
     return false;
   }

@@ -13,20 +13,21 @@
 /// on each CPU only the current thread runs, and control transfers only at
 /// scheduling events.
 ///
-/// Which thread is current is itself *replayed from the log* by a
-/// scheduler replay function, supplied by the scheduler layer: the
-/// high-level one interprets yield/sleep/wakeup events (§5.1), the
-/// low-level one interprets concrete cswitch events (§5.2's Lbtd[c]) —
-/// letting the multithreaded linking theorem (Thm 5.1) compare the two
-/// machines over the same notion of execution.
+/// Which thread is current is itself shared state: the scheduler layer's
+/// replay of the log, kept as the config's scheduler part of the machine's
+/// fold and advanced with every appended event.  The high-level replay
+/// interprets yield/sleep/wakeup events (§5.1), the low-level one concrete
+/// cswitch events (§5.2's Lbtd[c]) — letting the multithreaded linking
+/// theorem (Thm 5.1) compare the two machines over the same notion of
+/// execution.
 ///
 /// Two machine-internal bookkeeping events exist at every level:
 /// `texit` (a thread finished its workload) and `resched` (an idle CPU
 /// dispatched the lowest-id unfinished thread).  Relations erase them.
 ///
 /// Each thread's program transitions are machine/Core.h's, shared with
-/// the multicore machines; this machine adds the scheduler replay, the
-/// idle dispatcher, and the exit of a thread whose primitive ExitsThread.
+/// the multicore machines; this machine adds the scheduler part, the idle
+/// dispatcher, and the exit of a thread whose primitive ExitsThread.
 /// Like the multicore machines it borrows its config, which must outlive
 /// the machine and every copy of it.
 ///
@@ -39,6 +40,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -48,20 +50,20 @@ namespace ccal {
 inline const KindId ThreadExitEventKind{"texit"};
 inline const KindId ReschedEventKind{"resched"};
 
-/// The per-CPU view a scheduler replay produces.
-struct SchedView {
+/// The scheduler state both scheduler replays of threads/Sched.h fold the
+/// log into; the low-level one keeps only Current.
+struct SchedState {
   /// Current thread of each CPU; -1 when the CPU has nothing to run.
   std::map<ThreadId, std::int64_t> Current;
+  std::map<ThreadId, std::vector<ThreadId>> Ready;     ///< cpu -> rdq
+  std::map<std::int64_t, std::vector<ThreadId>> Sleep; ///< q -> sleepers
 
   /// Threads asleep on some sleep queue; the idle dispatcher must not
   /// resched them (only a wakeup can).
   std::set<ThreadId> Sleeping;
-};
 
-/// Replays the scheduler state from the log; std::nullopt when a
-/// scheduling event violates the protocol.
-using SchedReplayFn =
-    std::function<std::optional<SchedView>(const Log &)>;
+  bool operator==(const SchedState &) const = default;
+};
 
 /// One thread of the machine.
 struct ThreadSpec {
@@ -76,7 +78,9 @@ struct ThreadedConfig {
   LayerPtr Layer;
   AsmProgramPtr Program;
   std::vector<ThreadSpec> Threads;
-  SchedReplayFn Sched;
+  /// The scheduler part of the machine's fold (installHighSchedPrims or
+  /// installLowSchedPrims returns it); the layer may declare it too.
+  std::optional<FoldPart<SchedState>> Sched;
   std::uint64_t SliceBudget = 1u << 20;
 
   /// The multithreaded machine is SC-only (the §5 machines live above the
@@ -84,6 +88,9 @@ struct ThreadedConfig {
   /// constructor rejects weak models rather than ignoring them.  Null
   /// means ScMemory.
   MemoryModelPtr Model;
+
+  /// The fold the machine keeps: the layer's times the scheduler part.
+  SharedFold fold() const;
 };
 
 using ThreadedConfigPtr = std::shared_ptr<const ThreadedConfig>;
@@ -121,7 +128,7 @@ public:
 
   const Log &log() const { return GlobalLog; }
 
-  /// The layer's fold over log() (see MultiCoreMachine::fold).
+  /// The config's fold over log() (see MultiCoreMachine::fold).
   const FoldValue &fold() const { return Fold; }
 
   /// Per-thread return values of completed work items, written into
@@ -153,7 +160,6 @@ private:
   void emit(const std::vector<Event> &Events) {
     appendFolded(GlobalLog, Fold, Events);
   }
-  std::optional<std::int64_t> currentOf(ThreadId Cpu) const;
 
   const ThreadedConfig *Cfg;
   std::map<ThreadId, Thr> Threads;

@@ -170,9 +170,9 @@ TEST(MulticoreLinkTest, CertificateRecordsEvidence) {
 
 TEST(MulticoreLinkTest, SharedLocalMemoryWouldBreakTheTheorem) {
   // Negative control: if a "private" primitive actually observed shared
-  // state (here: the log length), instruction interleavings become
-  // observable and the hardware machine produces outcomes the layer
-  // machine cannot.  The checker must catch this modeling error.
+  // state (here: the number of ticks so far), instruction interleavings
+  // become observable and the hardware machine produces outcomes the
+  // layer machine cannot.  The checker must catch this modeling error.
   static ClightModule Client = [] {
     ClightModule M = parseModuleOrDie("c", R"(
       extern int tick();
@@ -184,11 +184,11 @@ TEST(MulticoreLinkTest, SharedLocalMemoryWouldBreakTheTheorem) {
   }();
   auto L = makeInterface("Lleaky");
   L->addShared("tick", makeFetchIncPrim("tick"));
-  // A *private* primitive that reads the global log: a modeling bug.
+  // A *private* primitive that reads the shared state: a modeling bug.
   L->addPrivate("leak", [](const PrimCall &Call)
                     -> std::optional<PrimResult> {
     PrimResult Res;
-    Res.Ret = static_cast<std::int64_t>(Call.L->size());
+    Res.Ret = static_cast<std::int64_t>(Call.Fold->count(KindId("tick")));
     return Res;
   });
   auto Cfg = std::make_shared<MachineConfig>();

@@ -185,13 +185,13 @@ TEST(MultiCoreTest, BlockedPrimIsNotSchedulable) {
     return M;
   }();
   auto L = makeInterface("Lgate");
-  // gate blocks until some event exists in the log; it is built as a
-  // blocking primitive, so schedulable() dry-runs it.
+  // gate blocks until some tick event exists in the log; it is built as
+  // a blocking primitive, so schedulable() dry-runs it.
   Primitive Gate;
   Gate.Name = "gate";
   Gate.MayBlock = true;
   Gate.Sem = [](const PrimCall &Call) -> std::optional<PrimResult> {
-    if (Call.L->empty())
+    if (Call.Fold->count(KindId("tick")) == 0)
       return PrimResult::blocked();
     PrimResult Res;
     Res.Ret = 1;

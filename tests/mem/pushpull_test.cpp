@@ -23,7 +23,7 @@ PushPullModel makeModel() {
 
 TEST(PushPullTest, InitialReplayState) {
   PushPullModel M = makeModel();
-  std::optional<SharedMemState> S = M.replay({});
+  std::optional<SharedMemState> S = M.replayer().replay({});
   ASSERT_TRUE(S.has_value());
   EXPECT_EQ(S->at(0).Contents, (std::vector<std::int64_t>{5, 6}));
   EXPECT_FALSE(S->at(0).Owner.has_value());
@@ -32,7 +32,7 @@ TEST(PushPullTest, InitialReplayState) {
 TEST(PushPullTest, PullTakesOwnership) {
   PushPullModel M = makeModel();
   Log L = {Event(1, PullEventKind, {0})};
-  std::optional<SharedMemState> S = M.replay(L);
+  std::optional<SharedMemState> S = M.replayer().replay(L);
   ASSERT_TRUE(S.has_value());
   EXPECT_EQ(S->at(0).Owner, 1u);
 }
@@ -40,26 +40,26 @@ TEST(PushPullTest, PullTakesOwnership) {
 TEST(PushPullTest, DoublePullIsARace) {
   PushPullModel M = makeModel();
   Log L = {Event(1, PullEventKind, {0}), Event(2, PullEventKind, {0})};
-  EXPECT_FALSE(M.replay(L).has_value()); // stuck: Fig. 6's None case
+  EXPECT_FALSE(M.replayer().replay(L).has_value()); // stuck: Fig. 6's None case
 }
 
 TEST(PushPullTest, PushWithoutOwnershipIsARace) {
   PushPullModel M = makeModel();
   Log L = {Event(1, PushEventKind, {0, 7, 8})};
-  EXPECT_FALSE(M.replay(L).has_value());
+  EXPECT_FALSE(M.replayer().replay(L).has_value());
 }
 
 TEST(PushPullTest, PushByNonOwnerIsARace) {
   PushPullModel M = makeModel();
   Log L = {Event(1, PullEventKind, {0}), Event(2, PushEventKind, {0, 7, 8})};
-  EXPECT_FALSE(M.replay(L).has_value());
+  EXPECT_FALSE(M.replayer().replay(L).has_value());
 }
 
 TEST(PushPullTest, PushPublishesAndFrees) {
   PushPullModel M = makeModel();
   Log L = {Event(1, PullEventKind, {0}), Event(1, PushEventKind, {0, 7, 8}),
            Event(2, PullEventKind, {0})};
-  std::optional<SharedMemState> S = M.replay(L);
+  std::optional<SharedMemState> S = M.replayer().replay(L);
   ASSERT_TRUE(S.has_value());
   EXPECT_EQ(S->at(0).Contents, (std::vector<std::int64_t>{7, 8}));
   EXPECT_EQ(S->at(0).Owner, 2u);
@@ -68,13 +68,13 @@ TEST(PushPullTest, PushPublishesAndFrees) {
 TEST(PushPullTest, WrongAritypushIsStuck) {
   PushPullModel M = makeModel();
   Log L = {Event(1, PullEventKind, {0}), Event(1, PushEventKind, {0, 7})};
-  EXPECT_FALSE(M.replay(L).has_value()); // contents must match cell size
+  EXPECT_FALSE(M.replayer().replay(L).has_value()); // contents must match cell size
 }
 
 TEST(PushPullTest, UnknownLocationIsStuck) {
   PushPullModel M = makeModel();
   Log L = {Event(1, PullEventKind, {42})};
-  EXPECT_FALSE(M.replay(L).has_value());
+  EXPECT_FALSE(M.replayer().replay(L).has_value());
 }
 
 TEST(PushPullTest, PrimSemanticsDeliverContents) {
@@ -86,12 +86,12 @@ TEST(PushPullTest, PrimSemanticsDeliverContents) {
   ASSERT_NE(Pull, nullptr);
   EXPECT_TRUE(Pull->Shared);
 
-  Log Empty;
+  FoldValue Empty = L.fold().replay({});
   std::vector<std::int64_t> LocalMem(16, 0);
   PrimCall Call;
   Call.Tid = 3;
   Call.Args = {0};
-  Call.L = &Empty;
+  Call.Fold = &Empty;
   Call.LocalMem = &LocalMem;
   std::optional<PrimResult> Res = Pull->Sem(Call);
   ASSERT_TRUE(Res.has_value());
@@ -110,14 +110,14 @@ TEST(PushPullTest, PrimPushReadsLocalCopy) {
   const Primitive *Push = L.lookup(PushEventKind);
   ASSERT_NE(Push, nullptr);
 
-  Log Pulled = {Event(3, PullEventKind, {0})};
+  FoldValue Pulled = L.fold().replay({Event(3, PullEventKind, {0})});
   std::vector<std::int64_t> LocalMem(16, 0);
   LocalMem[10] = 70;
   LocalMem[11] = 71;
   PrimCall Call;
   Call.Tid = 3;
   Call.Args = {0};
-  Call.L = &Pulled;
+  Call.Fold = &Pulled;
   Call.LocalMem = &LocalMem;
   std::optional<PrimResult> Res = Push->Sem(Call);
   ASSERT_TRUE(Res.has_value());
@@ -132,12 +132,39 @@ TEST(PushPullTest, PrimPullOfOwnedCellGetsStuck) {
   M.installPrims(L);
   const Primitive *Pull = L.lookup(PullEventKind);
 
-  Log Owned = {Event(1, PullEventKind, {0})};
+  FoldValue Owned = L.fold().replay({Event(1, PullEventKind, {0})});
   std::vector<std::int64_t> LocalMem(16, 0);
   PrimCall Call;
   Call.Tid = 2;
   Call.Args = {0};
-  Call.L = &Owned;
+  Call.Fold = &Owned;
   Call.LocalMem = &LocalMem;
   EXPECT_FALSE(Pull->Sem(Call).has_value());
+}
+
+TEST(PushPullTest, PrimPushWithoutOwnershipGetsStuck) {
+  // Negative control for push's ownership guard: the cell is owned by
+  // CPU 1, so CPU 2's push is a race; CPU 1's own push is accepted.
+  PushPullModel M = makeModel();
+  LayerInterface L("Lmem");
+  M.installPrims(L);
+  const Primitive *Push = L.lookup(PushEventKind);
+
+  FoldValue Owned = L.fold().replay({Event(1, PullEventKind, {0})});
+  std::vector<std::int64_t> LocalMem(16, 0);
+  PrimCall Call;
+  Call.Tid = 2;
+  Call.Args = {0};
+  Call.Fold = &Owned;
+  Call.LocalMem = &LocalMem;
+  EXPECT_FALSE(Push->Sem(Call).has_value());
+  Call.Tid = 1;
+  std::optional<PrimResult> Res = Push->Sem(Call);
+  ASSERT_TRUE(Res.has_value());
+  ASSERT_EQ(Res->Events.size(), 1u);
+  EXPECT_EQ(Res->Events[0], Event(1, PushEventKind, {0, 0, 0}));
+  // The free cell can be pushed by no one.
+  FoldValue Free = L.fold().replay({});
+  Call.Fold = &Free;
+  EXPECT_FALSE(Push->Sem(Call).has_value());
 }

@@ -42,6 +42,8 @@ TEST(SharedQueueTest, CertifiesOneProducerOneConsumer) {
   ASSERT_TRUE(Out.Report.Holds) << Out.Report.Counterexample;
   EXPECT_TRUE(Out.Layer.valid());
   EXPECT_GT(Out.Report.ObligationsChecked, 0u);
+  EXPECT_EQ(Out.Report.SchedulesExplored, 8u);
+  EXPECT_EQ(Out.Report.StatesExplored, 60u);
   // Vertical composition target: the underlay is the lock's atomic
   // interface, not the ticket machine.
   EXPECT_EQ(Out.Layer.Underlay->name(), "L1_lock_pp");
@@ -51,6 +53,8 @@ TEST(SharedQueueTest, CertifiesOneProducerOneConsumer) {
 TEST(SharedQueueTest, CertifiesTwoProducers) {
   HarnessOutcome Out = certifySharedQueue(2, 1, 1);
   ASSERT_TRUE(Out.Report.Holds) << Out.Report.Counterexample;
+  EXPECT_EQ(Out.Report.SchedulesExplored, 12u);
+  EXPECT_EQ(Out.Report.StatesExplored, 92u);
 }
 
 TEST(SharedQueueTest, SetupWiring) {

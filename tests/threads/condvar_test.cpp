@@ -11,12 +11,15 @@ using namespace ccal;
 TEST(CondVarTest, BoundedBufferDeliversInOrder) {
   MonitorCheck C = checkBoundedBuffer(3);
   EXPECT_TRUE(C.Ok) << C.Violation;
-  EXPECT_GE(C.SchedulesExplored, 1u);
+  EXPECT_EQ(C.SchedulesExplored, 1u);
+  EXPECT_EQ(C.StatesExplored, 30u);
 }
 
 TEST(CondVarTest, BoundedBufferMoreItems) {
   MonitorCheck C = checkBoundedBuffer(5);
   EXPECT_TRUE(C.Ok) << C.Violation;
+  EXPECT_EQ(C.SchedulesExplored, 1u);
+  EXPECT_EQ(C.StatesExplored, 50u);
 }
 
 TEST(CondVarTest, LostWakeupDeadlockIsFound) {
@@ -27,6 +30,8 @@ TEST(CondVarTest, LostWakeupDeadlockIsFound) {
   EXPECT_FALSE(C.Ok);
   EXPECT_NE(C.Violation.find("deadlock"), std::string::npos)
       << C.Violation;
+  EXPECT_EQ(C.SchedulesExplored, 0u);
+  EXPECT_EQ(C.StatesExplored, 22u);
 }
 
 TEST(CondVarTest, CheckIsSafeToCallConcurrently) {

@@ -81,7 +81,7 @@ struct QlockRun {
 // --- The multicore-linking front end (Thm 3.1). ---
 
 /// Two CPUs, each doing a little private work around one shared tick.
-/// The leaky variant adds a *private* primitive that reads the log length
+/// The leaky variant adds a *private* primitive that reads the tick count
 /// (a modeling bug): instruction interleavings become observable, so the
 /// hardware machine produces outcomes the layer machine cannot.
 MachineConfigPtr makeTickConfig(bool Leaky) {
@@ -111,7 +111,7 @@ MachineConfigPtr makeTickConfig(bool Leaky) {
   L->addPrivate("leak", [](const PrimCall &Call)
                     -> std::optional<PrimResult> {
     PrimResult Res;
-    Res.Ret = static_cast<std::int64_t>(Call.L->size());
+    Res.Ret = static_cast<std::int64_t>(Call.Fold->count(KindId("tick")));
     return Res;
   });
   auto Cfg = std::make_shared<MachineConfig>();

@@ -11,6 +11,8 @@ using namespace ccal;
 TEST(IpcTest, ExactlyOnceInOrderSmall) {
   MonitorCheck C = checkIpcChannel(2);
   EXPECT_TRUE(C.Ok) << C.Violation;
+  EXPECT_EQ(C.SchedulesExplored, 1u);
+  EXPECT_EQ(C.StatesExplored, 16u);
 }
 
 TEST(IpcTest, RingOverflowForcesBothBlockingPaths) {
@@ -18,6 +20,8 @@ TEST(IpcTest, RingOverflowForcesBothBlockingPaths) {
   // the receiver on not-empty.
   MonitorCheck C = checkIpcChannel(IpcRingCap + 2);
   EXPECT_TRUE(C.Ok) << C.Violation;
+  EXPECT_EQ(C.SchedulesExplored, 1u);
+  EXPECT_EQ(C.StatesExplored, 32u);
 }
 
 TEST(IpcTest, CheckIsSafeToCallConcurrently) {

@@ -20,6 +20,8 @@ TEST(LinkingTest, TwoWorkersTwoRounds) {
   // One CPU, non-preemptive: deterministic on both levels.
   EXPECT_EQ(Rep.Refinement.ImplOutcomes, 1u);
   EXPECT_EQ(Rep.Refinement.SpecOutcomes, 1u);
+  EXPECT_EQ(Rep.Refinement.SchedulesExplored, 2u);
+  EXPECT_EQ(Rep.Refinement.StatesExplored, 30u);
 }
 
 TEST(LinkingTest, ThreeWorkers) {
@@ -28,6 +30,8 @@ TEST(LinkingTest, ThreeWorkers) {
   Setup.Rounds = 1;
   LinkingReport Rep = checkMultithreadedLinking(Setup);
   EXPECT_TRUE(Rep.Refinement.Holds) << Rep.Refinement.Counterexample;
+  EXPECT_EQ(Rep.Refinement.SchedulesExplored, 2u);
+  EXPECT_EQ(Rep.Refinement.StatesExplored, 31u);
 }
 
 TEST(LinkingTest, ManyRounds) {
@@ -37,6 +41,8 @@ TEST(LinkingTest, ManyRounds) {
   LinkingReport Rep = checkMultithreadedLinking(Setup);
   EXPECT_TRUE(Rep.Refinement.Holds) << Rep.Refinement.Counterexample;
   EXPECT_GT(Rep.Refinement.ObligationsChecked, 0u);
+  EXPECT_EQ(Rep.Refinement.SchedulesExplored, 2u);
+  EXPECT_EQ(Rep.Refinement.StatesExplored, 54u);
 }
 
 TEST(LinkingTest, CheckIsSafeToCallConcurrently) {

@@ -11,12 +11,17 @@ TEST(QueuingLockTest, CertifiesTwoCpus) {
   EXPECT_TRUE(Out.Report.Holds) << Out.Report.Counterexample;
   EXPECT_TRUE(Out.Cert->Valid);
   EXPECT_GT(Out.Report.ObligationsChecked, 0u);
-  EXPECT_GT(Out.Report.SchedulesExplored, 1u);
+  EXPECT_EQ(Out.Report.SchedulesExplored, 364u);
+  EXPECT_EQ(Out.Report.StatesExplored, 3718u);
+  EXPECT_EQ(Out.Report.ImplOutcomes, 328u);
+  EXPECT_EQ(Out.Report.SpecOutcomes, 36u);
 }
 
 TEST(QueuingLockTest, CertifiesThreeCpus) {
   QueuingLockOutcome Out = certifyQueuingLock(3, 1, 1);
   EXPECT_TRUE(Out.Report.Holds) << Out.Report.Counterexample;
+  EXPECT_EQ(Out.Report.SchedulesExplored, 3162u);
+  EXPECT_EQ(Out.Report.StatesExplored, 27611u);
 }
 
 TEST(QueuingLockTest, SetupWiring) {

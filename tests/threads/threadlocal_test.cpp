@@ -52,14 +52,14 @@ ThreadedConfigPtr makeMultiConfig(unsigned Threads) {
     CpuOf.emplace(T, 0);
 
   auto L = makeInterface("Lhtd_tl");
-  installHighSchedPrims(*L, CpuOf);
+  FoldPart<SchedState> Sched = installHighSchedPrims(*L, CpuOf);
   L->addShared("done", makeEventPrim("done"));
 
   auto Cfg = std::make_shared<ThreadedConfig>();
   Cfg->Name = "threadlocal";
   Cfg->Layer = L;
   Cfg->Program = compileAndLink("tl.lasm", {&Client});
-  Cfg->Sched = makeHighSchedFn(CpuOf);
+  Cfg->Sched = Sched;
   for (ThreadId T = 0; T != Threads; ++T)
     Cfg->Threads.push_back(
         {T, 0, {{"t_worker", {static_cast<std::int64_t>(T + 10)}}}});
@@ -120,7 +120,7 @@ TEST(ThreadLocalTest, YieldActsAsNoOpForTheFocusedThread) {
   Solo->Name = "solo";
   Solo->Layer = L;
   Solo->Program = compileAndLink("tl_solo.lasm", {&Client});
-  Solo->Sched = makeHighSchedFn(CpuOf);
+  Solo->Sched.emplace(makeHighSchedReplayer(CpuOf));
   Solo->Threads.push_back({0, 0, {{"t_worker", {10}}}});
   ExploreResult SoloRes = exploreThreaded(Solo, Opts);
   ASSERT_TRUE(SoloRes.Ok) << SoloRes.Violation;

@@ -51,14 +51,14 @@ ThreadedConfigPtr makeYieldConfig(unsigned Rounds) {
 
   std::map<ThreadId, ThreadId> CpuOf = {{0, 0}, {1, 0}};
   auto L = makeInterface("Lhtd_test");
-  installHighSchedPrims(*L, CpuOf);
+  FoldPart<SchedState> Sched = installHighSchedPrims(*L, CpuOf);
   L->addShared("bump", makeFetchIncPrim("bump"));
 
   auto Cfg = std::make_shared<ThreadedConfig>();
   Cfg->Name = "yield2";
   Cfg->Layer = L;
   Cfg->Program = compileAndLink("yield2.lasm", {&Client});
-  Cfg->Sched = makeHighSchedFn(CpuOf);
+  Cfg->Sched = Sched;
   Cfg->Threads.push_back(
       {0, 0, {{"t_main", {static_cast<std::int64_t>(Rounds)}}}});
   Cfg->Threads.push_back(
@@ -75,7 +75,7 @@ struct ThreadedOf {
     Cfg->Name = "contract";
     Cfg->Layer = std::move(L);
     Cfg->Program = std::move(P);
-    Cfg->Sched = makeHighSchedFn({{1, 0}});
+    Cfg->Sched.emplace(makeHighSchedReplayer({{1, 0}}));
     Cfg->Threads.push_back({1, 0, {{"t_main", {}}}});
     return {Cfg, ThreadedMachine(Cfg)};
   }
@@ -136,10 +136,10 @@ TEST(ThreadMachineTest, ExploreSingleCpuHasOneSchedule) {
 
 TEST(HighSchedReplayTest, YieldRotatesReadyQueue) {
   std::map<ThreadId, ThreadId> CpuOf = {{0, 0}, {1, 0}, {2, 0}};
-  Replayer<HighSchedState> R = makeHighSchedReplayer(CpuOf);
+  Replayer<SchedState> R = makeHighSchedReplayer(CpuOf);
   Log L = {Event(0, ReschedEventKind), Event(0, KindId("spawn"), {1}),
            Event(0, KindId("spawn"), {2}), Event(0, KindId("yield"))};
-  std::optional<HighSchedState> S = R.replay(L);
+  std::optional<SchedState> S = R.replay(L);
   ASSERT_TRUE(S.has_value());
   EXPECT_EQ(S->Current.at(0), 1);
   ASSERT_EQ(S->Ready.at(0).size(), 2u);
@@ -149,10 +149,10 @@ TEST(HighSchedReplayTest, YieldRotatesReadyQueue) {
 
 TEST(HighSchedReplayTest, SleepAndWakeupAcrossCpus) {
   std::map<ThreadId, ThreadId> CpuOf = {{0, 0}, {1, 1}};
-  Replayer<HighSchedState> R = makeHighSchedReplayer(CpuOf);
+  Replayer<SchedState> R = makeHighSchedReplayer(CpuOf);
   Log L = {Event(0, ReschedEventKind), Event(1, ReschedEventKind),
            Event(0, KindId("sleep"), {9}), Event(1, KindId("wakeup"), {9})};
-  std::optional<HighSchedState> S = R.replay(L);
+  std::optional<SchedState> S = R.replay(L);
   ASSERT_TRUE(S.has_value());
   // Thread 0 slept; CPU 0 became idle; the wakeup dispatched it directly.
   EXPECT_EQ(S->Current.at(0), 0);
@@ -161,26 +161,26 @@ TEST(HighSchedReplayTest, SleepAndWakeupAcrossCpus) {
 
 TEST(HighSchedReplayTest, YieldByNonCurrentIsStuck) {
   std::map<ThreadId, ThreadId> CpuOf = {{0, 0}, {1, 0}};
-  Replayer<HighSchedState> R = makeHighSchedReplayer(CpuOf);
+  Replayer<SchedState> R = makeHighSchedReplayer(CpuOf);
   Log L = {Event(0, ReschedEventKind), Event(1, KindId("yield"))};
   EXPECT_FALSE(R.replay(L).has_value());
 }
 
 TEST(LowSchedReplayTest, CswitchTransfersControl) {
   std::map<ThreadId, ThreadId> CpuOf = {{0, 0}, {1, 0}};
-  SchedReplayFn Low = makeLowSchedFn(CpuOf);
+  Replayer<SchedState> Low = makeLowSchedReplayer(CpuOf);
   Log L = {Event(0, ReschedEventKind), Event(0, KindId("cswitch"), {1}),
            Event(1, KindId("cswitch"), {0})};
-  std::optional<SchedView> V = Low(L);
+  std::optional<SchedState> V = Low.replay(L);
   ASSERT_TRUE(V.has_value());
   EXPECT_EQ(V->Current.at(0), 0);
 }
 
 TEST(LowSchedReplayTest, CswitchByNonCurrentIsStuck) {
   std::map<ThreadId, ThreadId> CpuOf = {{0, 0}, {1, 0}};
-  SchedReplayFn Low = makeLowSchedFn(CpuOf);
+  Replayer<SchedState> Low = makeLowSchedReplayer(CpuOf);
   Log L = {Event(0, ReschedEventKind), Event(1, KindId("cswitch"), {0})};
-  EXPECT_FALSE(Low(L).has_value());
+  EXPECT_FALSE(Low.replay(L).has_value());
 }
 
 TEST(ThreadMachineTest, CrossCpuWakeup) {
@@ -207,14 +207,14 @@ TEST(ThreadMachineTest, CrossCpuWakeup) {
 
   std::map<ThreadId, ThreadId> CpuOf = {{0, 0}, {1, 1}};
   auto L = makeInterface("Lxc");
-  installHighSchedPrims(*L, CpuOf);
+  FoldPart<SchedState> Sched = installHighSchedPrims(*L, CpuOf);
   L->addShared("done", makeEventPrim("done"));
 
   auto Cfg = std::make_shared<ThreadedConfig>();
   Cfg->Name = "crosscpu";
   Cfg->Layer = L;
   Cfg->Program = compileAndLink("crosscpu.lasm", {&Client});
-  Cfg->Sched = makeHighSchedFn(CpuOf);
+  Cfg->Sched = Sched;
   Cfg->Threads.push_back({0, 0, {{"t_sleeper", {}}}});
   Cfg->Threads.push_back({1, 1, {{"t_waker", {}}}});
 
@@ -256,13 +256,13 @@ TEST(ThreadMachineTest, LostCrossCpuWakeupIsADeadlock) {
 
   std::map<ThreadId, ThreadId> CpuOf = {{0, 0}, {1, 1}};
   auto L = makeInterface("Lxc2");
-  installHighSchedPrims(*L, CpuOf);
+  FoldPart<SchedState> Sched = installHighSchedPrims(*L, CpuOf);
 
   auto Cfg = std::make_shared<ThreadedConfig>();
   Cfg->Name = "lostwakeup";
   Cfg->Layer = L;
   Cfg->Program = compileAndLink("lostwakeup.lasm", {&Client});
-  Cfg->Sched = makeHighSchedFn(CpuOf);
+  Cfg->Sched = Sched;
   Cfg->Threads.push_back({0, 0, {{"t_sleeper", {}}}});
   Cfg->Threads.push_back({1, 1, {{"t_waker", {}}}});
 
