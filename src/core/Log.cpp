@@ -63,10 +63,3 @@ std::uint64_t ccal::hashLog(const Log &L) {
   // every append, so hashing is O(1) regardless of length.
   return hashCombine(L.runHash(), L.size());
 }
-
-std::uint64_t ccal::hashLog(const std::vector<Event> &Events) {
-  std::uint64_t H = Log::HashSeed;
-  for (const Event &E : Events)
-    H = hashCombine(H, hashEvent(E));
-  return hashCombine(H, Events.size());
-}

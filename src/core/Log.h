@@ -120,9 +120,6 @@ public:
   /// in every outcome-dedup probe and snapshot hash).
   std::uint64_t runHash() const { return RunHash; }
 
-  /// runHash() of the empty log.
-  static constexpr std::uint64_t HashSeed = 1469598103934665603ULL;
-
   /// A second running hash over the same fields, built from hashCombineAlt
   /// (0 for the empty log): the log half of OutcomeSet::fingerprint's
   /// alternate hash, kept on append so a fingerprint never walks the log.
@@ -226,6 +223,8 @@ public:
   const_iterator end() const { return const_iterator(this, size()); }
 
 private:
+  static constexpr std::uint64_t HashSeed = 1469598103934665603ULL;
+
   std::vector<ChunkPtr> Chunks; ///< sealed, immutable, shared
   Chunk Tail;                   ///< < ChunkCap events, exclusively owned
   std::uint64_t RunHash = HashSeed;
@@ -260,9 +259,6 @@ ThreadId logControl(const Log &L, ThreadId Default);
 /// Combined hash of all events plus the log length, for dedup tables.
 /// (The underlying mixers hashMix64/hashCombine live in support/Hash.h.)
 std::uint64_t hashLog(const Log &L);
-
-/// hashLog of the log holding exactly \p Events, without building it.
-std::uint64_t hashLog(const std::vector<Event> &Events);
 
 } // namespace ccal
 

@@ -77,10 +77,9 @@ FoldValue SharedFold::replay(const Log &L) const {
   return V;
 }
 
-void ccal::appendFolded(Log &L, FoldValue &V,
-                        const std::vector<Event> &Events) {
-  for (const Event &E : Events) {
+void ccal::appendFolded(Log &L, FoldValue &V, std::vector<Event> &&Events) {
+  for (Event &E : Events) {
     V.advance(E);
-    L.push_back(E);
+    L.push_back(std::move(E));
   }
 }

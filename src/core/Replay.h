@@ -253,7 +253,8 @@ private:
 
 /// Appends \p Events to \p L and folds each into \p V — the one place a
 /// machine grows its log, so its fold value never drifts from the log.
-void appendFolded(Log &L, FoldValue &V, const std::vector<Event> &Events);
+/// Each event is moved into the log once it is folded.
+void appendFolded(Log &L, FoldValue &V, std::vector<Event> &&Events);
 
 } // namespace ccal
 

@@ -63,13 +63,6 @@ Log EventMap::apply(const Log &L) const {
   return Out;
 }
 
-void EventMap::applyInto(const Log &L, std::vector<Event> &Out) const {
-  Out.clear();
-  for (const Event &E : L)
-    if (std::optional<Event> M = map(E))
-      Out.push_back(std::move(*M));
-}
-
 namespace {
 
 /// DFS worker for the simulation search.

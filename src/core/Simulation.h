@@ -64,10 +64,6 @@ public:
   /// Maps every event, dropping the erased ones.
   Log apply(const Log &L) const;
 
-  /// apply() into \p Out, replacing its contents but keeping its
-  /// storage, so a caller that maps many logs allocates no log of its own.
-  void applyInto(const Log &L, std::vector<Event> &Out) const;
-
 private:
   std::string TheName;
   MapFn Fn;

@@ -226,7 +226,7 @@ inline bool Core::call(const FoldValue &Seen, Log &L, FoldValue &Fold,
   CCAL_CHECK(!Res->Blocked, "step: blocked callers are not schedulable");
   CCAL_CHECK(P->Shared || Res->Events.empty(),
              "private primitives must not emit events");
-  appendFolded(L, Fold, Res->Events);
+  appendFolded(L, Fold, std::move(Res->Events));
   for (auto [Addr, V] : Res->LocalWrites) {
     CCAL_CHECK(Addr >= 0 && static_cast<size_t>(Addr) < Mem.size(),
                "primitive local write out of range");

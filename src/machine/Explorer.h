@@ -21,7 +21,7 @@
 /// The DFS is generic over the machine: the query-point multicore machine
 /// and the instruction-level hardware machine (§3) and the multithreaded
 /// machine (§5) all instantiate it.  A machine must be copyable and
-/// swappable and provide ok()/error(), allIdle(), schedulable(Out),
+/// movable and provide ok()/error(), allIdle(), schedulable(Out),
 /// step(), log(), and returns(Out); the two Out forms write into the
 /// caller's storage, which the search reuses from state to state.  Every
 /// machine borrows its config, so the config must outlive the root, every
@@ -67,6 +67,9 @@ template <typename MachineT> struct GenericExploreOptions {
   unsigned FairnessBound = 6;
 
   /// Budgets; exceeding MaxSteps along a path is reported as divergence.
+  /// Several workers add their schedules to the shared count 32 at a
+  /// time, so they may explore a few past MaxSchedules; a run that did is
+  /// truncated all the same.  One worker never passes it.
   std::uint64_t MaxSchedules = 1u << 22;
   std::uint64_t MaxSteps = 4096;
 
@@ -197,7 +200,8 @@ struct ExploreResult {
 
   /// States expanded by each worker (index = worker id) — the per-worker
   /// balance bench_explorer reports; WorkerMaxStack is the deepest DFS
-  /// stack each worker held (its peak queue depth).
+  /// stack each worker held (its peak queue depth).  A last child takes
+  /// its parent's frame, so a one-CPU chain holds one frame.
   std::vector<std::uint64_t> WorkerStates;
   std::vector<std::uint64_t> WorkerMaxStack;
 
@@ -210,11 +214,9 @@ struct ExploreResult {
 /// the same log and one outcome was silently dropped — an unsoundness in
 /// every checker built on the Explorer.  This version mixes each field
 /// through hashMix64 with length prefixes, and resolves residual 64-bit
-/// collisions by structural comparison instead of merging.  It is also
-/// the outcome-matching structure of the refinement checkers, replacing
-/// their former string keys (log text joined with separators that can
-/// occur in the data — ambiguous, and O(log length) per comparison even
-/// on hash-distinguishable outcomes).
+/// collisions by structural comparison instead of merging.  The
+/// refinement engine matches outcomes with an OutcomeTrie instead
+/// (machine/Soundness.h), which needs no hash at all.
 class OutcomeSet {
 public:
   using ReturnMap = ccal::ReturnMap;
@@ -277,22 +279,6 @@ public:
     return false;
   }
 
-  /// contains() for the outcome whose log holds exactly \p Events and
-  /// whose returns are \p Returns, compared where they are: a caller can
-  /// map a log into reused storage and look it up without building a Log
-  /// or an Outcome.
-  bool contains(const std::vector<Event> &Events,
-                const ReturnMap &Returns) const {
-    auto It = Seen.find(hashReturns(hashLog(Events), Returns));
-    if (It == Seen.end())
-      return false;
-    for (const Outcome &Prev : It->second)
-      if (Prev.FinalLog.size() == Events.size() && Prev.Returns == Returns &&
-          std::equal(Events.begin(), Events.end(), Prev.FinalLog.begin()))
-        return true;
-    return false;
-  }
-
   size_t size() const { return Count; }
 
 private:
@@ -334,17 +320,18 @@ struct MachineHasVariants<
 /// Each worker owns a stack of frames; a frame is one machine snapshot
 /// plus the iteration state over its schedulable children, so the top of
 /// the stack advances exactly like the recursive formulation (a child
-/// subtree is fully explored before the next sibling starts).  A popped
-/// frame keeps its slot: the next child pushed at that depth is assigned
-/// into it, so every vector in the slot keeps the capacity its previous
-/// occupant grew, and a frame allocates nothing once the stack has been
-/// that deep before.  Work
+/// subtree is fully explored before the next sibling starts).  A parent's
+/// last child takes the parent's own frame, so the stack holds only
+/// frames with unvisited children plus the top.  A popped frame keeps its
+/// slot: the next child pushed there is assigned into it, so every vector
+/// in the slot keeps the capacity its previous occupant grew, and a frame
+/// allocates nothing once the stack has been that deep before.  Work
 /// sharing: when some worker is idle, a busy worker moves the
 /// *shallowest* frame below its top with unvisited children — the
 /// largest pending subtree — into the shared injector deque, where an
-/// idle worker picks it up.  Every node is expanded exactly once, so all counters are
-/// schedule-deterministic; only the order of Outcomes/Corpus depends on
-/// the number of workers.
+/// idle worker picks it up.  Every node is expanded exactly once, so all
+/// counters are schedule-deterministic; only the order of
+/// Outcomes/Corpus depends on the number of workers.
 ///
 /// A single shared first-violation slot plus an atomic stop flag give
 /// early abort: the first worker to find a violation wins, everyone else
@@ -384,11 +371,15 @@ public:
       for (std::thread &T : Pool)
         T.join();
     }
+    // Every worker added its schedules before it left, so Schedules is
+    // the sum over the shards.
+    Res.SchedulesExplored = Schedules.load();
+    if (Res.SchedulesExplored > Opts.MaxSchedules)
+      truncate(scheduleBudgetSpent());
     Res.Ok = !Violated;
     Res.Violation = std::move(Violation);
     Res.Complete = Complete;
     Res.Truncation = std::move(Truncation);
-    Res.SchedulesExplored = Schedules.load();
     std::uint64_t Pulls = 0;
     for (const Shard &S : Shards) {
       Res.StatesExplored += S.States;
@@ -412,7 +403,7 @@ public:
 
 private:
   /// One DFS node: a machine snapshot plus sibling-iteration state.  The
-  /// slot a frame lives in is reused by later frames at the same depth.
+  /// slot a frame lives in is reused by later frames.
   struct Frame {
     MachineT M;
     ThreadId LastId;
@@ -426,20 +417,20 @@ private:
 
     /// Reads-from choices per Ready entry (weak memory models only; empty
     /// means one variant each).  Every variant of a candidate is explored
-    /// before the candidate cursor advances, so the machine-move and
+    /// before the candidate cursor advances, so the last-child and
     /// donation conditions on NextChild stay valid unchanged.
     std::vector<unsigned> ReadyVars;
     unsigned NextVariant = 0; ///< variant cursor within Ready[NextChild]
 
-    /// Copies or moves \p Src straight into M, so a frame built in its
-    /// stack slot costs one machine copy or move.
-    template <typename SrcT>
-    Frame(SrcT &&Src, ThreadId LastId, unsigned Consec, std::uint64_t Depth)
-        : M(std::forward<SrcT>(Src)), LastId(LastId), Consec(Consec),
-          Depth(Depth) {}
+    /// Copies \p Src straight into M, so a frame built in its stack slot
+    /// costs one machine copy.
+    Frame(const MachineT &Src, ThreadId LastId, unsigned Consec,
+          std::uint64_t Depth)
+        : M(Src), LastId(LastId), Consec(Consec), Depth(Depth) {}
 
-    /// Readies a reused slot, whose M the caller has already assigned, for
-    /// a fresh node; the vectors are cleared, not freed.
+    /// Readies a reused slot, whose M the caller has already assigned (or
+    /// will step in place), for a fresh node; the vectors are cleared, not
+    /// freed.
     void reset(ThreadId NewLastId, unsigned NewConsec,
                std::uint64_t NewDepth) {
       LastId = NewLastId;
@@ -475,6 +466,7 @@ private:
     std::uint64_t Donations = 0;       ///< frames moved into the injector
     std::uint64_t DonationBatches = 0; ///< donate() calls that moved frames
     std::uint64_t MaxStack = 0;        ///< deepest DFS stack held
+    std::uint64_t UnaddedSchedules = 0; ///< reached, not yet in Schedules
 
     OutcomeSet Dedup;              ///< this worker's distinct outcomes
     std::vector<Outcome> Outcomes; ///< stored-path results, search order
@@ -495,7 +487,7 @@ private:
   void worker(unsigned Idx) {
     Shard &S = Shards[Idx];
     // The DFS stack is Stack[0, Live).  Popping lowers Live and leaves the
-    // frame in its slot; the next push at that depth assigns into it.
+    // frame in its slot; the next push there assigns into it.
     std::vector<Frame> Stack;
     size_t Live = 0;
     while (true) {
@@ -503,8 +495,10 @@ private:
         Live = 0;
       if (Live == 0) {
         // The one flush point besides a full batch: an idle, stopped,
-        // cancelled, truncated or finished worker holds no outcomes.
+        // cancelled, truncated or finished worker holds no outcomes and
+        // has added every schedule it reached.
         flushOutcomes(S);
+        addSchedules(S);
         if (!pullWork(Stack)) {
           // Every worker leaves together, so the sorts run in parallel
           // and the join only counts across sorted runs.
@@ -552,33 +546,24 @@ private:
       const ThreadId C = Top.Ready[ChildIdx];
       const unsigned Consec = C == Top.LastId ? Top.Consec + 1 : 1;
       const std::uint64_t Depth = Top.Depth;
-      // The final child takes the parent's machine: NextChild is already
-      // past the end, so the frame can only be popped from here on
-      // (donate() skips child-less frames) and its machine is dead
-      // weight.  A reused slot swaps machines with the parent, so the
-      // parent's slot keeps storage for a later occupant; any other child
-      // is copy-assigned into the slot.
-      const bool LastChild = Top.NextChild >= Top.Ready.size();
-      if (Live == Stack.size()) {
-        // A depth reached for the first time: the slot is built.
+      // The last child takes its parent's slot: NextChild is already past
+      // the end, so the parent could only be popped from here on (donate()
+      // skips child-less frames), and its machine steps in place.  Any
+      // other child is copy-assigned into the slot above.
+      if (Top.NextChild >= Top.Ready.size()) {
+        Top.reset(C, Consec, Depth + 1);
+      } else if (Live == Stack.size()) {
+        // A position reached for the first time: the slot is built.
         // emplace_back builds the new element before it relocates the old
         // ones, so Top.M may be its source, but Top dangles after a
         // reallocation and is not read past this point.
-        if (LastChild)
-          Stack.emplace_back(std::move(Top.M), C, Consec, Depth + 1);
-        else
-          Stack.emplace_back(Top.M, C, Consec, Depth + 1);
+        Stack.emplace_back(Top.M, C, Consec, Depth + 1);
+        ++Live;
       } else {
-        Frame &Slot = Stack[Live];
-        if (LastChild) {
-          using std::swap;
-          swap(Slot.M, Top.M);
-        } else {
-          Slot.M = Top.M;
-        }
-        Slot.reset(C, Consec, Depth + 1);
+        Stack[Live].M = Top.M;
+        Stack[Live++].reset(C, Consec, Depth + 1);
       }
-      Frame &Child = Stack[Live++];
+      Frame &Child = Stack[Live - 1];
       if (!stepOn(Child.M, C, Variant)) {
         violate(Child.M, Child.M.error());
         --Live;
@@ -594,24 +579,12 @@ private:
   /// True when the node has children to iterate.
   bool expand(Frame &F, Shard &S) {
     if (Opts.Cancel && Opts.Cancel->load(std::memory_order_relaxed)) {
-      {
-        std::lock_guard<std::mutex> L(ResMu);
-        Complete = false;
-        if (Truncation.empty())
-          Truncation = Opts.CancelReason;
-      }
-      stopAll();
+      truncate(Opts.CancelReason);
       return false;
     }
-    if (Schedules.load(std::memory_order_relaxed) >= Opts.MaxSchedules) {
-      {
-        std::lock_guard<std::mutex> L(ResMu);
-        Complete = false;
-        if (Truncation.empty())
-          Truncation = "MaxSchedules budget (" +
-                       std::to_string(Opts.MaxSchedules) + ") exhausted";
-      }
-      stopAll();
+    if (Schedules.load(std::memory_order_relaxed) + S.UnaddedSchedules >=
+        Opts.MaxSchedules) {
+      truncate(scheduleBudgetSpent());
       return false;
     }
     ++S.States;
@@ -645,7 +618,8 @@ private:
         violate(F.M, "deadlock: nothing schedulable but work remains");
         return false;
       }
-      Schedules.fetch_add(1, std::memory_order_relaxed);
+      if (++S.UnaddedSchedules >= OutcomeBatch)
+        addSchedules(S);
       recordOutcome(F.M, S);
       return false;
     }
@@ -850,6 +824,32 @@ private:
     QCv.notify_all();
   }
 
+  /// Fails the run closed with \p Why, unless an earlier truncation named
+  /// its cause, and stops every worker.
+  void truncate(const std::string &Why) {
+    {
+      std::lock_guard<std::mutex> L(ResMu);
+      Complete = false;
+      if (Truncation.empty())
+        Truncation = Why;
+    }
+    stopAll();
+  }
+
+  std::string scheduleBudgetSpent() const {
+    return "MaxSchedules budget (" + std::to_string(Opts.MaxSchedules) +
+           ") exhausted";
+  }
+
+  /// Adds the worker's schedules to the shared count the budget reads:
+  /// once per OutcomeBatch of them, and when its stack runs empty.
+  void addSchedules(Shard &S) {
+    if (S.UnaddedSchedules == 0)
+      return;
+    Schedules.fetch_add(S.UnaddedSchedules, std::memory_order_relaxed);
+    S.UnaddedSchedules = 0;
+  }
+
   /// Sampled intermediate logs go straight into the worker's own shard —
   /// the former global buffer serialized every worker on ResMu mid-search.
   void pushCorpus(const Log &L, Shard &S) {
@@ -960,7 +960,7 @@ private:
   std::atomic<unsigned> Hungry{0};     ///< lock-free mirror of Idle
   std::atomic<size_t> InjectorSize{0}; ///< lock-free mirror of the deque
 
-  // The schedule budget, written once per terminal schedule.
+  // The schedule budget, written once per OutcomeBatch of schedules.
   alignas(CacheLine) std::atomic<std::uint64_t> Schedules{0};
 
   // Work sharing, written on every pull and donation.

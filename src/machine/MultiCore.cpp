@@ -14,6 +14,8 @@ MultiCoreMachine::MultiCoreMachine(const MachineConfigPtr &CfgIn)
   CCAL_CHECK(Cfg && Cfg->Layer && Cfg->Program && Cfg->Program->Linked,
              "machine config needs a layer and a linked program");
   Fold = Cfg->Layer->fold().initial();
+  if (weakModel())
+    Ra.emplace();
   std::vector<std::int64_t> Image = Cfg->Program->initialGlobals();
   // Work is a map, so the CPUs arrive in id order.
   Cpus.reserve(Cfg->Work.size());
@@ -81,7 +83,7 @@ unsigned MultiCoreMachine::stepVariants(ThreadId Id) const {
   const Cpu *C = cpu(Id);
   if (!C || C->Phase != Core::Stop::AtShared)
     return 1;
-  return model().stepVariants(Ra, Id, C->Exec.pending()->Foot,
+  return model().stepVariants(*Ra, Id, C->Exec.pending()->Foot,
                               Cfg->MaxReadsFromPerStep);
 }
 
@@ -103,7 +105,7 @@ bool MultiCoreMachine::step(ThreadId Id, unsigned Variant) {
     // Fail closed when the reads-from enumeration would be truncated:
     // a capped menu silently hides behaviors the model allows.
     const unsigned Count =
-        model().stepVariants(Ra, Id, Foot, Cfg->MaxReadsFromPerStep);
+        model().stepVariants(*Ra, Id, Foot, Cfg->MaxReadsFromPerStep);
     if (Count > Cfg->MaxReadsFromPerStep) {
       fault(C, "step offers more reads-from choices than "
                 "MaxReadsFromPerStep admits; raise the budget in the "
@@ -114,7 +116,7 @@ bool MultiCoreMachine::step(ThreadId Id, unsigned Variant) {
     // A stale read sees the shared state of its visible log, folded from
     // scratch; the kept fold covers the full log only.
     if (std::optional<Log> Seen =
-            model().visibleLog(Ra, GlobalLog, Id, Foot, Variant))
+            model().visibleLog(*Ra, GlobalLog, Id, Foot, Variant))
       Visible = Cfg->Layer->fold().replay(*Seen);
   } else {
     CCAL_CHECK(Variant == 0, "step: sc model has a single variant");
@@ -128,7 +130,7 @@ bool MultiCoreMachine::step(ThreadId Id, unsigned Variant) {
     return false;
   }
   if (Weak)
-    model().commit(Ra, GlobalLog, FirstNew, Id, Foot, Variant,
+    model().commit(*Ra, GlobalLog, FirstNew, Id, Foot, Variant,
                    [this](KindId K) { return Cfg->Layer->footprintOf(K); });
   return advance(C);
 }

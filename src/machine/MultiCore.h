@@ -39,6 +39,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -161,10 +162,9 @@ private:
   std::vector<Cpu> Cpus;
   Log GlobalLog;
   FoldValue Fold;
-  /// Weak-memory state (view fronts, modification orders).  Stays empty
-  /// under an SC model, so SC snapshots are bit-identical to the
-  /// pre-model machine.
-  RaState Ra;
+  /// Weak-memory state (view fronts, modification orders), engaged only
+  /// under a weak model, so an SC snapshot copies none of it.
+  std::optional<RaState> Ra;
   std::string Err;
 };
 

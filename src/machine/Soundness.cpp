@@ -56,6 +56,44 @@ bool ccal::detail::sideComplete(ContextualRefinementReport &Report,
   return true;
 }
 
+void OutcomeTrie::insert(const Log &L, const EventMap &R,
+                         const ReturnMap &Returns) {
+  std::uint32_t N = 0;
+  for (const Event &E : L) {
+    std::optional<Event> M = R.map(E);
+    if (!M)
+      continue;
+    std::uint32_t To = next(N, *M);
+    if (To == NoNode) {
+      To = static_cast<std::uint32_t>(Nodes.size());
+      Nodes[N].Next.emplace_back(std::move(*M), To);
+      Nodes.emplace_back();
+    }
+    N = To;
+  }
+  std::vector<ReturnMap> &Ends = Nodes[N].Ends;
+  if (std::find(Ends.begin(), Ends.end(), Returns) == Ends.end())
+    Ends.push_back(Returns);
+}
+
+bool OutcomeTrie::contains(const Log &L, const EventMap &R,
+                           const ReturnMap &Returns) const {
+  std::uint32_t N = 0;
+  for (const Event &E : L)
+    if (std::optional<Event> M = R.map(E))
+      if ((N = next(N, *M)) == NoNode)
+        return false;
+  const std::vector<ReturnMap> &Ends = Nodes[N].Ends;
+  return std::find(Ends.begin(), Ends.end(), Returns) != Ends.end();
+}
+
+std::uint32_t OutcomeTrie::next(std::uint32_t N, const Event &E) const {
+  for (const auto &[Edge, To] : Nodes[N].Next)
+    if (Edge == E)
+      return To;
+  return NoNode;
+}
+
 std::string ccal::detail::unmatchedOutcome(const Log &ImplLog,
                                            const Log &Mapped) {
   return strFormat("no specification behavior matches implementation "

@@ -66,6 +66,29 @@ struct ContextualRefinementReport {
   std::string Counterexample;
 };
 
+/// The specification outcomes of an inclusion check, as a trie of their
+/// R-mapped logs: an edge is one mapped event, and the node a log ends at
+/// holds the returns its outcomes reached.  A lookup steps the trie with
+/// each event R keeps, comparing events structurally; it accepts on no
+/// hash and builds no mapped log.
+class OutcomeTrie {
+public:
+  /// Adds the outcome with log \p L mapped through \p R and \p Returns.
+  void insert(const Log &L, const EventMap &R, const ReturnMap &Returns);
+  /// True when that outcome was added.
+  bool contains(const Log &L, const EventMap &R,
+                const ReturnMap &Returns) const;
+
+private:
+  static constexpr std::uint32_t NoNode = ~std::uint32_t(0);
+  struct Node {
+    std::vector<std::pair<Event, std::uint32_t>> Next; ///< edge, node index
+    std::vector<ReturnMap> Ends;
+  };
+  std::uint32_t next(std::uint32_t N, const Event &E) const;
+  std::vector<Node> Nodes = std::vector<Node>(1); ///< Nodes[0] is the root
+};
+
 namespace detail {
 
 /// The engine's fail-closed gate for one side's exploration: true when
@@ -96,22 +119,17 @@ void runOutcomeInclusion(ContextualRefinementReport &Report,
   }();
   if (!sideComplete(Report, /*SpecSide=*/true, SpecRes))
     return;
-  OutcomeSet SpecSet;
+  OutcomeTrie SpecTrie;
   for (const Outcome &O : SpecRes.Outcomes)
-    SpecSet.insert(Outcome{RSpec.apply(O.FinalLog), O.Returns});
+    SpecTrie.insert(O.FinalLog, RSpec, O.Returns);
 
   // Stream implementation outcomes through the matcher instead of storing
   // them: large schedule spaces would not fit in memory otherwise.  The
   // Explorer counts the distinct outcomes checked and those that matched.
-  // It serializes the calls, so one reused buffer serves them all: each
-  // log is mapped into it and looked up with the returns compared in
-  // place, and the match builds no Log and copies no returns.
-  std::vector<Event> Mapped;
   GenericExploreOptions<ImplM> Stream = ImplOpts;
   Stream.OnOutcome = [&](const Outcome &O) -> std::string {
-    RImpl.applyInto(O.FinalLog, Mapped);
-    if (!SpecSet.contains(Mapped, O.Returns))
-      return unmatchedOutcome(O.FinalLog, Log(Mapped));
+    if (!SpecTrie.contains(O.FinalLog, RImpl, O.Returns))
+      return unmatchedOutcome(O.FinalLog, RImpl.apply(O.FinalLog));
     return "";
   };
   ExploreResult ImplRes = [&] {

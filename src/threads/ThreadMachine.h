@@ -157,8 +157,8 @@ private:
   void fault(ThreadId Tid, const std::string &Msg);
   /// Appends the machine's own bookkeeping \p Events (texit, resched) to
   /// the log and the fold.
-  void emit(const std::vector<Event> &Events) {
-    appendFolded(GlobalLog, Fold, Events);
+  void emit(std::vector<Event> &&Events) {
+    appendFolded(GlobalLog, Fold, std::move(Events));
   }
 
   const ThreadedConfig *Cfg;

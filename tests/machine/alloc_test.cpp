@@ -102,13 +102,14 @@ TEST(ExploreAllocTest, CountingIsLive) {
 }
 
 // The certd job ticket.2cpu.  Each state still allocates the primitive's
-// event vector (PrimResult::Events); frames, snapshots, VM calls and
-// outcomes reuse their storage.
+// event vector (PrimResult::Events), whose events are moved into the log;
+// frames, snapshots, VM calls and outcomes reuse their storage.  It makes
+// 1.35 allocations per state; the bound is 10% above.
 TEST(ExploreAllocTest, TicketTwoCpuAllocatesLittlePerState) {
-  EXPECT_LE(allocationsPerState(makeTicketLockHarness(2, 1)), 2.5);
+  EXPECT_LE(allocationsPerState(makeTicketLockHarness(2, 1)), 1.48);
 }
 
-// The certd job mcs.2cpu.
+// The certd job mcs.2cpu: 1.81 allocations per state.
 TEST(ExploreAllocTest, McsTwoCpuAllocatesLittlePerState) {
-  EXPECT_LE(allocationsPerState(makeMcsLockHarness(2, 1)), 3.0);
+  EXPECT_LE(allocationsPerState(makeMcsLockHarness(2, 1)), 1.99);
 }

@@ -104,6 +104,31 @@ TEST(DeterminismTest, CountersAndOutcomeSetInvariantAcrossWorkerCounts) {
   }
 }
 
+TEST(DeterminismTest, SpecCountersArePinnedAtEveryWorkerCount) {
+  // Pinned from the search that pushed every child onto the stack, before
+  // a parent's last child took the parent's frame: the tree is unchanged.
+  struct Case {
+    unsigned Cpus, Rounds;
+    std::uint64_t Schedules, States, MaxLogLen;
+  };
+  for (const Case &C : {Case{3, 1, 6, 61, 12}, Case{4, 2, 984, 12161, 32}})
+    for (unsigned Threads : {1u, 2u, 4u}) {
+      SCOPED_TRACE(std::to_string(C.Cpus) + " CPUs, " +
+                   std::to_string(Threads) + " workers");
+      ExploreOptions Opts;
+      Opts.FairnessBound = 2;
+      Opts.Threads = Threads;
+      ExploreResult Res =
+          exploreMachine(makeSpecConfig(C.Cpus, C.Rounds), Opts);
+      ASSERT_TRUE(Res.Ok) << Res.Violation;
+      EXPECT_TRUE(Res.Complete);
+      EXPECT_EQ(Res.SchedulesExplored, C.Schedules);
+      EXPECT_EQ(Res.StatesExplored, C.States);
+      EXPECT_EQ(Res.MaxLogLen, C.MaxLogLen);
+      EXPECT_EQ(Res.Outcomes.size(), C.Schedules);
+    }
+}
+
 TEST(DeterminismTest, SequentialRunsAreBitIdentical) {
   // Threads=1 twice: not just the same sets — the same order, entry for
   // entry, because the sequential engine is a deterministic DFS and the

@@ -19,8 +19,9 @@ using namespace ccal;
 namespace {
 
 /// Client: each CPU performs K shared ticks and returns the accumulated
-/// tick values.
-MachineConfigPtr makeTickConfig(unsigned Cpus, unsigned Ticks) {
+/// tick values.  \p Tick is the tick primitive's semantics.
+MachineConfigPtr makeTickConfig(unsigned Cpus, unsigned Ticks,
+                                PrimSemantics Tick = makeFetchIncPrim("tick")) {
   static ClightModule Client = [] {
     ClightModule M = parseModuleOrDie("c", R"(
       extern int tick();
@@ -38,7 +39,7 @@ MachineConfigPtr makeTickConfig(unsigned Cpus, unsigned Ticks) {
     return M;
   }();
   auto L = makeInterface("Ltick");
-  L->addShared("tick", makeFetchIncPrim("tick"));
+  L->addShared("tick", std::move(Tick));
   auto Cfg = std::make_shared<MachineConfig>();
   Cfg->Name = "tick";
   Cfg->Layer = L;
@@ -97,21 +98,110 @@ TEST(ExplorerTest, InvariantViolationIsReported) {
 }
 
 TEST(ExplorerTest, ScheduleBudgetMarksIncomplete) {
-  ExploreOptions Opts;
-  Opts.MaxSchedules = 2;
-  ExploreResult Res = exploreMachine(makeTickConfig(2, 2), Opts);
-  EXPECT_TRUE(Res.Ok);
-  EXPECT_FALSE(Res.Complete);
+  for (unsigned Threads : {1u, 2u, 4u}) {
+    ExploreOptions Opts;
+    Opts.MaxSchedules = 2;
+    Opts.Threads = Threads;
+    ExploreResult Res = exploreMachine(makeTickConfig(2, 2), Opts);
+    EXPECT_TRUE(Res.Ok) << Threads;
+    EXPECT_FALSE(Res.Complete) << Threads;
+  }
 }
 
 TEST(PorTest, ExplorerTruncationNamesTheBudget) {
-  ExploreOptions Opts;
-  Opts.MaxSchedules = 1;
-  ExploreResult Res = exploreMachine(makeTickConfig(2, 1), Opts);
-  ASSERT_TRUE(Res.Ok);
-  EXPECT_FALSE(Res.Complete);
-  EXPECT_NE(Res.Truncation.find("MaxSchedules"), std::string::npos)
-      << Res.Truncation;
+  for (unsigned Threads : {1u, 2u, 4u}) {
+    ExploreOptions Opts;
+    Opts.MaxSchedules = 1;
+    Opts.Threads = Threads;
+    ExploreResult Res = exploreMachine(makeTickConfig(2, 1), Opts);
+    ASSERT_TRUE(Res.Ok) << Threads;
+    EXPECT_FALSE(Res.Complete) << Threads;
+    EXPECT_NE(Res.Truncation.find("MaxSchedules"), std::string::npos)
+        << Threads << ": " << Res.Truncation;
+  }
+}
+
+TEST(ExplorerTest, BudgetOfExactlyTheTreeCompletes) {
+  // 3 CPUs x 3 ticks: 1,680 schedules, so several workers add theirs to
+  // the shared count in full batches of 32 as well as when they run dry.
+  // A run that explored more than the budget is truncated whenever its
+  // workers noticed, and one worker never explores past it.
+  MachineConfigPtr Cfg = makeTickConfig(3, 3);
+  for (unsigned Threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(Threads);
+    ExploreOptions Opts;
+    Opts.Threads = Threads;
+    Opts.MaxSchedules = 1680;
+    ExploreResult Exact = exploreMachine(Cfg, Opts);
+    ASSERT_TRUE(Exact.Ok) << Exact.Violation;
+    EXPECT_TRUE(Exact.Complete) << Exact.Truncation;
+    EXPECT_EQ(Exact.SchedulesExplored, 1680u);
+    EXPECT_EQ(Exact.StatesExplored, 5248u);
+
+    Opts.MaxSchedules = 1679;
+    ExploreResult Short = exploreMachine(Cfg, Opts);
+    ASSERT_TRUE(Short.Ok) << Short.Violation;
+    EXPECT_FALSE(Short.Complete);
+    EXPECT_EQ(Short.Truncation, "MaxSchedules budget (1679) exhausted");
+  }
+  for (std::uint64_t Budget : {1u, 7u, 100u, 1679u}) {
+    ExploreOptions Opts;
+    Opts.MaxSchedules = Budget;
+    ExploreResult Res = exploreMachine(Cfg, Opts);
+    EXPECT_FALSE(Res.Complete) << Budget;
+    EXPECT_EQ(Res.SchedulesExplored, Budget);
+  }
+}
+
+TEST(ExplorerTest, LastChildStepsInItsParentsFrame) {
+  // One CPU is a chain: every child is its parent's last, so one worker
+  // holds a single frame however long the chain is.
+  for (unsigned Ticks : {1u, 3u, 5u}) {
+    ExploreResult Res = exploreMachine(makeTickConfig(1, Ticks), {});
+    ASSERT_TRUE(Res.Ok) << Res.Violation;
+    EXPECT_EQ(Res.SchedulesExplored, 1u);
+    EXPECT_EQ(Res.StatesExplored, Ticks + 1u);
+    EXPECT_EQ(Res.MaxLogLen, Ticks);
+    EXPECT_EQ(Res.WorkerMaxStack, std::vector<std::uint64_t>{1}) << Ticks;
+  }
+  // Counters pinned from the search that pushed every child.
+  for (unsigned Threads : {1u, 2u, 4u}) {
+    ExploreOptions Opts;
+    Opts.Threads = Threads;
+    ExploreResult Res = exploreMachine(makeTickConfig(2, 2), Opts);
+    ASSERT_TRUE(Res.Ok) << Res.Violation;
+    EXPECT_EQ(Res.SchedulesExplored, 6u) << Threads;
+    EXPECT_EQ(Res.StatesExplored, 19u) << Threads;
+    EXPECT_EQ(Res.MaxLogLen, 4u) << Threads;
+    EXPECT_EQ(Res.Outcomes.size(), 6u) << Threads;
+  }
+}
+
+TEST(ExplorerTest, StuckPrimitiveOnALastChildFails) {
+  // The third tick gets stuck, on the only child of its parent: the frame
+  // that stepped in place reports the fault with the log it had.
+  KindId TickKind("tick");
+  PrimSemantics Inc = makeFetchIncPrim("tick");
+  auto StuckAtTwo = [Inc, TickKind](const PrimCall &Call)
+      -> std::optional<PrimResult> {
+    if (Call.Fold->count(TickKind) >= 2)
+      return std::nullopt;
+    return Inc(Call);
+  };
+  for (unsigned Threads : {1u, 2u}) {
+    ExploreOptions Opts;
+    Opts.Threads = Threads;
+    ExploreResult Res = exploreMachine(makeTickConfig(1, 3, StuckAtTwo), Opts);
+    EXPECT_FALSE(Res.Ok);
+    const std::string Log2 = "1.tick \xE2\x80\xA2 1.tick";
+    EXPECT_EQ(Res.Violation,
+              "CPU 1: shared primitive 'tick' got stuck (data race or "
+              "protocol violation); log: " +
+                  Log2 + "\n  log: " + Log2)
+        << Threads;
+    EXPECT_EQ(Res.SchedulesExplored, 0u);
+    EXPECT_EQ(Res.StatesExplored, 3u);
+  }
 }
 
 TEST(ExplorerTest, CorpusCollected) {
