@@ -97,8 +97,9 @@ BENCHMARK(certifyTicket)->Name("Refinement/ticket_lock_full")
     ->Unit(benchmark::kMillisecond);
 
 /// The same full contextual refinement with the implementation machine
-/// under RaMemory — the per-schedule cost of reads-from enumeration on a
-/// correctly annotated lock (whose acquire joins collapse most menus).
+/// under MemoryModel::Ra — the per-schedule cost of reads-from
+/// enumeration on a correctly annotated lock (whose acquire joins collapse
+/// most menus).
 void certifyTicketRa(benchmark::State &State) {
   std::uint64_t Obligations = 0;
   for (auto _ : State) {
@@ -211,7 +212,7 @@ BENCHMARK(strategySim)->Name("Simulation/def21_atomic");
 /// reads-from menu over the location's modification order.  The
 /// annotated lock rows below show the other end of the spectrum — the
 /// acquire joins collapse their menus back toward one.
-MachineConfigPtr makeRelaxedCounterConfig(MemoryModelPtr Model) {
+MachineConfigPtr makeRelaxedCounterConfig(MemoryModel Model) {
   static ClightModule Client = [] {
     ClightModule M = parseModuleOrDie("c", R"(
       extern int bump();
@@ -230,7 +231,7 @@ MachineConfigPtr makeRelaxedCounterConfig(MemoryModelPtr Model) {
   Cfg->Name = "rabump";
   Cfg->Layer = L;
   Cfg->Program = Prog;
-  Cfg->Model = std::move(Model);
+  Cfg->Model = Model;
   Cfg->Work.emplace(1, std::vector<CpuWorkItem>{{"t_main", {}}});
   Cfg->Work.emplace(2, std::vector<CpuWorkItem>{{"t_main", {}}});
   return Cfg;
@@ -263,7 +264,7 @@ void emitRaJson(std::FILE *F) {
     Opts.FairnessBound = 1u << 20; // no spinning in this workload
     Opts.MaxSteps = 256;
     Run("relaxed counter, 2 CPUs x 2 bumps, RaMemory",
-        makeRelaxedCounterConfig(raMemory()), Opts);
+        makeRelaxedCounterConfig(MemoryModel::Ra), Opts);
   }
   {
     ObjectHarness H = makeTicketLockHarnessRa(2, 1);
@@ -362,7 +363,7 @@ void emitCertStoreJson(std::FILE *F) {
   std::fprintf(F,
                "  \"cert_store\": {\"workload\": \"ticket spec layer L1, 3 "
                "CPUs x 1 round, contextual refinement\", \"seconds_cold\": "
-               "%.4f, \"seconds_warm\": %.4f, \"speedup\": %.2f, \"hits\": "
+               "%.3g, \"seconds_warm\": %.3g, \"speedup\": %.2f, \"hits\": "
                "%llu, \"misses\": %llu, \"holds\": %s},\n",
                SecsCold, SecsWarm,
                SecsWarm > 0.0 ? SecsCold / SecsWarm : 0.0,
@@ -370,7 +371,7 @@ void emitCertStoreJson(std::FILE *F) {
                static_cast<unsigned long long>(Misses),
                ColdHolds && WarmHolds ? "true" : "false");
   std::fprintf(stderr,
-               "cert store: cold=%.4fs warm=%.4fs (%.1fx) hits=%llu "
+               "cert store: cold=%.3gs warm=%.3gs (%.1fx) hits=%llu "
                "misses=%llu\n",
                SecsCold, SecsWarm,
                SecsWarm > 0.0 ? SecsCold / SecsWarm : 0.0,

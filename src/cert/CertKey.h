@@ -81,10 +81,12 @@ inline void keyAddFootprint(Hasher &H, const Footprint &F) {
   H.b(F.Opaque).strs(F.Reads).strs(F.Writes);
   // Ordering annotations fold only when non-default, so every key minted
   // before the memory-model refactor — all-SC by construction — hashes
-  // byte-identically and stored SC certificates keep verifying.
+  // byte-identically and stored SC certificates keep verifying.  The
+  // constant false fills the slot of the deleted SC-fence annotation, so
+  // keys written before its removal still match.
   if (F.weakOrdered())
     H.str("ord").str(memOrderName(F.ReadOrd)).str(memOrderName(F.WriteOrd))
-        .b(F.Atomic).b(F.ScFence).b(F.FairRead);
+        .b(F.Atomic).b(false).b(F.FairRead);
 }
 
 /// Folds a layer interface into \p H: its name, every primitive's name,

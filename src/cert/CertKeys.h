@@ -81,12 +81,13 @@ template <typename CfgT> void keyAddMachineConfig(Hasher &H, const CfgT &C) {
       H.str(It.Fn).i64s(It.Args);
   }
   H.u64(C.SliceBudget);
-  // Memory-model tag: folded only when a weak model is configured, so SC
-  // keys — with or without an explicit ScMemory — keep their pre-model
-  // hashes and SC/RA certificates can never collide (an RA job presented
-  // an SC certificate sees a different file stem entirely).
-  if (C.Model && C.Model->weak())
-    H.str("memmodel").str(C.Model->name()).u64(C.MaxReadsFromPerStep);
+  // Memory-model tag: folded only under the release/acquire model, so SC
+  // keys keep their pre-model hashes and SC/RA certificates can never
+  // collide (an RA job presented an SC certificate sees a different file
+  // stem entirely).  The enum is named through the config's type: this
+  // header knows configs by shape only.
+  if (C.Model == decltype(C.Model)::Ra)
+    H.str("memmodel").str("ra").u64(C.MaxReadsFromPerStep);
 }
 
 /// Folds a ThreadedConfig (threads/ThreadMachine.h shape) into \p H.  The
@@ -103,12 +104,6 @@ template <typename CfgT> void keyAddThreadedConfig(Hasher &H, const CfgT &C) {
       H.str(It.Fn).i64s(It.Args);
   }
   H.u64(C.SliceBudget);
-  // Same conditional memory-model tag as keyAddMachineConfig.  The
-  // threaded machine is SC-only today (its constructor rejects weak
-  // models), but the tag keeps link-certificate keys honest the day that
-  // changes.
-  if (C.Model && C.Model->weak())
-    H.str("memmodel").str(C.Model->name());
 }
 
 } // namespace cert

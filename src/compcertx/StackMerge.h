@@ -37,10 +37,6 @@ class MergedStackSim {
 public:
   explicit MergedStackSim(unsigned NumThreads);
 
-  unsigned numThreads() const {
-    return static_cast<unsigned>(Private.size());
-  }
-
   /// The currently running thread.
   unsigned current() const { return Cur; }
 

@@ -12,10 +12,11 @@
 /// Every shared primitive's observable behavior is a function of the log;
 /// a footprint names which *parts* of that replayed shared state the
 /// primitive reads and writes, as free-form location strings ("tkt.next",
-/// "lock.acq", ...).  Footprints have two readers: RaMemory's reads-from
-/// enumeration, which takes a step's locations and orders to decide which
-/// writes each read may observe (machine/MemoryModel.h), and certificate
-/// keys, which fold every primitive's declared footprint (cert/CertKey.h).
+/// "lock.acq", ...).  Footprints have two readers: the release/acquire
+/// model's reads-from enumeration, which takes a step's locations and
+/// orders to decide which writes each read may observe
+/// (machine/MemoryModel.h), and certificate keys, which fold every
+/// primitive's declared footprint (cert/CertKey.h).
 /// An Opaque footprint ("unknown effects") is the default for undeclared
 /// primitives.
 ///
@@ -71,10 +72,6 @@ struct Footprint {
   /// lock's duplicate tickets arise.
   bool Atomic = true;
 
-  /// The primitive also executes an SC fence (join with the global SC
-  /// view before its reads and publish to it after its writes).
-  bool ScFence = false;
-
   /// Memory-fair read: the reads-from enumeration always resolves to the
   /// latest write, while the synchronization effect still follows
   /// ReadOrd.  This is the spin-assume / await-termination assumption of
@@ -104,10 +101,10 @@ struct Footprint {
 
   /// True when any annotation differs from the SC defaults — the footprint
   /// opts in to weak-memory treatment (reads-from enumeration under
-  /// RaMemory, order-folding CertKeys).
+  /// MemoryModel::Ra, order-folding CertKeys).
   bool weakOrdered() const {
     return ReadOrd != MemOrder::SeqCst || WriteOrd != MemOrder::SeqCst ||
-           !Atomic || ScFence || FairRead;
+           !Atomic || FairRead;
   }
 
   /// Copy with the given read/write orders (builder style, so layer
@@ -123,13 +120,6 @@ struct Footprint {
   Footprint nonAtomic() const {
     Footprint F = *this;
     F.Atomic = false;
-    return F;
-  }
-
-  /// Copy that also executes an SC fence.
-  Footprint withScFence() const {
-    Footprint F = *this;
-    F.ScFence = true;
     return F;
   }
 

@@ -31,11 +31,6 @@ void LayerInterface::addShared(std::string Name, PrimSemantics Sem,
   addPrim(std::move(P));
 }
 
-Footprint LayerInterface::footprintOf(const std::string &Name) const {
-  const Primitive *P = lookup(Name);
-  return P ? P->Foot : Footprint::opaque();
-}
-
 void LayerInterface::addPrivate(std::string Name, PrimSemantics Sem) {
   Primitive P;
   P.Name = std::move(Name);

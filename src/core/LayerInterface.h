@@ -116,7 +116,7 @@ struct Primitive {
   bool ExitsThread = false;
 
   /// Declared read/write footprint over abstract shared locations (see
-  /// core/Footprint.h), read by RaMemory's reads-from enumeration and
+  /// core/Footprint.h), read by the release/acquire model (RaState) and
   /// folded into certificate keys.  Defaults to opaque.
   Footprint Foot = Footprint::opaque();
 
@@ -155,12 +155,9 @@ public:
     return It == ByKind.end() ? nullptr : It->second;
   }
 
-  /// Declared footprint of primitive \p Name; opaque when the primitive is
-  /// unknown or undeclared, so callers can treat any event kind uniformly.
-  Footprint footprintOf(const std::string &Name) const;
-
-  /// Footprint by interned kind id (event kinds coincide with primitive
-  /// names).
+  /// Declared footprint of the primitive of kind \p Kind (event kinds
+  /// coincide with primitive names); opaque when the primitive is unknown
+  /// or undeclared, so callers can treat any event kind uniformly.
   Footprint footprintOf(KindId Kind) const {
     const Primitive *P = lookup(Kind);
     return P ? P->Foot : Footprint::opaque();

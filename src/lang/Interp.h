@@ -66,7 +66,6 @@ public:
 
   const std::string &error() const { return Err; }
   const std::vector<PrimTraceEntry> &trace() const { return Trace; }
-  void clearTrace() { Trace.clear(); }
 
   /// Address of global \p Name in the flat global store; aborts if absent.
   int globalAddr(const std::string &Name) const;

@@ -120,6 +120,8 @@ template <typename MachineT> struct GenericExploreOptions {
   /// each, and calls are serialized.  Returning a non-empty string rejects
   /// the outcome and aborts the exploration with that violation.
   /// ExploreResult::DistinctOutcomes/AcceptedOutcomes count what it saw.
+  /// When unset, exploreGeneric installs a callback of its own that
+  /// stores the distinct outcomes (see MaxStoredOutcomes).
   ///
   /// With more than one worker, each worker hands its outcomes over in
   /// batches of 32, one lock acquisition per batch, so a rejection stops
@@ -131,7 +133,8 @@ template <typename MachineT> struct GenericExploreOptions {
   /// reached.
   std::function<std::string(const Outcome &)> OnOutcome;
 
-  /// Cap on stored outcomes when OnOutcome is not set.
+  /// Cap on stored outcomes when OnOutcome is not set; an outcome past it
+  /// is not stored, and the run is truncated (fails closed).
   size_t MaxStoredOutcomes = 1u << 18;
 
   /// Worker threads sharing the search frontier.  1 (the default) runs the
@@ -159,14 +162,17 @@ struct ExploreResult {
 
   std::string Violation; ///< first violation with its log
 
-  std::vector<Outcome> Outcomes; ///< one per schedule (deduplicated)
+  /// Runs without OnOutcome: the distinct outcomes in the order they were
+  /// handed over (search order with one worker), up to MaxStoredOutcomes.
+  /// Empty when the caller set OnOutcome.
+  std::vector<Outcome> Outcomes;
 
-  /// OnOutcome runs only: the distinct outcomes passed to the callback and
-  /// the distinct ones it accepted, counted by 128-bit fingerprint
-  /// (OutcomeSet::fingerprint) at the join; a run stopped early counts
-  /// every outcome reached, including those a worker still held in its
-  /// batch when the stop came.  Every outcome is matched before it is
-  /// counted, so a collision can only under-count.
+  /// The distinct outcomes passed to the callback (the caller's or the
+  /// storing one) and the distinct ones it accepted, counted by 128-bit
+  /// fingerprint (OutcomeSet::fingerprint) at the join; a run stopped
+  /// early counts every outcome reached, including those a worker still
+  /// held in its batch when the stop came.  Every outcome is matched
+  /// before it is counted, so a collision can only under-count.
   std::uint64_t DistinctOutcomes = 0;
   std::uint64_t AcceptedOutcomes = 0;
 
@@ -346,9 +352,13 @@ template <typename MachineT> class GenericDfs {
 
 public:
   using Options = GenericExploreOptions<MachineT>;
+  using OutcomeFn = std::function<std::string(const Outcome &)>;
 
-  GenericDfs(const Options &Opts, unsigned Workers)
-      : Opts(Opts), Workers(Workers),
+  /// Every terminal schedule's outcome goes to \p OnOutcome, which
+  /// stands in for Opts.OnOutcome.
+  GenericDfs(const Options &Opts, unsigned Workers,
+             const OutcomeFn &OnOutcome)
+      : Opts(Opts), OnOutcome(OnOutcome), Workers(Workers),
         OutcomeBatch(Workers > 1 ? MultiWorkerOutcomeBatch : 1),
         Shards(Workers) {}
 
@@ -409,8 +419,8 @@ private:
     ThreadId LastId;
     unsigned Consec;
     std::uint64_t Depth;
-    /// The full schedulable set (fairness reads its size even after some
-    /// children have been visited or the frame has been donated).
+    /// The children to step: the schedulable set, less the last stepper
+    /// when fairness forbids it another step (expand() decides).
     std::vector<ThreadId> Ready;
     size_t NextChild = 0;
     bool Expanded = false;
@@ -447,15 +457,10 @@ private:
   /// Per-worker counters AND result buffers, merged after the join (no
   /// hot-path sharing).  Each shard starts on its own cache line, so a
   /// worker's per-state counters never share one with the previous
-  /// shard's vectors.  The stored-outcome path deduplicates into the
-  /// worker's own Dedup/Outcomes/Corpus, so recording a terminal outcome
-  /// takes no lock at all; cross-worker duplicates collapse at the join
-  /// (mergeShardResults).  With one worker this is exactly the former
-  /// globally-locked recording, entry for entry.  The OnOutcome path
-  /// buffers up to OutcomeBatch outcomes in Pending, hands them to the
-  /// callback together (flushOutcomes) and then keeps only fingerprints,
-  /// which the worker sorts on its way out and the join counts; its Dedup
-  /// holds just the outcomes whose logs entered the corpus.
+  /// shard's vectors.  A worker buffers up to OutcomeBatch outcomes in
+  /// Pending, hands them to the callback together (flushOutcomes) and
+  /// then keeps only fingerprints, which it sorts on its way out and the
+  /// join counts (mergeShardResults).
   struct alignas(CacheLine) Shard {
     std::uint64_t States = 0;
     std::uint64_t InvariantChecks = 0;
@@ -468,14 +473,12 @@ private:
     std::uint64_t MaxStack = 0;        ///< deepest DFS stack held
     std::uint64_t UnaddedSchedules = 0; ///< reached, not yet in Schedules
 
-    OutcomeSet Dedup;              ///< this worker's distinct outcomes
-    std::vector<Outcome> Outcomes; ///< stored-path results, search order
-    std::vector<Log> Corpus;       ///< terminal + sampled logs
-    bool StoreTruncated = false;   ///< hit MaxStoredOutcomes locally
+    std::vector<Log> Corpus; ///< terminal + sampled logs
+    OutcomeSet Dedup;        ///< the outcomes whose logs entered Corpus
 
-    /// OnOutcome path: the first NPending outcomes of Pending were
-    /// reached but not yet handed over.  The slots past them are kept, so
-    /// the next outcome is assigned into storage an earlier one grew.
+    /// The first NPending outcomes of Pending were reached but not yet
+    /// handed over.  The slots past them are kept, so the next outcome is
+    /// assigned into storage an earlier one grew.
     std::vector<Outcome> Pending;
     size_t NPending = 0;
     /// One fingerprint per handed-over terminal schedule, split by whether
@@ -529,15 +532,6 @@ private:
         continue;
       }
       const size_t ChildIdx = Top.NextChild;
-      // Fairness: one participant may not run more than FairnessBound
-      // consecutive steps while someone else is waiting.  Decided once per
-      // candidate, at variant 0.
-      if (Top.NextVariant == 0 && Top.Ready.size() > 1 &&
-          Top.Ready[ChildIdx] == Top.LastId &&
-          Top.Consec >= Opts.FairnessBound) {
-        ++Top.NextChild;
-        continue;
-      }
       const unsigned Variant = Top.NextVariant;
       if (++Top.NextVariant >= variantsOf(Top, ChildIdx)) {
         ++Top.NextChild;
@@ -613,6 +607,19 @@ private:
         }
       }
     }
+    // Fairness: one participant may not run more than FairnessBound
+    // consecutive steps while someone else is waiting, so the last
+    // stepper leaves the menu (its reads-from choices were counted
+    // above).  A parent whose only other candidate it was then steps its
+    // last child in place.
+    if (F.Ready.size() > 1 && F.Consec >= Opts.FairnessBound) {
+      auto It = std::find(F.Ready.begin(), F.Ready.end(), F.LastId);
+      if (It != F.Ready.end()) {
+        if (!F.ReadyVars.empty())
+          F.ReadyVars.erase(F.ReadyVars.begin() + (It - F.Ready.begin()));
+        F.Ready.erase(It);
+      }
+    }
     if (F.Ready.empty()) {
       if (!F.M.allIdle()) {
         violate(F.M, "deadlock: nothing schedulable but work remains");
@@ -631,7 +638,7 @@ private:
     return true;
   }
 
-  /// Reads-from choices of Ready entry \p Idx (1 without a weak model).
+  /// Reads-from choices of Ready entry \p Idx (1 under SC).
   static unsigned variantsOf(const Frame &F, size_t Idx) {
     return F.ReadyVars.empty() ? 1u : F.ReadyVars[Idx];
   }
@@ -645,41 +652,25 @@ private:
       return M.step(C);
   }
 
+  /// Every terminal schedule's outcome goes into the worker's batch,
+  /// which is handed to the callback once full (or when the worker's
+  /// stack runs empty).  The outcome is assigned into a kept slot, so the
+  /// log's chunk table and tail and the returns reuse what an earlier
+  /// outcome grew.  The corpus takes each distinct terminal log once (a
+  /// copy per schedule would crowd the capped buffer), so Dedup holds the
+  /// outcomes whose logs it took and stops growing once the corpus is
+  /// full.
   void recordOutcome(const MachineT &M, Shard &S) {
-    if (Opts.OnOutcome) {
-      // Callback path: every terminal schedule's outcome goes into the
-      // worker's batch, which is handed to the callback once full (or
-      // when the worker's stack runs empty).  The outcome is assigned
-      // into a kept slot, so the log's chunk table and tail and the
-      // returns reuse what an earlier outcome grew.  The corpus still
-      // takes each distinct terminal log once (a copy per schedule would
-      // crowd the capped buffer), so Dedup holds the outcomes whose logs
-      // it took and stops growing once the corpus is full.
-      if (S.NPending == S.Pending.size())
-        S.Pending.emplace_back();
-      Outcome &O = S.Pending[S.NPending++];
-      O.FinalLog = M.log();
-      M.returns(O.Returns);
-      if (Opts.CollectCorpus && S.Corpus.size() < Opts.MaxCorpus &&
-          S.Dedup.insert(O))
-        S.Corpus.push_back(O.FinalLog);
-      if (S.NPending >= OutcomeBatch)
-        flushOutcomes(S);
-      return;
-    }
-    // Stored path: everything is worker-local, so recording an outcome
-    // takes no lock; cross-worker duplicates collapse at the join.
-    Outcome O;
+    if (S.NPending == S.Pending.size())
+      S.Pending.emplace_back();
+    Outcome &O = S.Pending[S.NPending++];
     O.FinalLog = M.log();
     M.returns(O.Returns);
-    if (!S.Dedup.insert(O))
-      return;
-    if (Opts.CollectCorpus && S.Corpus.size() < Opts.MaxCorpus)
+    if (Opts.CollectCorpus && S.Corpus.size() < Opts.MaxCorpus &&
+        S.Dedup.insert(O))
       S.Corpus.push_back(O.FinalLog);
-    if (S.Outcomes.size() < Opts.MaxStoredOutcomes)
-      S.Outcomes.push_back(std::move(O));
-    else
-      S.StoreTruncated = true; // reported as truncation at the join
+    if (S.NPending >= OutcomeBatch)
+      flushOutcomes(S);
   }
 
   /// Hands the worker's pending outcomes to OnOutcome in order, in one
@@ -694,7 +685,7 @@ private:
     {
       std::lock_guard<std::mutex> L(ResMu);
       for (size_t I = 0; I != S.NPending; ++I) {
-        std::string V = Opts.OnOutcome(S.Pending[I]);
+        std::string V = OnOutcome(S.Pending[I]);
         if (V.empty())
           continue;
         Rejects |= std::uint64_t(1) << I;
@@ -719,59 +710,31 @@ private:
   }
 
   /// Joins the per-worker result shards after the workers exit, in worker
-  /// order.  Outcomes flow through a fresh dedup set (each worker
-  /// deduplicated only its own stream); the corpus concatenates up to its
-  /// cap; any shard-local truncation fails the run closed.  With one
-  /// worker this moves the single shard's vectors unchanged, so
-  /// sequential runs are bit-identical to the former global recording.
-  /// The OnOutcome path counts its fingerprints instead.
+  /// order: counts the distinct fingerprints, and concatenates the corpus
+  /// up to its cap.
   void mergeShardResults(ExploreResult &Res) {
-    bool Truncated = false;
-    if (Opts.OnOutcome) {
-      Res.AcceptedOutcomes = countDistinct(
-          &Shard::Accepted, [](const OutcomeSet::Fingerprint &) { return true; });
-      // A rejected outcome that another schedule's callback accepted is
-      // counted already.
-      Res.DistinctOutcomes =
-          Res.AcceptedOutcomes +
-          countDistinct(&Shard::Rejected,
-                        [this](const OutcomeSet::Fingerprint &F) {
-                          for (const Shard &S : Shards)
-                            if (std::binary_search(S.Accepted.begin(),
-                                                   S.Accepted.end(), F))
-                              return false;
-                          return true;
-                        });
-      for (Shard &S : Shards) {
-        std::vector<OutcomeSet::Fingerprint>().swap(S.Accepted);
-        std::vector<OutcomeSet::Fingerprint>().swap(S.Rejected);
-      }
-    } else {
-      OutcomeSet Merged;
-      for (Shard &S : Shards) {
-        Truncated |= S.StoreTruncated;
-        for (Outcome &O : S.Outcomes) {
-          if (!Merged.insert(O))
-            continue;
-          if (Res.Outcomes.size() < Opts.MaxStoredOutcomes)
-            Res.Outcomes.push_back(std::move(O));
-          else
-            Truncated = true;
-        }
-      }
-    }
-    for (Shard &S : Shards)
+    Res.AcceptedOutcomes = countDistinct(
+        &Shard::Accepted, [](const OutcomeSet::Fingerprint &) { return true; });
+    // A rejected outcome that another schedule's callback accepted is
+    // counted already.
+    Res.DistinctOutcomes =
+        Res.AcceptedOutcomes +
+        countDistinct(&Shard::Rejected,
+                      [this](const OutcomeSet::Fingerprint &F) {
+                        for (const Shard &S : Shards)
+                          if (std::binary_search(S.Accepted.begin(),
+                                                 S.Accepted.end(), F))
+                            return false;
+                        return true;
+                      });
+    for (Shard &S : Shards) {
+      std::vector<OutcomeSet::Fingerprint>().swap(S.Accepted);
+      std::vector<OutcomeSet::Fingerprint>().swap(S.Rejected);
       for (Log &L : S.Corpus) {
         if (Res.Corpus.size() >= Opts.MaxCorpus)
           break;
         Res.Corpus.push_back(std::move(L));
       }
-    if (Truncated) {
-      Res.Complete = false;
-      if (Res.Truncation.empty())
-        Res.Truncation = "MaxStoredOutcomes budget (" +
-                         std::to_string(Opts.MaxStoredOutcomes) +
-                         ") exhausted";
     }
   }
 
@@ -951,6 +914,7 @@ private:
   // Not written during the search (each worker writes only its own
   // Shard, which sits on lines of its own).
   const Options &Opts;
+  const OutcomeFn &OnOutcome;
   const unsigned Workers;
   const size_t OutcomeBatch;
   std::vector<Shard> Shards;
@@ -970,9 +934,9 @@ private:
   unsigned Idle = 0;          ///< guarded by QMu
   bool Finished = false;      ///< guarded by QMu
 
-  // Shared result slots (first violation wins).  Outcomes, fingerprints
-  // and the corpus live in the per-worker Shards; ResMu also serializes
-  // the OnOutcome calls, taken once per batch (flushOutcomes).
+  // Shared result slots (first violation wins).  Fingerprints and the
+  // corpus live in the per-worker Shards; ResMu also serializes the
+  // OnOutcome calls, taken once per batch (flushOutcomes).
   alignas(CacheLine) std::mutex ResMu;
   bool Violated = false;  ///< guarded by ResMu
   std::string Violation;  ///< guarded by ResMu
@@ -999,8 +963,33 @@ ExploreResult exploreGeneric(const MachineT &Root,
     if (Workers == 0)
       Workers = 1;
   }
-  detail::GenericDfs<MachineT> D(Opts, Workers);
+  // Without a caller's callback the distinct outcomes are stored, through
+  // the same batched path: the callback runs serialized, so it needs no
+  // lock of its own.
+  OutcomeSet Seen;
+  std::vector<Outcome> Stored;
+  bool StoreFull = false;
+  std::function<std::string(const Outcome &)> Store;
+  if (!Opts.OnOutcome)
+    Store = [&](const Outcome &O) -> std::string {
+      if (!Seen.insert(O))
+        return "";
+      if (Stored.size() < Opts.MaxStoredOutcomes)
+        Stored.push_back(O);
+      else
+        StoreFull = true;
+      return "";
+    };
+  detail::GenericDfs<MachineT> D(Opts, Workers,
+                                 Opts.OnOutcome ? Opts.OnOutcome : Store);
   ExploreResult Res = D.run(Root);
+  Res.Outcomes = std::move(Stored);
+  if (StoreFull) {
+    Res.Complete = false;
+    if (Res.Truncation.empty())
+      Res.Truncation = "MaxStoredOutcomes budget (" +
+                       std::to_string(Opts.MaxStoredOutcomes) + ") exhausted";
+  }
   if (obs::enabled())
     detail::publishExploreMetrics(Res);
   return Res;

@@ -11,7 +11,7 @@ HardwareMachine::HardwareMachine(const MachineConfigPtr &CfgIn)
     : Cfg(CfgIn.get()) {
   CCAL_CHECK(Cfg && Cfg->Layer && Cfg->Program && Cfg->Program->Linked,
              "machine config needs a layer and a linked program");
-  CCAL_CHECK(!Cfg->Model || !Cfg->Model->weak(),
+  CCAL_CHECK(Cfg->Model == MemoryModel::Sc,
              "the hardware machine is SC-only; run weak-memory "
              "verification on the query-point MultiCoreMachine");
   Fold = Cfg->Layer->fold().initial();

@@ -1,7 +1,8 @@
-//===- machine/MemoryModel.cpp - Pluggable memory models --------------------===//
+//===- machine/MemoryModel.cpp - The release/acquire model -----------------===//
 
 #include "machine/MemoryModel.h"
 
+#include "core/LayerInterface.h"
 #include "support/Check.h"
 
 #include <algorithm>
@@ -10,30 +11,9 @@ using namespace ccal;
 
 namespace {
 
-class ScMemoryImpl final : public MemoryModel {
-public:
-  const char *name() const override { return "sc"; }
-  bool weak() const override { return false; }
-  unsigned stepVariants(const RaState &, ThreadId, const Footprint &,
-                        unsigned) const override {
-    return 1;
-  }
-  std::optional<Log> visibleLog(const RaState &, const Log &, ThreadId,
-                                const Footprint &,
-                                unsigned Variant) const override {
-    CCAL_CHECK(Variant == 0, "sc memory has a single reads-from choice");
-    return std::nullopt;
-  }
-  void commit(RaState &, const Log &, std::size_t, ThreadId,
-              const Footprint &, unsigned,
-              const std::function<Footprint(KindId)> &) const override {}
-};
-
-/// A step's SC coupling: SeqCst accesses and SC fences synchronize with
-/// the global SC view bidirectionally.
+/// A step's SC coupling: SeqCst accesses synchronize with the global SC
+/// view bidirectionally.
 bool scCoupled(const Footprint &F) {
-  if (F.ScFence)
-    return true;
   if (!F.Reads.empty() && F.ReadOrd == MemOrder::SeqCst)
     return true;
   if (!F.Writes.empty() && F.WriteOrd == MemOrder::SeqCst)
@@ -54,6 +34,21 @@ bool enumerable(const Footprint &F, const std::string &Loc) {
   return true;
 }
 
+std::uint64_t moLen(const RaState &S, const std::string &Loc) {
+  auto It = S.Mo.find(Loc);
+  return It == S.Mo.end() ? 0 : It->second.size();
+}
+
+RaView entryView(const RaState &S, ThreadId Tid, const Footprint &F) {
+  RaView E;
+  auto It = S.Views.find(Tid);
+  if (It != S.Views.end())
+    E = It->second;
+  if (scCoupled(F))
+    E.join(S.Sc);
+  return E;
+}
+
 /// Decoded reads-from choice of one step: the view the step entered with
 /// and, for each enumerable read location (in sorted Reads order), the
 /// chosen position into mo(l) — a count in [entry front, |mo(l)|], where
@@ -63,161 +58,128 @@ struct RaChoice {
   std::vector<std::pair<std::string, std::uint32_t>> Pos;
 };
 
-class RaMemoryImpl final : public MemoryModel {
-public:
-  const char *name() const override { return "ra"; }
-  bool weak() const override { return true; }
-
-  unsigned stepVariants(const RaState &S, ThreadId Tid, const Footprint &F,
-                        unsigned Budget) const override {
-    const RaView Entry = entryView(S, Tid, F);
-    std::uint64_t Count = 1;
-    for (const std::string &Loc : F.Reads) {
-      if (!enumerable(F, Loc))
-        continue;
-      const std::uint64_t MoLen = moLen(S, Loc);
-      const std::uint64_t Front = Entry.of(Loc);
-      CCAL_CHECK(Front <= MoLen, "view front beyond modification order");
-      Count *= MoLen - Front + 1;
-      if (Count > Budget)
-        return Budget + 1; // saturate: caller faults fail-closed
-    }
-    return static_cast<unsigned>(Count);
+/// Mixed-radix decode, one digit per enumerable read location in sorted
+/// order; digit d maps to position |mo(l)| - d, so variant 0 is the
+/// all-latest (SC-coincident) choice.
+RaChoice decode(const RaState &S, ThreadId Tid, const Footprint &F,
+                unsigned Variant) {
+  RaChoice C;
+  C.Entry = entryView(S, Tid, F);
+  std::uint64_t V = Variant;
+  for (const std::string &Loc : F.Reads) {
+    if (!enumerable(F, Loc))
+      continue;
+    const std::uint64_t MoLen = moLen(S, Loc);
+    const std::uint64_t Front = C.Entry.of(Loc);
+    const std::uint64_t Radix = MoLen - Front + 1;
+    const std::uint64_t Digit = V % Radix;
+    V /= Radix;
+    C.Pos.emplace_back(Loc, static_cast<std::uint32_t>(MoLen - Digit));
   }
-
-  std::optional<Log> visibleLog(const RaState &S, const Log &Full,
-                                ThreadId Tid, const Footprint &F,
-                                unsigned Variant) const override {
-    const RaChoice C = decode(S, Tid, F, Variant);
-    // Hide every event that writes a chosen location beyond its chosen
-    // position.  Events writing only other locations stay visible; the
-    // footprint contract says they cannot influence this primitive.
-    std::vector<std::uint32_t> Hidden;
-    for (const auto &[Loc, Pos] : C.Pos) {
-      auto It = S.Mo.find(Loc);
-      if (It == S.Mo.end())
-        continue;
-      const std::vector<RaMsg> &Msgs = It->second;
-      for (std::size_t K = Pos; K < Msgs.size(); ++K)
-        Hidden.push_back(Msgs[K].LogIdx);
-    }
-    if (Hidden.empty())
-      return std::nullopt;
-    std::sort(Hidden.begin(), Hidden.end());
-    Hidden.erase(std::unique(Hidden.begin(), Hidden.end()), Hidden.end());
-    Log Out;
-    auto Next = Hidden.begin();
-    for (std::size_t I = 0, E = Full.size(); I != E; ++I) {
-      if (Next != Hidden.end() && *Next == I) {
-        ++Next;
-        continue;
-      }
-      Out.push_back(Full[I]);
-    }
-    return Out;
-  }
-
-  void commit(RaState &S, const Log &Full, std::size_t FirstNew,
-              ThreadId Tid, const Footprint &F, unsigned Variant,
-              const std::function<Footprint(KindId)> &FootOfKind)
-      const override {
-    RaChoice C = decode(S, Tid, F, Variant);
-    RaView E = C.Entry;
-
-    // Reads: advance the front on every read location (coherence), and
-    // collect acquire joins from release messages read-from.  All reads
-    // choose against the entry view; joins apply afterwards (see header).
-    RaView AcqJoin;
-    auto ChosenPos = [&](const std::string &Loc) -> std::uint32_t {
-      for (const auto &[L, P] : C.Pos)
-        if (L == Loc)
-          return P;
-      return static_cast<std::uint32_t>(moLen(S, Loc)); // reads latest
-    };
-    for (const std::string &Loc : F.Reads) {
-      const std::uint32_t Pos = ChosenPos(Loc);
-      E.advance(Loc, Pos);
-      if (Pos == 0 || !F.readActsAcquire())
-        continue;
-      auto It = S.Mo.find(Loc);
-      if (It != S.Mo.end() && It->second[Pos - 1].Release)
-        AcqJoin.join(It->second[Pos - 1].View);
-    }
-    E.join(AcqJoin);
-
-    // Writes: one message per write location of each appended event; the
-    // message view is the writer's view including the write itself.
-    for (std::size_t I = FirstNew, End = Full.size(); I != End; ++I) {
-      const Footprint EF = FootOfKind(Full[I].Kind);
-      if (EF.Writes.empty())
-        continue;
-      std::vector<std::pair<const std::string *, std::size_t>> NewMsgs;
-      for (const std::string &Loc : EF.Writes) {
-        std::vector<RaMsg> &Msgs = S.Mo[Loc];
-        RaMsg M;
-        M.Release = EF.writeActsRelease();
-        M.LogIdx = static_cast<std::uint32_t>(I);
-        Msgs.push_back(std::move(M));
-        E.advance(Loc, static_cast<std::uint32_t>(Msgs.size()));
-        NewMsgs.emplace_back(&Loc, Msgs.size() - 1);
-      }
-      for (auto &[Loc, MsgIdx] : NewMsgs)
-        S.Mo[*Loc][MsgIdx].View = E;
-    }
-
-    if (scCoupled(F))
-      S.Sc.join(E);
-    S.Views[Tid] = std::move(E);
-  }
-
-private:
-  static std::uint64_t moLen(const RaState &S, const std::string &Loc) {
-    auto It = S.Mo.find(Loc);
-    return It == S.Mo.end() ? 0 : It->second.size();
-  }
-
-  static RaView entryView(const RaState &S, ThreadId Tid,
-                          const Footprint &F) {
-    RaView E;
-    auto It = S.Views.find(Tid);
-    if (It != S.Views.end())
-      E = It->second;
-    if (scCoupled(F))
-      E.join(S.Sc);
-    return E;
-  }
-
-  /// Mixed-radix decode, one digit per enumerable read location in sorted
-  /// order; digit d maps to position |mo(l)| - d, so variant 0 is the
-  /// all-latest (SC-coincident) choice.
-  RaChoice decode(const RaState &S, ThreadId Tid, const Footprint &F,
-                  unsigned Variant) const {
-    RaChoice C;
-    C.Entry = entryView(S, Tid, F);
-    std::uint64_t V = Variant;
-    for (const std::string &Loc : F.Reads) {
-      if (!enumerable(F, Loc))
-        continue;
-      const std::uint64_t MoLen = moLen(S, Loc);
-      const std::uint64_t Front = C.Entry.of(Loc);
-      const std::uint64_t Radix = MoLen - Front + 1;
-      const std::uint64_t Digit = V % Radix;
-      V /= Radix;
-      C.Pos.emplace_back(Loc, static_cast<std::uint32_t>(MoLen - Digit));
-    }
-    CCAL_CHECK(V == 0, "reads-from variant out of range");
-    return C;
-  }
-};
+  CCAL_CHECK(V == 0, "reads-from variant out of range");
+  return C;
+}
 
 } // namespace
 
-MemoryModelPtr ccal::scMemory() {
-  static const MemoryModelPtr M = std::make_shared<ScMemoryImpl>();
-  return M;
+unsigned RaState::stepVariants(ThreadId Tid, const Footprint &F,
+                               unsigned Budget) const {
+  const RaView Entry = entryView(*this, Tid, F);
+  std::uint64_t Count = 1;
+  for (const std::string &Loc : F.Reads) {
+    if (!enumerable(F, Loc))
+      continue;
+    const std::uint64_t MoLen = moLen(*this, Loc);
+    const std::uint64_t Front = Entry.of(Loc);
+    CCAL_CHECK(Front <= MoLen, "view front beyond modification order");
+    Count *= MoLen - Front + 1;
+    if (Count > Budget)
+      return Budget + 1; // saturate: caller faults fail-closed
+  }
+  return static_cast<unsigned>(Count);
 }
 
-MemoryModelPtr ccal::raMemory() {
-  static const MemoryModelPtr M = std::make_shared<RaMemoryImpl>();
-  return M;
+std::optional<Log> RaState::visibleLog(const Log &Full, ThreadId Tid,
+                                       const Footprint &F,
+                                       unsigned Variant) const {
+  const RaChoice C = decode(*this, Tid, F, Variant);
+  // Hide every event that writes a chosen location beyond its chosen
+  // position.  Events writing only other locations stay visible; the
+  // footprint contract says they cannot influence this primitive.
+  std::vector<std::uint32_t> Hidden;
+  for (const auto &[Loc, Pos] : C.Pos) {
+    auto It = Mo.find(Loc);
+    if (It == Mo.end())
+      continue;
+    const std::vector<RaMsg> &Msgs = It->second;
+    for (std::size_t K = Pos; K < Msgs.size(); ++K)
+      Hidden.push_back(Msgs[K].LogIdx);
+  }
+  if (Hidden.empty())
+    return std::nullopt;
+  std::sort(Hidden.begin(), Hidden.end());
+  Hidden.erase(std::unique(Hidden.begin(), Hidden.end()), Hidden.end());
+  Log Out;
+  auto Next = Hidden.begin();
+  for (std::size_t I = 0, E = Full.size(); I != E; ++I) {
+    if (Next != Hidden.end() && *Next == I) {
+      ++Next;
+      continue;
+    }
+    Out.push_back(Full[I]);
+  }
+  return Out;
+}
+
+void RaState::commit(const Log &Full, std::size_t FirstNew, ThreadId Tid,
+                     const Footprint &F, unsigned Variant,
+                     const LayerInterface &Layer) {
+  RaChoice C = decode(*this, Tid, F, Variant);
+  RaView E = C.Entry;
+
+  // Reads: advance the front on every read location (coherence), and
+  // collect acquire joins from release messages read-from.  All reads
+  // choose against the entry view; joins apply afterwards (see header).
+  RaView AcqJoin;
+  auto ChosenPos = [&](const std::string &Loc) -> std::uint32_t {
+    for (const auto &[L, P] : C.Pos)
+      if (L == Loc)
+        return P;
+    return static_cast<std::uint32_t>(moLen(*this, Loc)); // reads latest
+  };
+  for (const std::string &Loc : F.Reads) {
+    const std::uint32_t Pos = ChosenPos(Loc);
+    E.advance(Loc, Pos);
+    if (Pos == 0 || !F.readActsAcquire())
+      continue;
+    auto It = Mo.find(Loc);
+    if (It != Mo.end() && It->second[Pos - 1].Release)
+      AcqJoin.join(It->second[Pos - 1].View);
+  }
+  E.join(AcqJoin);
+
+  // Writes: one message per write location of each appended event; the
+  // message view is the writer's view including the write itself.
+  for (std::size_t I = FirstNew, End = Full.size(); I != End; ++I) {
+    const Primitive *P = Layer.lookup(Full[I].Kind);
+    if (!P || P->Foot.Writes.empty())
+      continue;
+    const Footprint &EF = P->Foot;
+    std::vector<std::pair<const std::string *, std::size_t>> NewMsgs;
+    for (const std::string &Loc : EF.Writes) {
+      std::vector<RaMsg> &Msgs = Mo[Loc];
+      RaMsg M;
+      M.Release = EF.writeActsRelease();
+      M.LogIdx = static_cast<std::uint32_t>(I);
+      Msgs.push_back(std::move(M));
+      E.advance(Loc, static_cast<std::uint32_t>(Msgs.size()));
+      NewMsgs.emplace_back(&Loc, Msgs.size() - 1);
+    }
+    for (auto &[Loc, MsgIdx] : NewMsgs)
+      Mo[*Loc][MsgIdx].View = E;
+  }
+
+  if (scCoupled(F))
+    Sc.join(E);
+  Views[Tid] = std::move(E);
 }

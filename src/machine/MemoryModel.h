@@ -1,4 +1,4 @@
-//===- machine/MemoryModel.h - Pluggable memory models ---------*- C++ -*-===//
+//===- machine/MemoryModel.h - The memory model of a machine ---*- C++ -*-===//
 //
 // Part of ccal, a C++ reproduction of "Certified Concurrent Abstraction
 // Layers" (PLDI 2018).
@@ -11,27 +11,25 @@
 /// The paper's machines are sequentially consistent by construction: every
 /// shared primitive observes the full global log.  The shipped runtime
 /// locks, however, run on real `std::atomic` with hand-picked
-/// `memory_order` annotations that SC exploration never exercises.  This
-/// file lifts "which log does a primitive observe" behind a MemoryModel
-/// interface with two implementations:
+/// `memory_order` annotations that SC exploration never exercises.  So
+/// "which log does a primitive observe" is a two-valued machine parameter:
 ///
-///   * ScMemory — today's semantics.  One reads-from choice per step, the
-///     full log visible, no extra state.  A machine with a null or SC
-///     model is bit-identical to the pre-model machine (snapshots,
-///     certificates, exploration outcomes).
+///   * MemoryModel::Sc — the paper's semantics.  One reads-from choice per
+///     step, the full log visible, no extra state.
 ///
-///   * RaMemory — an RC11-style release/acquire operational model with SC
-///     fences, in the view-front style of Kaiser et al. and Dalvandi &
-///     Dongol (PAPERS.md).  Per location, the modification order mo(l) is
-///     the subsequence of log events writing l, in log order.  Each
-///     participant carries a view: for every location, how many writes of
-///     mo(l) it is guaranteed to observe.  A relaxed or acquire load may
-///     read from any write at-or-after its view front — the Explorer
-///     enumerates these reads-from choices as step *variants* — and the
-///     machine realizes a stale choice by replaying the primitive against
-///     a visible log that hides the writes beyond the chosen front.
+///   * MemoryModel::Ra — an RC11-style release/acquire operational model
+///     in the view-front style of Kaiser et al. and Dalvandi & Dongol
+///     (PAPERS.md), whose state and transitions are RaState's.  Per
+///     location, the modification order mo(l) is the subsequence of log
+///     events writing l, in log order.  Each participant carries a view:
+///     for every location, how many writes of mo(l) it is guaranteed to
+///     observe.  A relaxed or acquire load may read from any write
+///     at-or-after its view front — the Explorer enumerates these
+///     reads-from choices as step *variants* — and the machine realizes a
+///     stale choice by replaying the primitive against a visible log that
+///     hides the writes beyond the chosen front.
 ///
-/// View-front rules (applied by RaMemory::commit after each step):
+/// View-front rules (applied by RaState::commit after each step):
 ///   * a read of l at position p advances the reader's front on l to p
 ///     (coherence: later reads of l never travel backwards — CoRR);
 ///   * an acquire-acting read (Acquire/AcqRel/SeqCst) that reads from a
@@ -40,14 +38,13 @@
 ///     what forbids the stale-data MP outcome once the writer releases;
 ///   * a write to l appends a message to mo(l) and advances the writer's
 ///     front to the new tail;
-///   * SeqCst accesses and ScFence primitives join bidirectionally with a
-///     global SC view (entry view |= Sc before reads; Sc |= exit view
-///     after writes), restoring interleaving semantics for fully-SeqCst
-///     programs and giving SC fences their RC11 strength;
+///   * SeqCst accesses join bidirectionally with a global SC view (entry
+///     view |= Sc before reads; Sc |= exit view after writes), restoring
+///     interleaving semantics for fully-SeqCst programs;
 ///   * SeqCst reads and atomic RMWs always read the latest write at the
 ///     current log point — a documented strengthening over RC11's SC
 ///     access axioms that keeps unannotated primitives exactly as strong
-///     under RaMemory as under ScMemory;
+///     under Ra as under Sc;
 ///   * reads cannot observe writes not yet in the log, so load-buffering
 ///     (LB) cycles are forbidden, matching RC11's po ∪ rf acyclicity.
 ///
@@ -69,14 +66,19 @@
 #include "core/Log.h"
 
 #include <cstdint>
-#include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 namespace ccal {
+
+class LayerInterface;
+
+/// How a machine resolves shared-memory visibility (see the file
+/// comment).  Certificate keys fold the model only when it is Ra, so SC
+/// keys are those of a machine without the parameter.
+enum class MemoryModel : std::uint8_t { Sc, Ra };
 
 /// A participant's view: for each location, the number of writes in mo(l)
 /// it is guaranteed to observe (its front into the modification order).
@@ -109,63 +111,36 @@ struct RaMsg {
   RaView View;            ///< writer's view when the write committed
 };
 
-/// The weak-memory half of a machine snapshot.  Empty when the model is
-/// SC.
+/// The release/acquire half of a machine snapshot and the model's
+/// transitions over it.  A machine keeps one only under MemoryModel::Ra.
 struct RaState {
   std::map<std::string, std::vector<RaMsg>> Mo;
   std::map<ThreadId, RaView> Views;
   RaView Sc;
-};
-
-/// How a machine resolves shared-memory visibility.  Stateless and
-/// immutable; the mutable model state (RaState) lives in the machine
-/// snapshot so exploration can fork it.
-class MemoryModel {
-public:
-  virtual ~MemoryModel() = default;
-
-  /// Stable name, folded into certificate keys ("sc", "ra").
-  virtual const char *name() const = 0;
-
-  /// True when the model admits non-SC behaviors (enables RaState
-  /// snapshotting and reads-from enumeration).
-  virtual bool weak() const = 0;
 
   /// Number of distinct reads-from choices participant \p Tid has for a
-  /// step with footprint \p F in state \p S.  Variant 0 is always the
-  /// all-latest (SC-coincident) choice.  The count saturates at
-  /// \p Budget + 1; a caller seeing a value above Budget must fail closed
-  /// (the machine faults with a raise-the-budget message).
-  virtual unsigned stepVariants(const RaState &S, ThreadId Tid,
-                                const Footprint &F,
-                                unsigned Budget) const = 0;
+  /// step with footprint \p F.  Variant 0 is always the all-latest
+  /// (SC-coincident) choice.  The count saturates at \p Budget + 1; a
+  /// caller seeing a value above Budget must fail closed (the machine
+  /// faults with a raise-the-budget message).
+  unsigned stepVariants(ThreadId Tid, const Footprint &F,
+                        unsigned Budget) const;
 
   /// The log the primitive's semantics may observe under \p Variant:
   /// std::nullopt when the full log is visible (no copy), otherwise a
   /// filtered copy hiding the writes beyond each chosen front.
-  virtual std::optional<Log> visibleLog(const RaState &S, const Log &Full,
-                                        ThreadId Tid, const Footprint &F,
-                                        unsigned Variant) const = 0;
+  std::optional<Log> visibleLog(const Log &Full, ThreadId Tid,
+                                const Footprint &F, unsigned Variant) const;
 
-  /// Folds an executed step into the model state: front advances, acquire
-  /// joins, SC-view joins, and one new message per write event appended at
-  /// indices [\p FirstNew, Full.size()).  \p FootOfKind resolves the
-  /// footprint of each appended event (for its write set and release
-  /// strength).
-  virtual void commit(RaState &S, const Log &Full, std::size_t FirstNew,
-                      ThreadId Tid, const Footprint &F, unsigned Variant,
-                      const std::function<Footprint(KindId)> &FootOfKind)
-      const = 0;
+  /// Folds an executed step into the state: front advances, acquire
+  /// joins, SC-view joins, and one new message per write of each event
+  /// appended at indices [\p FirstNew, Full.size()).  Each appended
+  /// event's write set and release strength are its primitive's declared
+  /// footprint in \p Layer; an event of no primitive writes nothing.
+  void commit(const Log &Full, std::size_t FirstNew, ThreadId Tid,
+              const Footprint &F, unsigned Variant,
+              const LayerInterface &Layer);
 };
-
-using MemoryModelPtr = std::shared_ptr<const MemoryModel>;
-
-/// Today's sequentially consistent semantics (also what a null model in a
-/// MachineConfig means).  One variant, full log, no model state.
-MemoryModelPtr scMemory();
-
-/// The release/acquire model described in the file comment.
-MemoryModelPtr raMemory();
 
 } // namespace ccal
 

@@ -14,7 +14,7 @@ MultiCoreMachine::MultiCoreMachine(const MachineConfigPtr &CfgIn)
   CCAL_CHECK(Cfg && Cfg->Layer && Cfg->Program && Cfg->Program->Linked,
              "machine config needs a layer and a linked program");
   Fold = Cfg->Layer->fold().initial();
-  if (weakModel())
+  if (Cfg->Model == MemoryModel::Ra)
     Ra.emplace();
   std::vector<std::int64_t> Image = Cfg->Program->initialGlobals();
   // Work is a map, so the CPUs arrive in id order.
@@ -73,18 +73,14 @@ const std::string &MultiCoreMachine::pendingPrim(ThreadId Id) const {
   return C->Exec.pending()->Name;
 }
 
-const MemoryModel &MultiCoreMachine::model() const {
-  return Cfg->Model ? *Cfg->Model : *scMemory();
-}
-
 unsigned MultiCoreMachine::stepVariants(ThreadId Id) const {
-  if (!weakModel())
+  if (!Ra)
     return 1;
   const Cpu *C = cpu(Id);
   if (!C || C->Phase != Core::Stop::AtShared)
     return 1;
-  return model().stepVariants(*Ra, Id, C->Exec.pending()->Foot,
-                              Cfg->MaxReadsFromPerStep);
+  return Ra->stepVariants(Id, C->Exec.pending()->Foot,
+                          Cfg->MaxReadsFromPerStep);
 }
 
 bool MultiCoreMachine::step(ThreadId Id) { return step(Id, 0); }
@@ -98,14 +94,14 @@ bool MultiCoreMachine::step(ThreadId Id, unsigned Variant) {
   CCAL_CHECK(C.Phase == Core::Stop::AtShared,
              "step: CPU is not parked at a shared primitive");
 
-  const bool Weak = weakModel();
-  const Footprint Foot = Weak ? C.Exec.pending()->Foot : Footprint();
+  // The layer owns the footprint, so the reference outlives the call.
+  const Footprint &Foot = C.Exec.pending()->Foot;
   std::optional<FoldValue> Visible;
-  if (Weak) {
+  if (Ra) {
     // Fail closed when the reads-from enumeration would be truncated:
     // a capped menu silently hides behaviors the model allows.
     const unsigned Count =
-        model().stepVariants(*Ra, Id, Foot, Cfg->MaxReadsFromPerStep);
+        Ra->stepVariants(Id, Foot, Cfg->MaxReadsFromPerStep);
     if (Count > Cfg->MaxReadsFromPerStep) {
       fault(C, "step offers more reads-from choices than "
                 "MaxReadsFromPerStep admits; raise the budget in the "
@@ -116,7 +112,7 @@ bool MultiCoreMachine::step(ThreadId Id, unsigned Variant) {
     // A stale read sees the shared state of its visible log, folded from
     // scratch; the kept fold covers the full log only.
     if (std::optional<Log> Seen =
-            model().visibleLog(*Ra, GlobalLog, Id, Foot, Variant))
+            Ra->visibleLog(GlobalLog, Id, Foot, Variant))
       Visible = Cfg->Layer->fold().replay(*Seen);
   } else {
     CCAL_CHECK(Variant == 0, "step: sc model has a single variant");
@@ -129,9 +125,8 @@ bool MultiCoreMachine::step(ThreadId Id, unsigned Variant) {
     fault(C, Why);
     return false;
   }
-  if (Weak)
-    model().commit(*Ra, GlobalLog, FirstNew, Id, Foot, Variant,
-                   [this](KindId K) { return Cfg->Layer->footprintOf(K); });
+  if (Ra)
+    Ra->commit(GlobalLog, FirstNew, Id, Foot, Variant, *Cfg->Layer);
   return advance(C);
 }
 

@@ -20,7 +20,7 @@
 /// Hardware scheduling = the choice of which parked CPU steps; the
 /// Explorer enumerates those choices.  The program transitions are
 /// machine/Core.h's, shared with the hardware and multithreaded machines;
-/// this machine adds each CPU's phase and, under a weak memory model, the
+/// this machine adds each CPU's phase and, under MemoryModel::Ra, the
 /// view a shared call reads.
 ///
 /// The whole machine state is copyable, enabling snapshot-based DFS.  A
@@ -55,16 +55,15 @@ struct MachineConfig {
 
   /// Instruction budget for one local slice (between query points); an
   /// exhausted budget is a divergence fault.
-  std::uint64_t SliceBudget = 1u << 20;
+  static constexpr std::uint64_t SliceBudget = 1u << 20;
 
-  /// Memory model resolving shared visibility (DESIGN.md §13).  Null
-  /// means ScMemory; a machine with a null or SC model is bit-identical
-  /// to the pre-model machine.
-  MemoryModelPtr Model;
+  /// Memory model resolving shared visibility (DESIGN.md §13).
+  MemoryModel Model = MemoryModel::Sc;
 
-  /// Fail-closed cap on the reads-from choices one step may offer under a
-  /// weak model; exceeding it faults the machine with a raise-the-budget
-  /// message rather than silently truncating the enumeration.
+  /// Fail-closed cap on the reads-from choices one step may offer under
+  /// MemoryModel::Ra; exceeding it faults the machine with a
+  /// raise-the-budget message rather than silently truncating the
+  /// enumeration.
   unsigned MaxReadsFromPerStep = 64;
 };
 
@@ -151,10 +150,6 @@ private:
   bool advance(Cpu &C);
   void fault(Cpu &C, const std::string &Msg);
 
-  /// The configured model, defaulting to SC when the config has none.
-  const MemoryModel &model() const;
-  bool weakModel() const { return Cfg->Model && Cfg->Model->weak(); }
-
   const MachineConfig *Cfg;
   /// Ordered by id.  A vector, not a map: copy-assigning the machine into
   /// a snapshot slot then assigns each CPU in place, so the VMs, local
@@ -162,8 +157,8 @@ private:
   std::vector<Cpu> Cpus;
   Log GlobalLog;
   FoldValue Fold;
-  /// Weak-memory state (view fronts, modification orders), engaged only
-  /// under a weak model, so an SC snapshot copies none of it.
+  /// Release/acquire state (view fronts, modification orders), engaged
+  /// exactly under MemoryModel::Ra, so an SC snapshot copies none of it.
   std::optional<RaState> Ra;
   std::string Err;
 };

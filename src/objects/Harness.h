@@ -57,12 +57,12 @@ struct ObjectHarness {
   ExploreOptions ImplOpts;
   ExploreOptions SpecOpts;
 
-  /// Memory model of the *implementation* machine (null = ScMemory).  The
-  /// specification machine is always SC: an atomic overlay has no weak
-  /// behaviors to model, so "RA impl refines SC spec" is exactly the
-  /// Dalvandi & Dongol statement that every weak execution of the lock
-  /// body is some atomic execution of its spec.
-  MemoryModelPtr ImplModel;
+  /// Memory model of the *implementation* machine.  The specification
+  /// machine is always SC: an atomic overlay has no weak behaviors to
+  /// model, so "RA impl refines SC spec" is exactly the Dalvandi & Dongol
+  /// statement that every weak execution of the lock body is some atomic
+  /// execution of its spec.
+  MemoryModel ImplModel = MemoryModel::Sc;
 
   /// Builds the two machine configs (exposed for benches/tests).
   MachineConfigPtr implConfig() const;

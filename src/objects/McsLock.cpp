@@ -273,7 +273,8 @@ HarnessOutcome ccal::certifyMcsLock(unsigned NumCpus, unsigned Rounds) {
 ObjectHarness ccal::makeMcsLockHarnessRa(unsigned NumCpus,
                                          unsigned Rounds) {
   return makeLockHarness("mcs_lock_ra", makeMcsLockLayersRa(), NumCpus,
-                         Rounds, mcsMutexInvariant, "mcs.mutex", raMemory());
+                         Rounds, mcsMutexInvariant, "mcs.mutex",
+                         MemoryModel::Ra);
 }
 
 HarnessOutcome ccal::certifyMcsLockRa(unsigned NumCpus, unsigned Rounds) {

@@ -72,7 +72,7 @@ HarnessOutcome certifyMcsLock(unsigned NumCpus, unsigned Rounds = 1);
 /// disjoint from the SC ones.
 McsLockLayers makeMcsLockLayersRa();
 
-/// The RA harness: implementation machine under raMemory(), SC spec.
+/// The RA harness: implementation machine under MemoryModel::Ra, SC spec.
 ObjectHarness makeMcsLockHarnessRa(unsigned NumCpus, unsigned Rounds = 1);
 
 /// Certifies the MCS lock under release/acquire memory.

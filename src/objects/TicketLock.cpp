@@ -292,7 +292,7 @@ ccal::checkTicketStarvationFreedom(unsigned NumCpus,
 ObjectHarness ccal::makeLockHarness(
     std::string ObjectName, const LockLayers &Layers, unsigned NumCpus,
     unsigned Rounds, std::string (*Invariant)(const MultiCoreMachine &),
-    std::string InvariantName, MemoryModelPtr ImplModel) {
+    std::string InvariantName, MemoryModel ImplModel) {
   auto M1 = std::make_shared<ClightModule>(cloneModule(Layers.M1));
   auto Client = std::make_shared<ClightModule>(makeTicketClient());
 
@@ -313,7 +313,7 @@ ObjectHarness ccal::makeLockHarness(
   // The atomic spec never spins; no fairness pruning on the spec side.
   H.SpecOpts.FairnessBound = 1u << 20;
   H.SpecOpts.MaxSteps = 512;
-  H.ImplModel = std::move(ImplModel);
+  H.ImplModel = ImplModel;
   return H;
 }
 
@@ -333,7 +333,7 @@ ObjectHarness ccal::makeTicketLockHarnessRa(unsigned NumCpus,
   return makeLockHarness(BrokenGrab ? "ticket_lock_ra_broken"
                                     : "ticket_lock_ra",
                          makeTicketLockLayersRa(BrokenGrab), NumCpus, Rounds,
-                         ticketMutexInvariant, "ticket.mutex", raMemory());
+                         ticketMutexInvariant, "ticket.mutex", MemoryModel::Ra);
 }
 
 HarnessOutcome ccal::certifyTicketLockRa(unsigned NumCpus, unsigned Rounds,

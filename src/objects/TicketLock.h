@@ -84,13 +84,14 @@ std::string ticketMutexInvariant(const MultiCoreMachine &M);
 /// The harness every lock certification runs: each of \p NumCpus CPUs
 /// runs the makeTicketClient client \p Rounds times over \p Layers, and
 /// the implementation machine checks \p Invariant (certificate-keyed as
-/// \p InvariantName) on every state under \p ImplModel (null = SC).  The
+/// \p InvariantName) on every state under \p ImplModel.  The
 /// harness owns its modules, so concurrent harnesses share no AST.
 ObjectHarness
 makeLockHarness(std::string ObjectName, const LockLayers &Layers,
                 unsigned NumCpus, unsigned Rounds,
                 std::string (*Invariant)(const MultiCoreMachine &),
-                std::string InvariantName, MemoryModelPtr ImplModel = nullptr);
+                std::string InvariantName,
+                MemoryModel ImplModel = MemoryModel::Sc);
 
 /// Builds (without running) the harness certifyTicketLock runs: callers
 /// that need to inject exploration knobs — the certd daemon threads a
@@ -114,14 +115,15 @@ HarnessOutcome certifyTicketLock(unsigned NumCpus, unsigned Rounds = 1);
 /// SC ones.
 ///
 /// With \p BrokenGrab the ticket grab is demoted to the torn
-/// relaxed-load/relaxed-store pair of rt::BrokenTicketLock: under RaMemory
-/// the stale read becomes enumerable, two CPUs can fetch the same ticket,
-/// and exploration alone must refute the refinement with a duplicate-ticket
-/// counterexample (the "ticket.mutex" invariant catches the double hold).
+/// relaxed-load/relaxed-store pair of rt::BrokenTicketLock: under
+/// MemoryModel::Ra the stale read becomes enumerable, two CPUs can fetch
+/// the same ticket, and exploration alone must refute the refinement with
+/// a duplicate-ticket counterexample (the "ticket.mutex" invariant catches
+/// the double hold).
 TicketLockLayers makeTicketLockLayersRa(bool BrokenGrab = false);
 
 /// The RA harness: makeTicketLockHarness with the annotated L0 and the
-/// implementation machine running under raMemory().  The spec machine
+/// implementation machine running under MemoryModel::Ra.  The spec machine
 /// stays SC — the atomic overlay has no weak behaviors to model.
 ObjectHarness makeTicketLockHarnessRa(unsigned NumCpus, unsigned Rounds = 1,
                                       bool BrokenGrab = false);

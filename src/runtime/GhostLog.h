@@ -58,10 +58,6 @@ enum GhostKind : std::uint32_t {
   GhostSwapTail,
   GhostCasTail,
   GhostClearBusy,
-  GhostSleep,
-  GhostWakeup,
-  GhostEnq,
-  GhostDeq,
 };
 
 } // namespace rt

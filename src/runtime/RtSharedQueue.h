@@ -79,8 +79,6 @@ public:
     return Out;
   }
 
-  size_t sizeUnlocked() const { return Items.size(); }
-
 private:
   LockT Lock;
   std::deque<std::int64_t> Items;

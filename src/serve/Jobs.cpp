@@ -79,10 +79,10 @@ Registry &registry() {
     Add("mcs.2cpu", "MCS lock, 2 CPUs x 1 round (~8ms cold)",
         [] { return makeMcsLockHarness(2, 1); });
     // Release/acquire re-verification of the same locks: the annotated
-    // implementation machine runs under RaMemory (stale reads enumerated),
-    // the spec machine stays SC.  Their certificates carry the memory
-    // model in the key, so they share the store with the SC jobs without
-    // ever aliasing them.
+    // implementation machine runs under MemoryModel::Ra (stale reads
+    // enumerated), the spec machine stays SC.  Their certificates carry
+    // the memory model in the key, so they share the store with the SC
+    // jobs without ever aliasing them.
     Add("ticket.2cpu.ra",
         "ticket lock under release/acquire memory, 2 CPUs x 1 round",
         [] { return makeTicketLockHarnessRa(2, 1); });
@@ -103,12 +103,6 @@ std::vector<JobInfo> serve::listJobs() {
   for (const auto &[Name, Entry] : R.Jobs)
     Out.push_back({Name, Entry.first});
   return Out;
-}
-
-bool serve::haveJob(const std::string &Name) {
-  Registry &R = registry();
-  std::lock_guard<std::mutex> L(R.Mu);
-  return R.Jobs.count(Name) != 0;
 }
 
 void serve::registerJob(const std::string &Name, const std::string &Desc,

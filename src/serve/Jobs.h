@@ -56,8 +56,6 @@ struct JobInfo {
 };
 std::vector<JobInfo> listJobs();
 
-bool haveJob(const std::string &Name);
-
 /// Runs \p Name under \p Ctx.  Unknown names return Known=false (the
 /// daemon answers per-job instead of failing the whole batch).  Fills the
 /// JobResult cert traffic fields from the calling thread's store tally

@@ -107,10 +107,6 @@ Interner &interner() {
 
 } // namespace
 
-const InternEntry *ccal::detail::internString(std::string_view S) {
-  return interner().intern(S);
-}
-
 const InternEntry *ccal::detail::internEntryOf(std::uint32_t Id) {
   return interner().byId(Id);
 }

@@ -52,8 +52,6 @@ struct InternEntry {
   std::string Str;
   std::uint64_t ContentHash = 0; ///< Hasher{}.str(Str), interning-order free
 };
-/// Returns the entry for \p S, interning it on first sight.
-const InternEntry *internString(std::string_view S);
 /// Entry lookup by id (0 is always the empty string).
 const InternEntry *internEntryOf(std::uint32_t Id);
 } // namespace detail

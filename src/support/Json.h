@@ -41,7 +41,6 @@ struct JsonValue {
   std::vector<JsonValue> Items;                ///< arrays
   std::map<std::string, JsonValue> Fields;     ///< objects
 
-  bool isNull() const { return K == Kind::Null; }
   bool isBool() const { return K == Kind::Bool; }
   bool isNumber() const { return K == Kind::Number; }
   bool isString() const { return K == Kind::String; }

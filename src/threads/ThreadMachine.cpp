@@ -18,9 +18,6 @@ ThreadedMachine::ThreadedMachine(const ThreadedConfigPtr &CfgIn)
   CCAL_CHECK(Cfg && Cfg->Layer && Cfg->Program && Cfg->Program->Linked &&
                  Cfg->Sched,
              "threaded config needs layer, linked program, and scheduler");
-  CCAL_CHECK(!Cfg->Model || !Cfg->Model->weak(),
-             "the multithreaded machine is SC-only; run weak-memory "
-             "verification on the MultiCoreMachine lock layers");
   Fold = Cfg->fold().initial();
   std::vector<std::int64_t> Image = Cfg->Program->initialGlobals();
   for (const ThreadSpec &TS : Cfg->Threads) {

@@ -81,13 +81,8 @@ struct ThreadedConfig {
   /// The scheduler part of the machine's fold (installHighSchedPrims or
   /// installLowSchedPrims returns it); the layer may declare it too.
   std::optional<FoldPart<SchedState>> Sched;
-  std::uint64_t SliceBudget = 1u << 20;
-
-  /// The multithreaded machine is SC-only (the §5 machines live above the
-  /// lock layers, where weak memory is already abstracted away); the
-  /// constructor rejects weak models rather than ignoring them.  Null
-  /// means ScMemory.
-  MemoryModelPtr Model;
+  /// Instruction budget for one local slice, as MachineConfig's.
+  static constexpr std::uint64_t SliceBudget = 1u << 20;
 
   /// The fold the machine keeps: the layer's times the scheduler part.
   SharedFold fold() const;

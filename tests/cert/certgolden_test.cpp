@@ -16,6 +16,7 @@
 #include "cert/CertKey.h"
 #include "cert/CertStore.h"
 #include "machine/Soundness.h"
+#include "objects/McsLock.h"
 #include "objects/TicketLock.h"
 #include "support/Json.h"
 #include "threads/Linking.h"
@@ -62,9 +63,11 @@ std::uint64_t bytesHash(const std::string &Bytes) {
 }
 
 /// Runs \p Check against a fresh store and returns the single entry it
-/// wrote, byte for byte.
+/// wrote, byte for byte; \p Stem, when given, receives its file stem (the
+/// checker and the key hash).
 std::string storedEntry(const std::string &Name,
-                        const std::function<void()> &Check) {
+                        const std::function<void()> &Check,
+                        std::string *Stem = nullptr) {
   namespace fs = std::filesystem;
   const fs::path Dir =
       fs::path(::testing::TempDir()) / ("ccal_golden_" + Name);
@@ -78,6 +81,9 @@ std::string storedEntry(const std::string &Name,
   EXPECT_EQ(Files.size(), 1u) << Name;
   std::string Bytes;
   if (!Files.empty()) {
+    if (Stem)
+      *Stem = Files.front().filename().string().substr(
+          0, Files.front().filename().string().find('.'));
     std::ifstream In(Files.front(), std::ios::binary);
     std::ostringstream SS;
     SS << In.rdbuf();
@@ -177,4 +183,30 @@ TEST(CertGoldenTest, LinkEntryBytesArePinned) {
       << Bytes;
   EXPECT_EQ(Bytes.size(), 590u);
   EXPECT_EQ(bytesHash(Bytes), 0x4cd8eee5bde86caaULL) << Bytes;
+}
+
+// The release/acquire catalog jobs.  Their keys fold the memory model
+// ("memmodel", "ra" and the reads-from budget), so these pins guard the
+// RA key clause and the RA exploration's evidence alike.
+
+TEST(CertGoldenTest, RaTicketEntryBytesArePinned) {
+  // The catalog job ticket.2cpu.ra.
+  std::string Stem;
+  std::string Bytes = storedEntry(
+      "ra_ticket",
+      [] { EXPECT_TRUE(certifyTicketLockRa(2, 1).Report.Holds); }, &Stem);
+  EXPECT_EQ(Stem, "refine-9da457e9ec01c3e6");
+  EXPECT_EQ(Bytes.size(), 599u);
+  EXPECT_EQ(bytesHash(Bytes), 0x09d5d9177980b610ULL) << Bytes;
+}
+
+TEST(CertGoldenTest, RaMcsEntryBytesArePinned) {
+  // The catalog job mcs.2cpu.ra.
+  std::string Stem;
+  std::string Bytes = storedEntry(
+      "ra_mcs", [] { EXPECT_TRUE(certifyMcsLockRa(2, 1).Report.Holds); },
+      &Stem);
+  EXPECT_EQ(Stem, "refine-ae7c00b9650ca78a");
+  EXPECT_EQ(Bytes.size(), 602u);
+  EXPECT_EQ(bytesHash(Bytes), 0x8300e11aaad48073ULL) << Bytes;
 }

@@ -78,7 +78,7 @@ protected:
 /// footprints are annotated (relaxed counter), so the RA machine has real
 /// reads-from choices — but on one CPU the outcome set is the same either
 /// way, keeping both checks green.
-MachineConfigPtr makeCounterConfig(MemoryModelPtr Model,
+MachineConfigPtr makeCounterConfig(MemoryModel Model,
                                    unsigned ReadsFromBudget = 64) {
   static ClightModule Client = [] {
     ClightModule M = parseModuleOrDie("c", R"(
@@ -97,15 +97,15 @@ MachineConfigPtr makeCounterConfig(MemoryModelPtr Model,
   Cfg->Name = "bump";
   Cfg->Layer = L;
   Cfg->Program = compileAndLink("bump.lasm", {&Client});
-  Cfg->Model = std::move(Model);
+  Cfg->Model = Model;
   Cfg->MaxReadsFromPerStep = ReadsFromBudget;
   Cfg->Work.emplace(1, std::vector<CpuWorkItem>{{"t_main", {}}});
   return Cfg;
 }
 
-ContextualRefinementReport runRefinement(MemoryModelPtr Model) {
+ContextualRefinementReport runRefinement(MemoryModel Model) {
   return checkContextualRefinement(makeCounterConfig(Model),
-                                   makeCounterConfig(nullptr),
+                                   makeCounterConfig(MemoryModel::Sc),
                                    EventMap::identity(), ExploreOptions(),
                                    ExploreOptions());
 }
@@ -113,26 +113,27 @@ ContextualRefinementReport runRefinement(MemoryModelPtr Model) {
 } // namespace
 
 TEST(CertMemModelKeyTest, MachineKeyFoldsModelOnlyWhenWeak) {
-  MachineConfigPtr A = makeCounterConfig(nullptr);
+  // The SC tag is the absence of a tag, which is what keeps pre-refactor
+  // keys (and the certificates stored under them) verifying
+  // byte-for-byte: an SC key does not see the reads-from budget either.
+  MachineConfigPtr A = makeCounterConfig(MemoryModel::Sc);
   Hasher HA;
   cert::keyAddMachineConfig(HA, *A);
-
-  // A null model and an explicit ScMemory hash identically — the SC tag
-  // is the absence of a tag, which is what keeps pre-refactor keys (and
-  // the certificates stored under them) verifying byte-for-byte.
-  MachineConfigPtr B = makeCounterConfig(scMemory());
+  MachineConfigPtr B =
+      makeCounterConfig(MemoryModel::Sc, /*ReadsFromBudget=*/128);
   Hasher HB;
   cert::keyAddMachineConfig(HB, *B);
   EXPECT_EQ(HA.value(), HB.value());
 
-  MachineConfigPtr C = makeCounterConfig(raMemory());
+  MachineConfigPtr C = makeCounterConfig(MemoryModel::Ra);
   Hasher HC;
   cert::keyAddMachineConfig(HC, *C);
   EXPECT_NE(HA.value(), HC.value());
 
   // The reads-from budget shapes which RA explorations fault, so it is
   // part of the weak key too.
-  MachineConfigPtr D = makeCounterConfig(raMemory(), /*ReadsFromBudget=*/128);
+  MachineConfigPtr D =
+      makeCounterConfig(MemoryModel::Ra, /*ReadsFromBudget=*/128);
   Hasher HD;
   cert::keyAddMachineConfig(HD, *D);
   EXPECT_NE(HC.value(), HD.value());
@@ -166,34 +167,35 @@ TEST(CertMemModelKeyTest, FootprintKeyFoldsOrderingOnlyWhenAnnotated) {
 
 TEST_F(CertMemModelTest, RaJobMissesScCertificate) {
   // Cold SC run populates the store.
-  ContextualRefinementReport Sc = runRefinement(nullptr);
+  ContextualRefinementReport Sc = runRefinement(MemoryModel::Sc);
   ASSERT_TRUE(Sc.Holds) << Sc.Counterexample;
   EXPECT_EQ(obs::counterValue("cert.misses"), 1u);
   EXPECT_EQ(obs::counterValue("cert.hits"), 0u);
   ASSERT_EQ(storedFiles().size(), 1u);
 
-  // The same job under RaMemory is a *different* check: plain miss, fresh
-  // exploration, second stored certificate — never a hit on the SC entry.
-  ContextualRefinementReport Ra = runRefinement(raMemory());
+  // The same job under MemoryModel::Ra is a *different* check: plain
+  // miss, fresh exploration, second stored certificate — never a hit on
+  // the SC entry.
+  ContextualRefinementReport Ra = runRefinement(MemoryModel::Ra);
   ASSERT_TRUE(Ra.Holds) << Ra.Counterexample;
   EXPECT_EQ(obs::counterValue("cert.misses"), 2u);
   EXPECT_EQ(obs::counterValue("cert.hits"), 0u);
   EXPECT_EQ(storedFiles().size(), 2u);
 
   // Warm repeats of each now hit their own entry.
-  runRefinement(nullptr);
-  runRefinement(raMemory());
+  runRefinement(MemoryModel::Sc);
+  runRefinement(MemoryModel::Ra);
   EXPECT_EQ(obs::counterValue("cert.hits"), 2u);
   EXPECT_EQ(obs::counterValue("cert.misses"), 2u);
 }
 
 TEST_F(CertMemModelTest, AliasedScCertificateIsRejectedAndRechecked) {
   // Populate both entries, note which file belongs to which job.
-  ASSERT_TRUE(runRefinement(nullptr).Holds);
+  ASSERT_TRUE(runRefinement(MemoryModel::Sc).Holds);
   std::set<fs::path> ScFiles = storedFiles();
   ASSERT_EQ(ScFiles.size(), 1u);
   const fs::path ScFile = *ScFiles.begin();
-  ASSERT_TRUE(runRefinement(raMemory()).Holds);
+  ASSERT_TRUE(runRefinement(MemoryModel::Ra).Holds);
   fs::path RaFile;
   for (const fs::path &P : storedFiles())
     if (P != ScFile)
@@ -206,7 +208,7 @@ TEST_F(CertMemModelTest, AliasedScCertificateIsRejectedAndRechecked) {
   spit(RaFile, slurp(ScFile));
   obs::metricsReset();
 
-  ContextualRefinementReport Again = runRefinement(raMemory());
+  ContextualRefinementReport Again = runRefinement(MemoryModel::Ra);
   ASSERT_TRUE(Again.Holds) << Again.Counterexample;
   // Not a hit: the entry self-identifies as a different check, so load
   // rejects it, deletes the file, and the checker re-runs and re-stores.

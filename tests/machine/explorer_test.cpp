@@ -177,6 +177,46 @@ TEST(ExplorerTest, LastChildStepsInItsParentsFrame) {
   }
 }
 
+TEST(ExplorerTest, FairnessSkippedSiblingLeavesTheParentsMenu) {
+  // At FairnessBound 1 two CPUs strictly alternate: below the root every
+  // node offers two candidates, one of which fairness forbids, so the
+  // other is the node's last child and steps in its parent's frame.  Only
+  // the root's first child takes a slot of its own.
+  for (unsigned Ticks : {4u, 8u, 16u}) {
+    ExploreOptions Opts;
+    Opts.FairnessBound = 1;
+    ExploreResult Res = exploreMachine(makeTickConfig(2, Ticks), Opts);
+    ASSERT_TRUE(Res.Ok) << Res.Violation;
+    EXPECT_EQ(Res.SchedulesExplored, 2u) << Ticks;
+    EXPECT_EQ(Res.StatesExplored, 4u * Ticks + 1u) << Ticks;
+    EXPECT_EQ(Res.WorkerMaxStack, std::vector<std::uint64_t>{2}) << Ticks;
+  }
+}
+
+TEST(ExplorerTest, StoredOutcomesGoThroughTheBatchedCallback) {
+  // Without OnOutcome the Explorer stores the distinct outcomes through a
+  // callback of its own, so a stored run counts them as a streamed run
+  // does, and a full store fails the run closed at every worker count.
+  for (unsigned Threads : {1u, 2u, 4u}) {
+    ExploreOptions Opts;
+    Opts.Threads = Threads;
+    ExploreResult Res = exploreMachine(makeTickConfig(2, 2), Opts);
+    ASSERT_TRUE(Res.Ok) << Res.Violation;
+    EXPECT_TRUE(Res.Complete) << Res.Truncation;
+    EXPECT_EQ(Res.Outcomes.size(), 6u) << Threads;
+    EXPECT_EQ(Res.DistinctOutcomes, 6u) << Threads;
+    EXPECT_EQ(Res.AcceptedOutcomes, 6u) << Threads;
+
+    Opts.MaxStoredOutcomes = 1;
+    ExploreResult Capped = exploreMachine(makeTickConfig(2, 2), Opts);
+    ASSERT_TRUE(Capped.Ok) << Capped.Violation;
+    EXPECT_FALSE(Capped.Complete) << Threads;
+    EXPECT_EQ(Capped.Truncation, "MaxStoredOutcomes budget (1) exhausted");
+    EXPECT_EQ(Capped.Outcomes.size(), 1u) << Threads;
+    EXPECT_EQ(Capped.SchedulesExplored, 6u) << Threads;
+  }
+}
+
 TEST(ExplorerTest, StuckPrimitiveOnALastChildFails) {
   // The third tick gets stuck, on the only child of its parent: the frame
   // that stepped in place reports the fault with the log it had.
@@ -277,21 +317,26 @@ TEST(SoundnessTest, MaxSchedulesOneIsNotValid) {
 TEST(SoundnessTest, SpecOutcomeCapProducesDiagnosticNotFalseCounterexample) {
   // A capped spec outcome set used to surface as a bogus "impl outcome
   // not admitted" counterexample; it must instead be an explicit
-  // truncation diagnostic naming MaxStoredOutcomes.
-  ExploreOptions SpecOpts;
-  SpecOpts.MaxStoredOutcomes = 1;
-  ContextualRefinementReport Rep = checkContextualRefinement(
-      makeTickConfig(2, 1), makeTickConfig(2, 1), EventMap::identity(),
-      ExploreOptions(), SpecOpts);
-  EXPECT_FALSE(Rep.Holds);
-  EXPECT_FALSE(Rep.SpecComplete);
-  EXPECT_NE(Rep.Counterexample.find("MaxStoredOutcomes"), std::string::npos)
-      << Rep.Counterexample;
-  EXPECT_NE(Rep.Counterexample.find("raise"), std::string::npos)
-      << Rep.Counterexample;
-  // Not a false refinement counterexample:
-  EXPECT_EQ(Rep.Counterexample.find("not admitted"), std::string::npos)
-      << Rep.Counterexample;
+  // truncation diagnostic naming MaxStoredOutcomes, however many workers
+  // store the spec outcomes.
+  for (unsigned Threads : {1u, 2u, 4u}) {
+    SCOPED_TRACE(Threads);
+    ExploreOptions SpecOpts;
+    SpecOpts.MaxStoredOutcomes = 1;
+    SpecOpts.Threads = Threads;
+    ContextualRefinementReport Rep = checkContextualRefinement(
+        makeTickConfig(2, 1), makeTickConfig(2, 1), EventMap::identity(),
+        ExploreOptions(), SpecOpts);
+    EXPECT_FALSE(Rep.Holds);
+    EXPECT_FALSE(Rep.SpecComplete);
+    EXPECT_NE(Rep.Counterexample.find("MaxStoredOutcomes"), std::string::npos)
+        << Rep.Counterexample;
+    EXPECT_NE(Rep.Counterexample.find("raise"), std::string::npos)
+        << Rep.Counterexample;
+    // Not a false refinement counterexample:
+    EXPECT_EQ(Rep.Counterexample.find("not admitted"), std::string::npos)
+        << Rep.Counterexample;
+  }
 }
 
 TEST(SoundnessTest, CertificateCarriesEvidence) {

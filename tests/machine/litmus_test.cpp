@@ -2,7 +2,7 @@
 //
 // Classic litmus shapes (MP, SB, LB, CoRR, IRIW) run on the multicore
 // machine under both memory models, with the full allowed-outcome set
-// pinned against the RC11 reference semantics (with SC fences; our RaMemory
+// pinned against the RC11 reference semantics (our MemoryModel::Ra
 // documents two strengthenings — SeqCst loads and atomic RMW reads always
 // read the latest write — which these shapes do not distinguish).
 //
@@ -52,7 +52,7 @@ LayerPtr makeXyLayer(MemOrder Wx, MemOrder Wy, MemOrder Rx, MemOrder Ry) {
 std::set<long long> outcomesOf(LayerPtr L, const std::string &Source,
                                const std::vector<std::string> &Mains,
                                const std::vector<ThreadId> &Observers,
-                               MemoryModelPtr Model) {
+                               MemoryModel Model) {
   static thread_local ClightModule M; // outlives the machine config
   M = parseModuleOrDie("litmus", Source);
   typeCheckOrDie(M);
@@ -60,7 +60,7 @@ std::set<long long> outcomesOf(LayerPtr L, const std::string &Source,
   Cfg->Name = "litmus";
   Cfg->Layer = L;
   Cfg->Program = compileAndLink("litmus.lasm", {&M});
-  Cfg->Model = std::move(Model);
+  Cfg->Model = Model;
   for (ThreadId C = 0; C < Mains.size(); ++C)
     Cfg->Work.emplace(C + 1,
                       std::vector<CpuWorkItem>{{Mains[C], {}}});
@@ -135,9 +135,9 @@ TEST(LitmusMpTest, ReleaseAcquirePinsScSet) {
   LayerPtr L = makeXyLayer(MemOrder::Relaxed, MemOrder::Release,
                            MemOrder::Relaxed, MemOrder::Acquire);
   const std::set<long long> Pinned = {0, 1, 11};
-  EXPECT_EQ(outcomesOf(L, MpSource, {"w_main", "r_main"}, {2}, scMemory()),
+  EXPECT_EQ(outcomesOf(L, MpSource, {"w_main", "r_main"}, {2}, MemoryModel::Sc),
             Pinned);
-  EXPECT_EQ(outcomesOf(L, MpSource, {"w_main", "r_main"}, {2}, raMemory()),
+  EXPECT_EQ(outcomesOf(L, MpSource, {"w_main", "r_main"}, {2}, MemoryModel::Ra),
             Pinned);
 }
 
@@ -146,10 +146,10 @@ TEST(LitmusMpTest, RelaxedAdmitsStaleData) {
   // was seen; all four outcomes appear.
   LayerPtr L = makeXyLayer(MemOrder::Relaxed, MemOrder::Relaxed,
                            MemOrder::Relaxed, MemOrder::Relaxed);
-  EXPECT_EQ(outcomesOf(L, MpSource, {"w_main", "r_main"}, {2}, raMemory()),
+  EXPECT_EQ(outcomesOf(L, MpSource, {"w_main", "r_main"}, {2}, MemoryModel::Ra),
             (std::set<long long>{0, 1, 10, 11}));
   // The SC backend never produces the weak outcome, annotations or not.
-  EXPECT_EQ(outcomesOf(L, MpSource, {"w_main", "r_main"}, {2}, scMemory()),
+  EXPECT_EQ(outcomesOf(L, MpSource, {"w_main", "r_main"}, {2}, MemoryModel::Sc),
             (std::set<long long>{0, 1, 11}));
 }
 
@@ -162,7 +162,7 @@ TEST(LitmusMpTest, NegativeControlMissingReleaseAdmitsForbiddenOutcome) {
   LayerPtr L = makeXyLayer(MemOrder::Relaxed, MemOrder::Relaxed,
                            MemOrder::Relaxed, MemOrder::Acquire);
   std::set<long long> Out =
-      outcomesOf(L, MpSource, {"w_main", "r_main"}, {2}, raMemory());
+      outcomesOf(L, MpSource, {"w_main", "r_main"}, {2}, MemoryModel::Ra);
   EXPECT_TRUE(Out.count(10)) << "missing release must admit stale data";
   EXPECT_EQ(Out, (std::set<long long>{0, 1, 10, 11}));
 }
@@ -177,12 +177,12 @@ TEST(LitmusSbTest, RelaxedAndReleaseAcquireAdmitBothStale) {
   LayerPtr Rlx = makeXyLayer(MemOrder::Relaxed, MemOrder::Relaxed,
                              MemOrder::Relaxed, MemOrder::Relaxed);
   EXPECT_EQ(outcomesOf(Rlx, SbSource, {"sb1_main", "sb2_main"}, {1, 2},
-                       raMemory()),
+                       MemoryModel::Ra),
             Weak);
   LayerPtr RelAcq = makeXyLayer(MemOrder::Release, MemOrder::Release,
                                 MemOrder::Acquire, MemOrder::Acquire);
   EXPECT_EQ(outcomesOf(RelAcq, SbSource, {"sb1_main", "sb2_main"}, {1, 2},
-                       raMemory()),
+                       MemoryModel::Ra),
             Weak);
 }
 
@@ -194,12 +194,12 @@ TEST(LitmusSbTest, SeqCstForbidsBothStale)
   LayerPtr Sc = makeXyLayer(MemOrder::SeqCst, MemOrder::SeqCst,
                             MemOrder::SeqCst, MemOrder::SeqCst);
   EXPECT_EQ(outcomesOf(Sc, SbSource, {"sb1_main", "sb2_main"}, {1, 2},
-                       raMemory()),
+                       MemoryModel::Ra),
             Pinned);
   LayerPtr Rlx = makeXyLayer(MemOrder::Relaxed, MemOrder::Relaxed,
                              MemOrder::Relaxed, MemOrder::Relaxed);
   EXPECT_EQ(outcomesOf(Rlx, SbSource, {"sb1_main", "sb2_main"}, {1, 2},
-                       scMemory()),
+                       MemoryModel::Sc),
             Pinned);
 }
 
@@ -214,10 +214,10 @@ TEST(LitmusLbTest, OutOfThinAirForbiddenUnderBothModels) {
   LayerPtr Rlx = makeXyLayer(MemOrder::Relaxed, MemOrder::Relaxed,
                              MemOrder::Relaxed, MemOrder::Relaxed);
   EXPECT_EQ(outcomesOf(Rlx, LbSource, {"lb1_main", "lb2_main"}, {1, 2},
-                       raMemory()),
+                       MemoryModel::Ra),
             Pinned);
   EXPECT_EQ(outcomesOf(Rlx, LbSource, {"lb1_main", "lb2_main"}, {1, 2},
-                       scMemory()),
+                       MemoryModel::Sc),
             Pinned);
 }
 
@@ -231,10 +231,10 @@ TEST(LitmusCorrTest, ReadsNeverGoBackwards) {
   LayerPtr Rlx = makeXyLayer(MemOrder::Relaxed, MemOrder::Relaxed,
                              MemOrder::Relaxed, MemOrder::Relaxed);
   EXPECT_EQ(outcomesOf(Rlx, CorrSource, {"w_main", "r_main"}, {2},
-                       raMemory()),
+                       MemoryModel::Ra),
             Pinned);
   EXPECT_EQ(outcomesOf(Rlx, CorrSource, {"w_main", "r_main"}, {2},
-                       scMemory()),
+                       MemoryModel::Sc),
             Pinned);
 }
 
@@ -250,12 +250,12 @@ TEST(LitmusIriwTest, ReleaseAcquireAdmitsDisagreeingReaders) {
   std::set<long long> Ra =
       outcomesOf(RelAcq, IriwSource,
                  {"wx_main", "wy_main", "r1_main", "r2_main"}, {3, 4},
-                 raMemory());
+                 MemoryModel::Ra);
   EXPECT_TRUE(Ra.count(1010)) << "RA must admit disagreeing readers";
   std::set<long long> Sc =
       outcomesOf(RelAcq, IriwSource,
                  {"wx_main", "wy_main", "r1_main", "r2_main"}, {3, 4},
-                 scMemory());
+                 MemoryModel::Sc);
   EXPECT_FALSE(Sc.count(1010));
   // RA admits every SC outcome (variant 0 is the all-latest choice).
   for (long long V : Sc)
@@ -265,12 +265,12 @@ TEST(LitmusIriwTest, ReleaseAcquireAdmitsDisagreeingReaders) {
 TEST(LitmusIriwTest, SeqCstLoadsRestoreAgreement) {
   // With SC loads both readers read the latest store in modification
   // order, which restores a total order on what they can see — the
-  // documented SeqCst strengthening of RaMemory.
+  // documented SeqCst strengthening of MemoryModel::Ra.
   LayerPtr ScLoads = makeXyLayer(MemOrder::Release, MemOrder::Release,
                                  MemOrder::SeqCst, MemOrder::SeqCst);
   std::set<long long> Out =
       outcomesOf(ScLoads, IriwSource,
                  {"wx_main", "wy_main", "r1_main", "r2_main"}, {3, 4},
-                 raMemory());
+                 MemoryModel::Ra);
   EXPECT_FALSE(Out.count(1010));
 }

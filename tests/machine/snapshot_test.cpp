@@ -137,13 +137,13 @@ TEST(SnapshotSlotTest, McsScAssignsAndSwapsInPlace) {
 TEST(SnapshotSlotTest, TicketRaAssignsAndSwapsInPlace) {
   ObjectHarness H = makeTicketLockHarnessRa(2, 1);
   MachineConfigPtr Cfg = H.implConfig();
-  ASSERT_TRUE(Cfg->Model && Cfg->Model->weak());
+  ASSERT_EQ(Cfg->Model, MemoryModel::Ra);
   checkSlots(Cfg);
 }
 
 TEST(SnapshotSlotTest, McsRaAssignsAndSwapsInPlace) {
   ObjectHarness H = makeMcsLockHarnessRa(2, 1);
   MachineConfigPtr Cfg = H.implConfig();
-  ASSERT_TRUE(Cfg->Model && Cfg->Model->weak());
+  ASSERT_EQ(Cfg->Model, MemoryModel::Ra);
   checkSlots(Cfg);
 }

@@ -1,6 +1,6 @@
 //===- tests/objects/ralock_test.cpp - Locks under release/acquire memory -------===//
 //
-// Re-verification of the runtime locks under the RaMemory model: the
+// Re-verification of the runtime locks under MemoryModel::Ra: the
 // correctly annotated ticket and MCS locks must still certify against the
 // same atomic overlay L1, while the broken ticket lock's model twin — the
 // torn relaxed ticket grab of rt::BrokenTicketLock — must be *refuted by
@@ -45,9 +45,9 @@ TEST(RaTicketLockTest, SameOutcomesAsScOnTwoCpus) {
 
 TEST(RaTicketLockTest, BrokenGrabIsRefutedByExploration) {
   // rt::BrokenTicketLock's model twin: the ticket grab demoted to a torn
-  // relaxed load/store pair.  Under RaMemory the stale ticket read is an
-  // enumerable reads-from choice, so some exploration branch hands the
-  // same ticket to both CPUs, both pass the now-serving gate, and the
+  // relaxed load/store pair.  Under MemoryModel::Ra the stale ticket read
+  // is an enumerable reads-from choice, so some exploration branch hands
+  // the same ticket to both CPUs, both pass the now-serving gate, and the
   // double hold wedges the ticket replay — the "ticket.mutex" invariant
   // must refute the refinement without any external oracle.
   HarnessOutcome Out = certifyTicketLockRa(2, 1, /*BrokenGrab=*/true);
@@ -80,12 +80,12 @@ TEST(RaTicketLockTest, BrokenGrabReachesDoubleHold) {
 }
 
 TEST(RaTicketLockTest, BrokenGrabStillPassesUnderScMemory) {
-  // Control: the same torn-grab layers explored under ScMemory (where a
-  // read always sees the latest write) show no violation — the bug is a
-  // weak-memory bug, only visible once stale reads are enumerated.  This
-  // is exactly why the RA backend exists.
+  // Control: the same torn-grab layers explored under MemoryModel::Sc
+  // (where a read always sees the latest write) show no violation — the
+  // bug is a weak-memory bug, only visible once stale reads are
+  // enumerated.  This is exactly why the RA backend exists.
   ObjectHarness H = makeTicketLockHarnessRa(2, 1, /*BrokenGrab=*/true);
-  H.ImplModel = scMemory();
+  H.ImplModel = MemoryModel::Sc;
   HarnessOutcome Out = runObjectHarness(H);
   EXPECT_TRUE(Out.Report.Holds) << Out.Report.Counterexample;
 }
